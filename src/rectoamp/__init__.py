@@ -13,7 +13,7 @@ from .oamp import DenoiserSet, GeneralOampSpec, IterationTrace, \
 from .scalar_channel import ScalarChannel, mmse_inverse
 from .spectra import (InducedMeasures, MarchenkoPastur, Measure, ShiftedBeta,
                       ShrinkageSet, SpectrumModel, Tabulated,
-                      detection_threshold, inner_product)
+                      detection_threshold)
 from .state_evolution import (SeTrace, gaussian_fixed_point, optimal_se_run,
                               se_step_general)
 
@@ -26,7 +26,7 @@ __all__ = [
     "ShrinkageSet", "SpectrumModel", "SvdCache", "Tabulated",
     "detection_threshold", "emit_csv", "empirical_signal_measures",
     "gaussian_amp_run", "gaussian_fixed_point", "general_oamp_run",
-    "inner_product", "load_config", "make_instance", "mmse_inverse",
+    "load_config", "make_instance", "mmse_inverse",
     "optimal_oamp_run", "optimal_se_run", "parse_config", "pca_estimate",
     "run_experiment", "se_step_general", "thin_svd", "write_report",
 ]

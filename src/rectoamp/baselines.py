@@ -28,33 +28,29 @@ def pca_estimate(inst: ProblemInstance, svd: SvdCache):
 
 
 def gaussian_amp_run(inst: ProblemInstance, channel_u: ScalarChannel,
-                     channel_v: ScalarChannel, n_iter: int) -> IterationTrace:
+                     channel_v: ScalarChannel, schedule) -> IterationTrace:
     """AMP with Onsager correction, valid for i.i.d. Gaussian noise.
 
-    Messages are rescaled onto the unit scalar channel using the state
-    evolution strengths
-
-        snr(w2) = theta^2 (1 - mmse_U(w1)),
-        snr(w1) = (theta^2 / delta)(1 - mmse_V(w2)),
-
-    with the empirical Onsager coefficients (1/N) sum of denoiser
-    derivatives.  Denoisers are posterior means conditioning jointly on the
-    message and the side information.
+    Runs the steps of ``schedule``, the ``amp_se_trajectory`` of the same
+    SNR, aspect ratio and channels: messages are rescaled onto the unit
+    scalar channel with its strengths w_t and predicted alignments, with the
+    empirical Onsager coefficients (1/N) sum of denoiser derivatives.
+    Denoisers are posterior means conditioning jointly on the message and
+    the side information.
     """
     theta, delta = inst.theta, inst.delta
     M, N = inst.M, inst.N
     trace = IterationTrace()
 
-    # start from the side-information posterior mean (w = 0 message)
+    # start from the side-information posterior mean (w = 0 message); the
+    # alignment of f entering step t is the predicted cos^2 of step t - 1
     f = channel_u.posterior_mean(np.zeros(M), inst.a, 0.0)
-    alpha = 1.0 - channel_u.mmse(0.0)
+    alphas = [1.0 - channel_u.mmse(0.0)] + list(schedule.cos2_u)
     g_prev = np.zeros(N)
     f_deriv_sum = 0.0
-    w1 = 0.0
 
-    for t in range(1, n_iter + 1):
-        gamma_v = theta ** 2 * (1.0 - channel_u.mmse(w1))
-        w2 = gamma_v / (1.0 + gamma_v)
+    for t, (w1, w2, alpha, beta) in enumerate(zip(
+            schedule.w1, schedule.w2, alphas, schedule.cos2_v), 1):
         if alpha <= 0:
             raise BaselineError(f"denoiser alignment vanished at t={t}")
         s_v = np.sqrt(w2) / (theta * np.sqrt(delta) * alpha) if w2 > 0 else 0.0
@@ -64,10 +60,7 @@ def gaussian_amp_run(inst: ProblemInstance, channel_u: ScalarChannel,
         g = channel_v.posterior_mean(x_scaled, inst.b, w2)
         g_deriv_sum = s_v * float(np.sum(
             channel_v.posterior_mean_derivative(x_scaled, inst.b, w2)))
-        beta = 1.0 - channel_v.mmse(w2)
 
-        gamma_u = theta ** 2 / delta * (1.0 - channel_v.mmse(w2))
-        w1 = gamma_u / (1.0 + gamma_u)
         s_u = np.sqrt(w1) * np.sqrt(delta) / (theta * beta) if w1 > 0 else 0.0
 
         u_msg = inst.Y @ g - (g_deriv_sum / N) * f
@@ -75,7 +68,6 @@ def gaussian_amp_run(inst: ProblemInstance, channel_u: ScalarChannel,
         f = channel_u.posterior_mean(u_scaled, inst.a, w1)
         f_deriv_sum = s_u * float(np.sum(
             channel_u.posterior_mean_derivative(u_scaled, inst.a, w1)))
-        alpha = 1.0 - channel_u.mmse(w1)
         g_prev = g
         _check_finite(f, "u")
         _check_finite(g, "v")

@@ -12,7 +12,7 @@ import numpy as np
 from .harness import (ConfigError, ExperimentConfig, HarnessError,
                       build_spectrum, load_config, run_experiment, write_report)
 from .scalar_channel import ScalarChannel
-from .spectra import ShrinkageSet, detection_threshold, inner_product
+from .spectra import ShrinkageSet, detection_threshold
 from .state_evolution import gaussian_fixed_point, optimal_se_run
 
 USAGE_EXIT = 2

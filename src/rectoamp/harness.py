@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import gaussian_amp_run, pca_estimate
-from .model import PriorModel, make_instance, thin_svd
-from .oamp import optimal_oamp_run
-from .scalar_channel import ScalarChannel
-from .spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
-from .state_evolution import optimal_se_run
+from .baselines import BaselineError, gaussian_amp_run, pca_estimate
+from .model import ModelError, PriorModel, make_instance, thin_svd
+from .oamp import OampError, optimal_oamp_run
+from .scalar_channel import ChannelError, ScalarChannel
+from .spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, SpectraError
+from .state_evolution import (StateEvolutionError, amp_se_trajectory,
+                              optimal_se_run)
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +30,9 @@ CSV_FIELDS = ("method", "t", "mean_cos2_u", "se_cos2_u", "mean_cos2_v",
               "se_cos2_v", "pred_cos2_u", "pred_cos2_v", "mean_mse_u",
               "mean_mse_v")
 MAX_FAILURE_FRACTION = 0.2
+# a seed that raises one of these has failed; anything else is a bug
+DOMAIN_ERRORS = (ChannelError, SpectraError, ModelError, StateEvolutionError,
+                 OampError, BaselineError)
 
 
 class ConfigError(Exception):
@@ -142,32 +146,20 @@ def build_channels(cfg: ExperimentConfig):
             ScalarChannel(cfg.prior_v, cfg.w0_v))
 
 
-def amp_se_trajectory(cfg: ExperimentConfig, channel_u, channel_v):
-    """cos^2 trajectory of the Gaussian-noise AMP scalar recursion."""
-    w1 = 0.0
-    cu, cv = [], []
-    for _ in range(cfg.iters):
-        g2 = cfg.theta ** 2 * (1.0 - channel_u.mmse(w1))
-        w2 = g2 / (1.0 + g2)
-        g1 = cfg.theta ** 2 / cfg.delta * (1.0 - channel_v.mmse(w2))
-        w1 = g1 / (1.0 + g1)
-        cu.append(1.0 - channel_u.mmse(w1))
-        cv.append(1.0 - channel_v.mmse(w2))
-    return cu, cv
-
-
-def se_predictions(cfg: ExperimentConfig) -> dict:
-    """Predicted cos^2 curves per method (length-iters arrays, or length 1
-    for the one-shot PCA baseline)."""
+def se_predictions(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    """Predicted cos^2 curves per method (length-iters lists, or length 1
+    for the one-shot PCA baseline), and the strength schedules they come
+    from."""
     spectrum = build_spectrum(cfg)
     channel_u, channel_v = build_channels(cfg)
-    preds = {}
+    schedules = {}
     shrink = ShrinkageSet(spectrum, cfg.theta)
     if "oamp" in cfg.methods or "se-only" in cfg.methods:
-        tr = optimal_se_run(shrink, channel_u, channel_v, cfg.iters)
-        preds["oamp"] = (tr.cos2_u, tr.cos2_v)
+        schedules["oamp"] = optimal_se_run(shrink, channel_u, channel_v, cfg.iters)
     if "amp" in cfg.methods:
-        preds["amp"] = amp_se_trajectory(cfg, channel_u, channel_v)
+        schedules["amp"] = amp_se_trajectory(cfg.theta, cfg.delta, channel_u,
+                                             channel_v, cfg.iters)
+    preds = {m: (tr.cos2_u, tr.cos2_v) for m, tr in schedules.items()}
     if "pca" in cfg.methods:
         atoms = [a for a in shrink.find_spectral_atoms() if a.verified]
         if atoms:
@@ -175,11 +167,12 @@ def se_predictions(cfg: ExperimentConfig) -> dict:
             preds["pca"] = ([top.nu1_mass], [top.nu2_mass])
         else:
             preds["pca"] = ([0.0], [0.0])
-    return preds
+    return preds, schedules
 
 
-def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
-    """Run every simulated method on one instance; returns per-method curves."""
+def run_single_seed(cfg: ExperimentConfig, seed: int, schedules: dict) -> dict:
+    """Run every simulated method on one instance along the strength
+    schedules of ``se_predictions``; returns per-method curves."""
     spectrum = build_spectrum(cfg)
     channel_u, channel_v = build_channels(cfg)
     prior_u = PriorModel(cfg.prior_u, cfg.w0_u)
@@ -190,13 +183,14 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
     out = {}
     if "oamp" in cfg.methods:
         shrink = ShrinkageSet(spectrum, cfg.theta)
-        tr = optimal_oamp_run(inst, svd, shrink, channel_u, channel_v, cfg.iters)
+        tr = optimal_oamp_run(inst, svd, shrink, channel_u, channel_v,
+                              schedules["oamp"])
         out["oamp"] = (tr.cos2_u, tr.cos2_v, tr.mse_u, tr.mse_v)
     if "amp" in cfg.methods:
         if cfg.noise != "gaussian":
             warnings.warn("running Gaussian AMP on non-Gaussian noise",
                           RuntimeWarning, stacklevel=2)
-        tr = gaussian_amp_run(inst, channel_u, channel_v, cfg.iters)
+        tr = gaussian_amp_run(inst, channel_u, channel_v, schedules["amp"])
         out["amp"] = (tr.cos2_u, tr.cos2_v, tr.mse_u, tr.mse_v)
     if "pca" in cfg.methods:
         u_hat, v_hat, c2u, c2v = pca_estimate(inst, svd)
@@ -246,7 +240,7 @@ def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list
 
 def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     cfg.validate()
-    predictions = se_predictions(cfg)
+    predictions, schedules = se_predictions(cfg)
     simulated = [m for m in cfg.methods if m != "se-only"]
     per_seed, failures = {}, {}
 
@@ -255,18 +249,19 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
             or min(len(cfg.seeds), os.cpu_count() or 1)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {seed: pool.submit(run_single_seed, cfg, seed)
+                futures = {seed: pool.submit(run_single_seed, cfg, seed,
+                                             schedules)
                            for seed in cfg.seeds}
                 for seed, fut in futures.items():
                     try:
                         per_seed[seed] = fut.result()
-                    except Exception as exc:   # noqa: BLE001 - per-seed isolation
+                    except DOMAIN_ERRORS as exc:
                         failures[seed] = str(exc)
         else:
             for seed in cfg.seeds:
                 try:
-                    per_seed[seed] = run_single_seed(cfg, seed)
-                except Exception as exc:   # noqa: BLE001 - per-seed isolation
+                    per_seed[seed] = run_single_seed(cfg, seed, schedules)
+                except DOMAIN_ERRORS as exc:
                     failures[seed] = str(exc)
         if failures:
             logger.warning("%d/%d seeds failed: %s", len(failures),

@@ -101,34 +101,17 @@ def _haar_columns(n: int, k: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def sample_ri_noise(spectrum: SpectrumModel, M: int, N: int, rng,
-                    quantile_eigenvalues: bool = False) -> np.ndarray:
+def sample_ri_noise(spectrum: SpectrumModel, M: int, N: int, rng) -> np.ndarray:
     """W = U diag(sigma) V^T with independent Haar factors.
 
-    Squared singular values are drawn i.i.d. from the spectrum; the quantile
-    mode replaces them with spectrum quantiles for variance reduction.
+    Squared singular values are drawn i.i.d. from the spectrum.
     """
     if M > N:
         raise ModelError("aspect ratios above 1 are unsupported (need M <= N)")
-    if quantile_eigenvalues:
-        lam = _QuantileSampler(spectrum)((np.arange(M) + 0.5) / M)
-    else:
-        lam = spectrum.sample_eigenvalues(M, rng)
-    sigma = np.sqrt(lam)
+    sigma = np.sqrt(spectrum.sample_eigenvalues(M, rng))
     U = sample_haar_orthogonal(M, rng)
     V = _haar_columns(N, M, rng)
     return (U * sigma) @ V.T
-
-
-class _QuantileSampler:
-    def __init__(self, spectrum: SpectrumModel):
-        cdf = np.cumsum(spectrum.quad_weights * spectrum._density_at_nodes)
-        self._cdf = np.concatenate(([0.0], cdf / cdf[-1], [1.0]))
-        self._grid = np.concatenate(([spectrum.support[0]], spectrum.nodes,
-                                     [spectrum.support[1]]))
-
-    def __call__(self, u):
-        return np.interp(u, self._cdf, self._grid)
 
 
 def sample_gaussian_noise(M: int, N: int, rng) -> np.ndarray:

@@ -18,9 +18,7 @@ import numpy as np
 
 from .model import ProblemInstance, SvdCache
 from .scalar_channel import ScalarChannel
-from .spectra import ShrinkageSet, inner_product
-
-W_FLOOR = 1e-12
+from .spectra import ShrinkageSet
 
 
 class OampError(Exception):
@@ -60,8 +58,9 @@ class DenoiserSet:
         self.q_zero = self.delta / (rho2 * shrinkage.phi2_zero() + self.delta)
 
         mu = self.spectrum.measure()
-        self.mean_p = inner_product(mu, lambda lam: self._pq(lam)[0])
-        self.mean_q = (self.delta * inner_product(mu, lambda lam: self._pq(lam)[2])
+        p, _, q, _ = self._pq(mu.nodes)
+        self.mean_p = float(np.sum(mu.weights * p))
+        self.mean_q = (self.delta * float(np.sum(mu.weights * q))
                        + (1.0 - self.delta) * self.q_zero)
         if not 0.0 < self.mean_p < 1.0 or not 0.0 < self.mean_q < 1.0:
             raise OampError(
@@ -163,13 +162,14 @@ def _check_finite(x, label):
 
 def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageSet,
                      channel_u: ScalarChannel, channel_v: ScalarChannel,
-                     n_iter: int, keep_iterates: tuple = ()) -> IterationTrace:
-    """Run the optimal OAMP iteration for n_iter steps.
+                     schedule, keep_iterates: tuple = ()) -> IterationTrace:
+    """Run the optimal OAMP iteration along ``schedule``, the
+    ``optimal_se_run`` of the same spectrum, SNR and channels, which gives
+    the strengths w_t and output SNRs rho_t.
 
-    Strength parameters follow the scalar recursion: the side channel is
-    handled inside the scalar denoisers, so the iterate strengths start at
-    w = 0 and the first update draws its signal content from the side
-    information alone.
+    The side channel is handled inside the scalar denoisers, so the iterate
+    strengths start at w = 0 and the first update draws its signal content
+    from the side information alone.
     """
     lam = svd.eigenvalues
     trace = IterationTrace()
@@ -177,25 +177,21 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageS
     u_it = np.zeros(inst.M)
     v_it = np.zeros(inst.N)
 
-    for t in range(1, n_iter + 1):
-        m_u = channel_u.mmse(w1)
-        m_v = channel_v.mmse(w2)
-        rho1 = 1.0 / m_u - 1.0 / (1.0 - w1)
-        rho2 = 1.0 / m_v - 1.0 / (1.0 - w2)
+    for t, (w1_next, w2_next, rho1, rho2) in enumerate(zip(
+            schedule.w1, schedule.w2, schedule.rho1, schedule.rho2), 1):
         den = DenoiserSet(shrinkage, rho1, rho2)
         f = channel_u.dmmse(u_it, inst.a, w1)
         g = channel_v.dmmse(v_it, inst.b, w2)
         fv, ftv, gv, gtv = den.evaluate(lam)
-        w1_next, w2_next = den.next_strengths()
-        # a collapsed strength means the matrix step carries no signal
-        # (e.g. theta = 0); the zero iterate keeps estimates on side info
-        if w1_next < W_FLOOR:
-            w1_next, u_it = 0.0, np.zeros(inst.M)
+        # a zero strength means the matrix step carries no signal (e.g.
+        # theta = 0); the zero iterate keeps estimates on side info
+        if w1_next == 0.0:
+            u_it = np.zeros(inst.M)
         else:
             u_it = (apply_left(svd, fv, f)
                     + apply_cross_left(svd, ftv, g)) / np.sqrt(w1_next)
-        if w2_next < W_FLOOR:
-            w2_next, v_it = 0.0, np.zeros(inst.N)
+        if w2_next == 0.0:
+            v_it = np.zeros(inst.N)
         else:
             v_it = (apply_right(svd, gv, den.g_zero(), g)
                     + apply_cross_right(svd, gtv, f)) / np.sqrt(w2_next)

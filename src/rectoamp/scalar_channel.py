@@ -37,14 +37,14 @@ class ScalarChannel:
     Rademacher prior is a two-point sum, the Gaussian prior is closed form).
     """
 
-    def __init__(self, prior_kind: str, w0: float = 0.0, gh_nodes: int = GH_NODES):
+    def __init__(self, prior_kind: str, w0: float = 0.0):
         if prior_kind not in ("rademacher", "gaussian"):
             raise ChannelError(f"unknown prior {prior_kind!r}")
         if not 0.0 <= w0 < 1.0:
             raise ChannelError(f"side-info strength must be in [0, 1), got {w0}")
         self.prior = prior_kind
         self.w0 = float(w0)
-        self._z, self._wz = _gauss_hermite(gh_nodes)
+        self._z, self._wz = _gauss_hermite(GH_NODES)
 
     # -- posterior mean -------------------------------------------------------
 

@@ -82,7 +82,7 @@ class SpectrumModel:
 
     kind = "generic"
 
-    def __init__(self, delta: float, support, density, n_quad: int = DEFAULT_QUAD_NODES):
+    def __init__(self, delta: float, support, density):
         if not 0.0 < delta <= 1.0:
             raise SpectraError(f"aspect ratio must be in (0, 1], got {delta}")
         lo, hi = float(support[0]), float(support[1])
@@ -91,7 +91,7 @@ class SpectrumModel:
         self.delta = float(delta)
         self.support = (lo, hi)
         self._density = density
-        self.nodes, self.quad_weights = _gauss_legendre(lo, hi, n_quad)
+        self.nodes, self.quad_weights = _gauss_legendre(lo, hi, DEFAULT_QUAD_NODES)
         self._density_at_nodes = np.asarray(density(self.nodes), dtype=float)
         mass = float(np.dot(self.quad_weights, self._density_at_nodes))
         # tolerance accommodates square-root edge behavior (e.g. MP at
@@ -136,6 +136,11 @@ class SpectrumModel:
             return vals.real if np.isreal(z) else vals
         return vals
 
+    def _stieltjes_derivative(self, lam: float) -> float:
+        """S'(lambda) = -int (lambda - t)^-2 dmu(t), real lambda off the support."""
+        return -float(np.sum(self.quad_weights * self._density_at_nodes
+                             / (lam - self.nodes) ** 2))
+
     def hilbert(self, x):
         """(1/pi) P.V. int mu(lam) / (x - lam) dlam, defined on all of R.
 
@@ -171,10 +176,12 @@ class SpectrumModel:
         s = self.stieltjes(z)
         return z * s * (self.delta * s + (1.0 - self.delta) / z)
 
-    def c_derivative(self, lam, rel_step: float = 1e-6):
-        """dC/dlambda on the real axis off the support, by centered differences."""
-        h = rel_step * max(1.0, abs(lam))
-        return (self.c_transform(lam + h) - self.c_transform(lam - h)) / (2 * h)
+    def c_derivative(self, lam: float) -> float:
+        """dC/dlambda on the real axis off the support:
+        C' = delta S^2 + (2 delta lambda S + 1 - delta) S'."""
+        s = float(np.real(self.stieltjes(lam)))   # rejects lam on the support
+        d = self.delta
+        return d * s ** 2 + (2.0 * d * lam * s + 1.0 - d) * self._stieltjes_derivative(lam)
 
     # -- measure views ------------------------------------------------------
 
@@ -205,7 +212,7 @@ class MarchenkoPastur(SpectrumModel):
 
     kind = "marchenko_pastur"
 
-    def __init__(self, delta: float, n_quad: int = DEFAULT_QUAD_NODES):
+    def __init__(self, delta: float):
         sq = np.sqrt(delta)
         lo, hi = (1.0 - sq) ** 2, (1.0 + sq) ** 2
 
@@ -214,7 +221,7 @@ class MarchenkoPastur(SpectrumModel):
             arg = np.clip((hi - lam) * (lam - lo), 0.0, None)
             return np.sqrt(arg) / (2.0 * np.pi * delta * lam)
 
-        super().__init__(delta, (lo, hi), density, n_quad)
+        super().__init__(delta, (lo, hi), density)
 
     def _stieltjes(self, z):
         z = np.asarray(z, dtype=complex)
@@ -229,6 +236,14 @@ class MarchenkoPastur(SpectrumModel):
             s = complex(s)
             return s.real if np.isreal(z) else s
         return s
+
+    def _stieltjes_derivative(self, lam):
+        # S' = (1 - r') / (2 delta lambda) - S / lambda with r^2 = (z - lo)(z - hi)
+        lo, hi = self.support
+        r = np.sqrt(complex(lam - lo)) * np.sqrt(complex(lam - hi))
+        dr = (2.0 * lam - lo - hi) / (2.0 * r)
+        s = self._stieltjes(lam)
+        return float(np.real((1.0 - dr) / (2.0 * self.delta * lam) - s / lam))
 
     def hilbert(self, x):
         x = np.asarray(x, dtype=float)
@@ -251,8 +266,7 @@ class ShiftedBeta(SpectrumModel):
 
     kind = "shifted_beta"
 
-    def __init__(self, a: float, b: float, lo: float, hi: float, delta: float,
-                 n_quad: int = DEFAULT_QUAD_NODES):
+    def __init__(self, a: float, b: float, lo: float, hi: float, delta: float):
         if lo < 0:
             raise SpectraError("support must lie on the positive half-line")
         self.a, self.b = float(a), float(b)
@@ -263,7 +277,7 @@ class ShiftedBeta(SpectrumModel):
             t = np.clip((np.asarray(lam, dtype=float) - lo) / width, 0.0, 1.0)
             return t ** (a - 1.0) * (1.0 - t) ** (b - 1.0) / norm
 
-        super().__init__(delta, (lo, hi), density, n_quad)
+        super().__init__(delta, (lo, hi), density)
 
     def sample_eigenvalues(self, n: int, rng) -> np.ndarray:
         lo, hi = self.support
@@ -275,7 +289,7 @@ class Tabulated(SpectrumModel):
 
     kind = "tabulated"
 
-    def __init__(self, grid, values, delta: float, n_quad: int = DEFAULT_QUAD_NODES):
+    def __init__(self, grid, values, delta: float):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if np.any(values < 0):
@@ -287,7 +301,7 @@ class Tabulated(SpectrumModel):
             return np.interp(np.asarray(lam, dtype=float), grid, values,
                              left=0.0, right=0.0)
 
-        super().__init__(delta, (grid[0], grid[-1]), density, n_quad)
+        super().__init__(delta, (grid[0], grid[-1]), density)
 
 
 @dataclass(frozen=True)
@@ -392,7 +406,7 @@ class ShrinkageSet:
 
     # -- atoms and induced measures ------------------------------------------
 
-    def find_spectral_atoms(self, search_margin: float | None = None) -> list[SpectralAtom]:
+    def find_spectral_atoms(self) -> list[SpectralAtom]:
         """Roots of 1 - theta^2 C(lambda) = 0 off the support, with masses.
 
         Scans above the upper support edge (and below the lower edge when the
@@ -404,8 +418,7 @@ class ShrinkageSet:
             return []
         spec, th = self.spectrum, self.theta
         lo, hi = spec.support
-        if search_margin is None:
-            search_margin = ROOT_MARGIN_FACTOR * (1.0 + th ** 2)
+        search_margin = ROOT_MARGIN_FACTOR * (1.0 + th ** 2)
         atoms = []
         eps_lo, eps_hi = 1e-9 * max(1.0, lo), 1e-9 * max(1.0, hi)
         for a, b, verified in (
@@ -436,7 +449,7 @@ class ShrinkageSet:
 
     def _atom_at(self, lam_star, verified):
         spec, th, d = self.spectrum, self.theta, self.delta
-        cprime = np.real(spec.c_derivative(lam_star))
+        cprime = spec.c_derivative(lam_star)
         if not verified:
             warnings.warn(
                 f"root {lam_star:.6g} below the spectrum support: unverified branch",
@@ -458,8 +471,8 @@ class ShrinkageSet:
         spec, d = self.spectrum, self.delta
         lam = spec.nodes
         base = spec.quad_weights * spec._density_at_nodes
-        _, _, n3, den = self.numerators(lam)
-        phi1, phi2, phi3 = self.phi(lam)
+        n1, n2, n3, den = self.numerators(lam)
+        phi1, phi2, phi3 = n1 / den, n2 / den, n3 / den
         atoms = self.find_spectral_atoms()
 
         nu1_atoms = tuple((a.location, a.nu1_mass) for a in atoms)
@@ -499,11 +512,6 @@ class ShrinkageSet:
             nu2_zero_mass=nu2_zero,
             atoms=tuple(atoms),
         )
-
-
-def inner_product(measure: Measure, f) -> float:
-    """<f> with respect to a finite measure (density part + atoms)."""
-    return measure.integrate(f)
 
 
 def detection_threshold(spectrum: SpectrumModel) -> float:

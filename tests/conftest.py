@@ -9,6 +9,7 @@ from rectoamp.model import (PriorModel, empirical_signal_measures,
 from rectoamp.oamp import optimal_oamp_run
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
+from rectoamp.state_evolution import amp_se_trajectory, optimal_se_run
 
 THETA = 2.0
 DELTA = 0.5
@@ -47,8 +48,9 @@ def channels():
 
 
 def run_seed(spectrum, noise, theta, M, N, seed, shrinkage=None, channels=None,
-             n_iter=T_DESK, keep_iterates=(), with_amp=False, with_oamp=True):
-    """One seed's worth of everything the acceptance suite consumes."""
+             schedules=None, keep_iterates=(), with_amp=False, with_oamp=True):
+    """One seed's worth of everything the acceptance suite consumes; the
+    runs read their strengths from ``schedules`` (see ``schedules_for``)."""
     prior = PriorModel("rademacher", W0)
     inst = make_instance(prior, prior, noise, M, N, theta, seed)
     svd = thin_svd(inst.Y)
@@ -62,29 +64,40 @@ def run_seed(spectrum, noise, theta, M, N, seed, shrinkage=None, channels=None,
     }
     if with_oamp and shrinkage is not None:
         tr = optimal_oamp_run(inst, svd, shrinkage, channels[0], channels[1],
-                              n_iter, keep_iterates=keep_iterates)
+                              schedules["oamp"], keep_iterates=keep_iterates)
         out["oamp"] = tr
         if keep_iterates:
             out["residuals"] = {
                 t: (tr.iterates[t][0], inst.u_star) for t in keep_iterates}
     if with_amp:
-        out["amp"] = gaussian_amp_run(inst, channels[0], channels[1], n_iter)
+        out["amp"] = gaussian_amp_run(inst, channels[0], channels[1],
+                                      schedules["amp"])
     return out
+
+
+def schedules_for(shrinkage, channels):
+    """The OAMP and AMP strength schedules of one (spectrum, theta) pair."""
+    return {"oamp": optimal_se_run(shrinkage, *channels, T_DESK),
+            "amp": amp_se_trajectory(shrinkage.theta, shrinkage.delta,
+                                     *channels, T_DESK)}
 
 
 @pytest.fixture(scope="session")
 def ens_fig1(mp05, shrink_mp2, channels):
     """Gaussian noise, theta=2: OAMP + AMP, iterates kept at t in {1, 3}."""
+    schedules = schedules_for(shrink_mp2, channels)
     return [run_seed(mp05, "gaussian", THETA, M_DESK, N_DESK, seed,
-                     shrink_mp2, channels, keep_iterates=(1, 3), with_amp=True)
+                     shrink_mp2, channels, schedules, keep_iterates=(1, 3),
+                     with_amp=True)
             for seed in range(N_SEEDS)]
 
 
 @pytest.fixture(scope="session")
 def ens_beta2(beta_spectrum, shrink_beta2, channels):
     """RI Beta noise, theta=2: OAMP + PCA + empirical measures."""
+    schedules = schedules_for(shrink_beta2, channels)
     return [run_seed(beta_spectrum, beta_spectrum, THETA, M_DESK, N_DESK,
-                     seed, shrink_beta2, channels)
+                     seed, shrink_beta2, channels, schedules)
             for seed in range(N_SEEDS)]
 
 

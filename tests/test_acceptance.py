@@ -13,7 +13,7 @@ from scipy import integrate, stats
 from rectoamp.model import PriorModel, make_instance, thin_svd
 from rectoamp.oamp import DenoiserSet
 from rectoamp.scalar_channel import ScalarChannel
-from rectoamp.spectra import ShrinkageSet, inner_product
+from rectoamp.spectra import ShrinkageSet
 from rectoamp.state_evolution import gaussian_fixed_point, optimal_se_run
 
 from conftest import DELTA, M_DESK, N_SEEDS, T_DESK, THETA, W0
@@ -162,8 +162,8 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     for sh, se in ((shrink_mp2, se_mp), (shrink_beta2, se_beta)):
         den = DenoiserSet(sh, se.rho1[-1], se.rho2[-1])
         mu, d = sh.spectrum.measure(), sh.delta
-        mean_f = inner_product(mu, lambda l: den.evaluate(l)[0])
-        mean_g = (d * inner_product(mu, lambda l: den.evaluate(l)[2])
+        mean_f = mu.integrate(lambda l: den.evaluate(l)[0])
+        mean_g = (d * mu.integrate(lambda l: den.evaluate(l)[2])
                   + (1 - d) * den.g_zero())
         worst_mean = max(worst_mean, abs(mean_f), abs(mean_g))
     ok &= worst_mean <= 1e-10

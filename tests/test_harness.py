@@ -11,6 +11,7 @@ from rectoamp.cli import main as cli_main
 from rectoamp.harness import (ConfigError, ExperimentConfig, HarnessError,
                               emit_csv, parse_config, run_experiment,
                               write_report)
+from rectoamp.model import ModelError
 
 SMALL = """
 spectrum = mp
@@ -84,7 +85,9 @@ class TestRunExperiment:
 
     def test_aggregation_independent_recompute(self, small_report):
         cfg = parse_config(SMALL)
-        per_seed = {s: harness.run_single_seed(cfg, s) for s in cfg.seeds}
+        _, schedules = harness.se_predictions(cfg)
+        per_seed = {s: harness.run_single_seed(cfg, s, schedules)
+                    for s in cfg.seeds}
         oamp_rows = [r for r in small_report.rows if r["method"] == "oamp"]
         for t, row in enumerate(oamp_rows):
             vals = [per_seed[s]["oamp"][0][t] for s in cfg.seeds]
@@ -101,10 +104,10 @@ class TestRunExperiment:
         cfg = parse_config(SMALL)
         real = harness.run_single_seed
 
-        def flaky(cfg, seed):
+        def flaky(cfg, seed, schedules):
             if seed != 0:
-                raise RuntimeError("synthetic failure")
-            return real(cfg, seed)
+                raise ModelError("synthetic failure")
+            return real(cfg, seed, schedules)
 
         monkeypatch.setattr(harness, "run_single_seed", flaky)
         with pytest.raises(HarnessError, match="seeds failed"):
@@ -114,15 +117,26 @@ class TestRunExperiment:
         cfg = parse_config(SMALL, {"seeds": "0,1,2,3,4"})
         real = harness.run_single_seed
 
-        def flaky(cfg, seed):
+        def flaky(cfg, seed, schedules):
             if seed == 4:
-                raise RuntimeError("synthetic failure")
-            return real(cfg, seed)
+                raise ModelError("synthetic failure")
+            return real(cfg, seed, schedules)
 
         monkeypatch.setattr(harness, "run_single_seed", flaky)
         report = run_experiment(cfg)
         assert report.failures == {4: "synthetic failure"}
         assert report.n_seeds == 4
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only domain errors count as seed failures
+        cfg = parse_config(SMALL)
+
+        def broken(cfg, seed, schedules):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(harness, "run_single_seed", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(cfg)
 
 
 class TestEmission:

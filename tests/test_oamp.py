@@ -8,7 +8,8 @@ from rectoamp.oamp import (DenoiserSet, GeneralOampSpec, OampError,
                            apply_cross_left, apply_cross_right, apply_left,
                            apply_right, general_oamp_run, optimal_oamp_run)
 from rectoamp.scalar_channel import ScalarChannel
-from rectoamp.spectra import MarchenkoPastur, ShrinkageSet, inner_product
+from rectoamp.spectra import MarchenkoPastur, ShrinkageSet
+from rectoamp.state_evolution import optimal_se_run
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +60,8 @@ class TestDenoiserSet:
             den = DenoiserSet(sh, 1.3, 0.8)
             mu = sh.spectrum.measure()
             d = sh.delta
-            mean_f = inner_product(mu, lambda l: den.evaluate(l)[0])
-            mean_g = (d * inner_product(mu, lambda l: den.evaluate(l)[2])
+            mean_f = mu.integrate(lambda l: den.evaluate(l)[0])
+            mean_g = (d * mu.integrate(lambda l: den.evaluate(l)[2])
                       + (1 - d) * den.g_zero())
             assert abs(mean_f) <= 1e-10
             assert abs(mean_g) <= 1e-10
@@ -126,12 +127,20 @@ class TestOptimalRun:
         assert all(0 <= c <= 1 for c in tr.cos2_u + tr.cos2_v)
         assert set(tr.iterates) == {1, 3}
 
+    def test_strengths_read_from_schedule(self, small_instance, shrink_mp2,
+                                          channels):
+        inst, svd = small_instance
+        schedule = optimal_se_run(shrink_mp2, *channels, 4)
+        tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule)
+        assert tr.w1 == schedule.w1 and tr.w2 == schedule.w2
+
     def test_theta_zero_stays_at_side_info_floor(self, mp05):
         prior = PriorModel("rademacher", 0.3)
         inst = make_instance(prior, prior, "gaussian", 400, 800, 0.0, 3)
         sh = ShrinkageSet(mp05, 0.0)
         ch = ScalarChannel("rademacher", 0.3)
-        tr = optimal_oamp_run(inst, thin_svd(inst.Y), sh, ch, ch, 3)
+        tr = optimal_oamp_run(inst, thin_svd(inst.Y), sh, ch, ch,
+                              optimal_se_run(sh, ch, ch, 3))
         floor = 1.0 - ch.mmse(0.0)
         for c in tr.cos2_u:
             assert c == pytest.approx(floor, abs=0.05)
@@ -140,7 +149,8 @@ class TestOptimalRun:
         prior = PriorModel("rademacher", 0.04)
         inst = make_instance(prior, prior, "gaussian", 150, 300, 2.0, 7)
         svd = thin_svd(inst.Y)
-        tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, 2,
+        schedule = optimal_se_run(shrink_mp2, *channels, 2)
+        tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule,
                               keep_iterates=(2,))
         perm = np.random.default_rng(0).permutation(inst.M)
         inst_p = make_instance(prior, prior, "gaussian", 150, 300, 2.0, 7)
@@ -148,7 +158,7 @@ class TestOptimalRun:
         inst_p.u_star = inst.u_star[perm]
         inst_p.a = inst.a[perm]
         tr_p = optimal_oamp_run(inst_p, thin_svd(inst_p.Y), shrink_mp2,
-                                *channels, 2, keep_iterates=(2,))
+                                *channels, schedule, keep_iterates=(2,))
         assert np.allclose(tr_p.iterates[2][0], tr.iterates[2][0][perm],
                            atol=1e-8)
 
@@ -182,14 +192,13 @@ class TestGeneralRun:
             post_v=lambda t, v, b: ch_v.posterior_mean(v, b, se_trace.w2[t - 1]))
 
     def test_matches_optimal_run(self, mp05, shrink_mp2, channels):
-        from rectoamp.state_evolution import optimal_se_run
         prior = PriorModel("rademacher", 0.04)
         inst = make_instance(prior, prior, "gaussian", 200, 400, 2.0, 5)
         svd = thin_svd(inst.Y)
         se = optimal_se_run(shrink_mp2, *channels, 4)
         spec = self._optimal_spec(shrink_mp2, channels, se)
         tr_gen = general_oamp_run(inst, svd, spec, mp05, 4)
-        tr_opt = optimal_oamp_run(inst, svd, shrink_mp2, *channels, 4)
+        tr_opt = optimal_oamp_run(inst, svd, shrink_mp2, *channels, se)
         assert np.allclose(tr_gen.cos2_u, tr_opt.cos2_u, atol=1e-10)
         assert np.allclose(tr_gen.cos2_v, tr_opt.cos2_v, atol=1e-10)
 

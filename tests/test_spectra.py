@@ -6,7 +6,7 @@ from scipy import integrate
 
 from rectoamp.spectra import (MarchenkoPastur, Measure, ShiftedBeta,
                               ShrinkageSet, SpectraError, Tabulated,
-                              detection_threshold, inner_product)
+                              detection_threshold)
 
 DELTA = 0.5
 
@@ -71,6 +71,21 @@ class TestMarchenkoPastur:
         mp = MarchenkoPastur(DELTA)
         with pytest.raises(SpectraError):
             mp.stieltjes(1.0)
+        with pytest.raises(SpectraError):
+            mp.c_derivative(1.0)
+
+    @pytest.mark.parametrize("delta,lam", [(0.5, 2.95), (0.5, 6.0), (0.5, 0.05),
+                                           (1.0, 4.2)])
+    def test_c_derivative_matches_quadrature(self, delta, lam):
+        # closed-form C' against S and S' = -int mu(t) / (lam - t)^2 dt by
+        # adaptive quadrature, above and below the support
+        mp = MarchenkoPastur(delta)
+        s = integrate.quad(lambda t: mp.density(t) / (lam - t),
+                           *mp.support, limit=400)[0]
+        ds = -integrate.quad(lambda t: mp.density(t) / (lam - t) ** 2,
+                             *mp.support, limit=400)[0]
+        oracle = delta * s ** 2 + (2 * delta * lam * s + 1 - delta) * ds
+        assert mp.c_derivative(lam) == pytest.approx(oracle, rel=1e-8)
 
     def test_plemelj_boundary(self):
         mp = MarchenkoPastur(DELTA)
@@ -92,7 +107,7 @@ class TestShiftedBeta:
         mu = sp.measure()
         assert mu.total_mass == pytest.approx(1.0, abs=1e-10)
         # Beta(1.5, 1.5) on [1, 3] is symmetric about 2
-        assert inner_product(mu, lambda l: l) == pytest.approx(2.0, abs=1e-10)
+        assert mu.integrate(lambda l: l) == pytest.approx(2.0, abs=1e-10)
 
     def test_stieltjes_and_hilbert_oracles(self):
         sp = ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA)
@@ -170,6 +185,16 @@ class TestAtoms:
 
     def test_detection_threshold(self, mp05):
         assert detection_threshold(mp05) == pytest.approx(DELTA ** 0.25, abs=1e-3)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_beta_atom_just_above_threshold(self, delta):
+        # the root lies within 1e-6 of the edge, where a centred difference
+        # for C' would step onto the support
+        sp = ShiftedBeta(1.5, 1.5, 1.0, 3.0, delta)
+        sh = ShrinkageSet(sp, detection_threshold(sp) * (1 + 1e-3))
+        above = [a for a in sh.find_spectral_atoms() if a.location > sp.support[1]]
+        assert len(above) == 1 and above[0].verified
+        assert above[0].nu1_mass > 0 and above[0].nu2_mass > 0
 
     def test_beta_has_two_atoms(self, shrink_beta2):
         atoms = shrink_beta2.find_spectral_atoms()

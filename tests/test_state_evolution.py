@@ -6,8 +6,9 @@ import pytest
 from rectoamp.oamp import DenoiserSet
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import MarchenkoPastur, ShrinkageSet
-from rectoamp.state_evolution import (StateEvolutionError, gaussian_fixed_point,
-                                      optimal_se_run, se_step_general)
+from rectoamp.state_evolution import (StateEvolutionError, amp_se_trajectory,
+                                      gaussian_fixed_point, optimal_se_run,
+                                      se_step_general)
 
 
 class TestGeneralStep:
@@ -79,6 +80,15 @@ class TestOptimalRecursion:
         tr = optimal_se_run(shrink_mp2, ch, ch, 3)
         assert all(m <= 1e-6 for m in tr.mmse_u)
 
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_theta_zero_strengths_are_zero(self, delta):
+        # round-off around a collapsed strength (5.6e-16 at delta = 1) is
+        # clamped to exactly 0, the value the OAMP run tests for
+        ch = ScalarChannel("rademacher", 0.3)
+        tr = optimal_se_run(ShrinkageSet(MarchenkoPastur(delta), 0.0), ch, ch, 3)
+        assert tr.w1 == tr.w2 == [0.0, 0.0, 0.0]
+        assert tr.cos2_u == [1.0 - ch.mmse(0.0)] * 3
+
     def test_rho_positive(self, shrink_mp2, channels):
         tr = optimal_se_run(shrink_mp2, *channels, 10)
         assert all(r > 0 for r in tr.rho1 + tr.rho2)
@@ -112,6 +122,13 @@ class TestGaussianFixedPoint:
         ch = ScalarChannel("rademacher", 0.04)
         _, _, m_u, m_v = gaussian_fixed_point(50.0, 0.5, ch, ch)
         assert m_u <= 1e-3 and m_v <= 1e-3
+
+    def test_amp_schedule_reaches_it(self, channels):
+        w1, w2, m_u, m_v = gaussian_fixed_point(2.0, 0.5, *channels)
+        tr = amp_se_trajectory(2.0, 0.5, *channels, 200)
+        assert abs(tr.w1[-1] - w1) <= 1e-9 and abs(tr.w2[-1] - w2) <= 1e-9
+        assert tr.cos2_u[-1] == pytest.approx(1 - m_u, abs=1e-9)
+        assert tr.rho1 == tr.rho2 == []
 
     def test_invalid_parameters(self, channels):
         with pytest.raises(StateEvolutionError):
