@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .harness import (ConfigError, ExperimentConfig, HarnessError,
+from .harness import (DOMAIN_ERRORS, ConfigError, ExperimentConfig, HarnessError,
                       build_spectrum, load_config, run_experiment, write_report)
 from .scalar_channel import ScalarChannel
 from .spectra import ShrinkageSet, detection_threshold
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
                 "spectra-check": _cmd_spectra_check}
     try:
         return handlers[args.command](args)
-    except (ConfigError, HarnessError) as exc:
+    except (ConfigError, HarnessError, *DOMAIN_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT if isinstance(exc, ConfigError) else 1
 

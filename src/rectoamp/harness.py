@@ -9,7 +9,6 @@ import json
 import logging
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -82,8 +81,17 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
-        if self.theta < 0:
-            raise ConfigError(f"theta must be nonnegative, got {self.theta}")
+        if not 0.0 <= self.theta < np.inf:
+            raise ConfigError(f"theta must be finite and nonnegative, got {self.theta}")
+        if not (0.0 <= self.w0_u < 1.0 and 0.0 <= self.w0_v < 1.0):
+            raise ConfigError(f"w0 must lie in [0, 1), got {self.w0_u}, {self.w0_v}")
+        beta = (self.beta_a, self.beta_b, self.beta_lo, self.beta_hi)
+        if not (0.0 < self.beta_a < np.inf and 0.0 < self.beta_b < np.inf
+                and 0.0 <= self.beta_lo < self.beta_hi < np.inf):
+            raise ConfigError("need finite beta_a, beta_b > 0 and 0 <= beta_lo < beta_hi, "
+                              f"got (a, b, lo, hi) = {beta}")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         return self
 
 
@@ -146,22 +154,21 @@ def build_channels(cfg: ExperimentConfig):
             ScalarChannel(cfg.prior_v, cfg.w0_v))
 
 
-def se_predictions(cfg: ExperimentConfig) -> tuple[dict, dict]:
+def se_predictions(cfg: ExperimentConfig,
+                   shrinkage: ShrinkageSet) -> tuple[dict, dict]:
     """Predicted cos^2 curves per method (length-iters lists, or length 1
     for the one-shot PCA baseline), and the strength schedules they come
     from."""
-    spectrum = build_spectrum(cfg)
     channel_u, channel_v = build_channels(cfg)
     schedules = {}
-    shrink = ShrinkageSet(spectrum, cfg.theta)
     if "oamp" in cfg.methods or "se-only" in cfg.methods:
-        schedules["oamp"] = optimal_se_run(shrink, channel_u, channel_v, cfg.iters)
+        schedules["oamp"] = optimal_se_run(shrinkage, channel_u, channel_v, cfg.iters)
     if "amp" in cfg.methods:
         schedules["amp"] = amp_se_trajectory(cfg.theta, cfg.delta, channel_u,
                                              channel_v, cfg.iters)
     preds = {m: (tr.cos2_u, tr.cos2_v) for m, tr in schedules.items()}
     if "pca" in cfg.methods:
-        atoms = [a for a in shrink.find_spectral_atoms() if a.verified]
+        atoms = [a for a in shrinkage.find_spectral_atoms() if a.verified]
         if atoms:
             top = max(atoms, key=lambda a: a.location)
             preds["pca"] = ([top.nu1_mass], [top.nu2_mass])
@@ -170,26 +177,22 @@ def se_predictions(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return preds, schedules
 
 
-def run_single_seed(cfg: ExperimentConfig, seed: int, schedules: dict) -> dict:
-    """Run every simulated method on one instance along the strength
-    schedules of ``se_predictions``; returns per-method curves."""
-    spectrum = build_spectrum(cfg)
+def run_single_seed(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
+                    schedules: dict) -> dict:
+    """Run every simulated method on one instance with the run's shrinkage
+    set, along the strength schedules of ``se_predictions``; returns curves."""
     channel_u, channel_v = build_channels(cfg)
     prior_u = PriorModel(cfg.prior_u, cfg.w0_u)
     prior_v = PriorModel(cfg.prior_v, cfg.w0_v)
-    noise = "gaussian" if cfg.noise == "gaussian" else spectrum
+    noise = "gaussian" if cfg.noise == "gaussian" else shrinkage.spectrum
     inst = make_instance(prior_u, prior_v, noise, cfg.M, cfg.N, cfg.theta, seed)
     svd = thin_svd(inst.Y)
     out = {}
     if "oamp" in cfg.methods:
-        shrink = ShrinkageSet(spectrum, cfg.theta)
-        tr = optimal_oamp_run(inst, svd, shrink, channel_u, channel_v,
+        tr = optimal_oamp_run(inst, svd, shrinkage, channel_u, channel_v,
                               schedules["oamp"])
         out["oamp"] = (tr.cos2_u, tr.cos2_v, tr.mse_u, tr.mse_v)
     if "amp" in cfg.methods:
-        if cfg.noise != "gaussian":
-            warnings.warn("running Gaussian AMP on non-Gaussian noise",
-                          RuntimeWarning, stacklevel=2)
         tr = gaussian_amp_run(inst, channel_u, channel_v, schedules["amp"])
         out["amp"] = (tr.cos2_u, tr.cos2_v, tr.mse_u, tr.mse_v)
     if "pca" in cfg.methods:
@@ -240,17 +243,20 @@ def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list
 
 def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     cfg.validate()
-    predictions, schedules = se_predictions(cfg)
+    shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
+    predictions, schedules = se_predictions(cfg, shrinkage)
     simulated = [m for m in cfg.methods if m != "se-only"]
     per_seed, failures = {}, {}
 
+    if "amp" in simulated and cfg.noise != "gaussian":
+        logger.warning("running Gaussian AMP on non-Gaussian noise")
     if simulated:
         workers = cfg.workers or int(os.environ.get("RECTOAMP_WORKERS", "0")) \
             or min(len(cfg.seeds), os.cpu_count() or 1)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {seed: pool.submit(run_single_seed, cfg, seed,
-                                             schedules)
+                                             shrinkage, schedules)
                            for seed in cfg.seeds}
                 for seed, fut in futures.items():
                     try:
@@ -260,7 +266,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         else:
             for seed in cfg.seeds:
                 try:
-                    per_seed[seed] = run_single_seed(cfg, seed, schedules)
+                    per_seed[seed] = run_single_seed(cfg, seed, shrinkage, schedules)
                 except DOMAIN_ERRORS as exc:
                     failures[seed] = str(exc)
         if failures:

@@ -48,7 +48,6 @@ class DenoiserSet:
         if rho1 <= 0 or rho2 <= 0:
             raise OampError(f"output SNRs must be positive, got ({rho1}, {rho2})")
         self.shrinkage = shrinkage
-        self.spectrum = shrinkage.spectrum
         self.delta = shrinkage.delta
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)
@@ -57,8 +56,8 @@ class DenoiserSet:
         # and for the constant part of G* acting on the null space of Y^T Y).
         self.q_zero = self.delta / (rho2 * shrinkage.phi2_zero() + self.delta)
 
-        mu = self.spectrum.measure()
-        p, _, q, _ = self._pq(mu.nodes)
+        mu = shrinkage.spectrum.measure()
+        p, _, q, _ = self._pq(mu.nodes, shrinkage.node_numerators)
         self.mean_p = float(np.sum(mu.weights * p))
         self.mean_q = (self.delta * float(np.sum(mu.weights * q))
                        + (1.0 - self.delta) * self.q_zero)
@@ -67,11 +66,11 @@ class DenoiserSet:
                 f"spectral means out of range: <P*> = {self.mean_p:.6g}, "
                 f"<Q*> = {self.mean_q:.6g}")
 
-    def _pq(self, lam):
-        """(P*, Ptil*, Q*, Qtil*) entrywise on the nonnegative axis."""
+    def _pq(self, lam, numerators):
+        """(P*, Ptil*, Q*, Qtil*) at ``lam`` from the numerators there."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         d, r1, r2 = self.delta, self.rho1, self.rho2
-        n1, n2, n3, den = self.shrinkage.numerators(lam)
+        n1, n2, n3, den = numerators
         a1 = r1 * n1 + den
         a2 = r2 * n2 + d * den
         dhat = a1 * a2 * lam - r1 * r2 * n3 ** 2
@@ -90,9 +89,11 @@ class DenoiserSet:
         qtil = np.where(zero, 0.0, qtil)
         return p, ptil, q, qtil
 
-    def evaluate(self, lam):
+    def evaluate(self, lam, numerators=None):
         """(F*, Ftil*, G*, Gtil*) entrywise at eigenvalues of YY^T."""
-        p, ptil, q, qtil = self._pq(lam)
+        if numerators is None:
+            numerators = self.shrinkage.numerators(lam)
+        p, ptil, q, qtil = self._pq(lam, numerators)
         c1 = 1.0 + 1.0 / self.rho1
         c2 = 1.0 + 1.0 / self.rho2
         f = c1 * (1.0 - p / self.mean_p)
@@ -172,6 +173,7 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageS
     from the side information alone.
     """
     lam = svd.eigenvalues
+    numerators = shrinkage.numerators(lam)
     trace = IterationTrace()
     w1 = w2 = 0.0
     u_it = np.zeros(inst.M)
@@ -182,7 +184,7 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageS
         den = DenoiserSet(shrinkage, rho1, rho2)
         f = channel_u.dmmse(u_it, inst.a, w1)
         g = channel_v.dmmse(v_it, inst.b, w2)
-        fv, ftv, gv, gtv = den.evaluate(lam)
+        fv, ftv, gv, gtv = den.evaluate(lam, numerators)
         # a zero strength means the matrix step carries no signal (e.g.
         # theta = 0); the zero iterate keeps estimates on side info
         if w1_next == 0.0:

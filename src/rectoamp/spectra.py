@@ -24,6 +24,9 @@ DEFAULT_QUAD_NODES = 2000
 # 1e4-point grid before bisection.  C decays monotonically to 0 above the
 # support, so roots cannot hide beyond an SNR-dependent bound.
 ROOT_SCAN_POINTS = 10_000
+# The scan evaluates C in this many blocks: a quadrature Stieltjes transform
+# holds points x nodes complex values, about 16 MB per block at 2000 nodes.
+ROOT_SCAN_BLOCKS = 20
 ROOT_MARGIN_FACTOR = 10.0
 
 
@@ -77,12 +80,11 @@ class SpectrumModel:
     The measure must be a probability measure with a Hölder-continuous
     density on a compact subset of the positive half-line.  The companion
     law of the transposed Gram matrix is delta * mu + (1 - delta) * atom
-    at zero and is exposed through :meth:`measure_tilde`.
+    at zero and is exposed through :meth:`measure_tilde`.  Subclasses define
+    ``_density(lam)`` on the support from their own attributes, so spectra pickle.
     """
 
-    kind = "generic"
-
-    def __init__(self, delta: float, support, density):
+    def __init__(self, delta: float, support):
         if not 0.0 < delta <= 1.0:
             raise SpectraError(f"aspect ratio must be in (0, 1], got {delta}")
         lo, hi = float(support[0]), float(support[1])
@@ -90,9 +92,8 @@ class SpectrumModel:
             raise SpectraError(f"invalid support [{lo}, {hi}]")
         self.delta = float(delta)
         self.support = (lo, hi)
-        self._density = density
         self.nodes, self.quad_weights = _gauss_legendre(lo, hi, DEFAULT_QUAD_NODES)
-        self._density_at_nodes = np.asarray(density(self.nodes), dtype=float)
+        self._density_at_nodes = np.asarray(self._density(self.nodes), dtype=float)
         mass = float(np.dot(self.quad_weights, self._density_at_nodes))
         # tolerance accommodates square-root edge behavior (e.g. MP at
         # delta = 1); weights are then renormalized so <1> = 1 exactly
@@ -214,14 +215,12 @@ class MarchenkoPastur(SpectrumModel):
 
     def __init__(self, delta: float):
         sq = np.sqrt(delta)
-        lo, hi = (1.0 - sq) ** 2, (1.0 + sq) ** 2
+        super().__init__(delta, ((1.0 - sq) ** 2, (1.0 + sq) ** 2))
 
-        def density(lam):
-            lam = np.asarray(lam, dtype=float)
-            arg = np.clip((hi - lam) * (lam - lo), 0.0, None)
-            return np.sqrt(arg) / (2.0 * np.pi * delta * lam)
-
-        super().__init__(delta, (lo, hi), density)
+    def _density(self, lam):
+        lo, hi = self.support
+        arg = np.clip((hi - lam) * (lam - lo), 0.0, None)
+        return np.sqrt(arg) / (2.0 * np.pi * self.delta * lam)
 
     def _stieltjes(self, z):
         z = np.asarray(z, dtype=complex)
@@ -267,17 +266,14 @@ class ShiftedBeta(SpectrumModel):
     kind = "shifted_beta"
 
     def __init__(self, a: float, b: float, lo: float, hi: float, delta: float):
-        if lo < 0:
-            raise SpectraError("support must lie on the positive half-line")
         self.a, self.b = float(a), float(b)
-        width = hi - lo
-        norm = beta_fn(a, b) * width
+        self._norm = beta_fn(a, b) * (hi - lo)
+        super().__init__(delta, (lo, hi))
 
-        def density(lam):
-            t = np.clip((np.asarray(lam, dtype=float) - lo) / width, 0.0, 1.0)
-            return t ** (a - 1.0) * (1.0 - t) ** (b - 1.0) / norm
-
-        super().__init__(delta, (lo, hi), density)
+    def _density(self, lam):
+        lo, hi = self.support
+        t = np.clip((lam - lo) / (hi - lo), 0.0, 1.0)
+        return t ** (self.a - 1.0) * (1.0 - t) ** (self.b - 1.0) / self._norm
 
     def sample_eigenvalues(self, n: int, rng) -> np.ndarray:
         lo, hi = self.support
@@ -295,13 +291,11 @@ class Tabulated(SpectrumModel):
         if np.any(values < 0):
             raise SpectraError("tabulated density must be nonnegative")
         mass = np.trapezoid(values, grid)
-        values = values / mass
+        self._grid, self._values = grid, values / mass
+        super().__init__(delta, (grid[0], grid[-1]))
 
-        def density(lam):
-            return np.interp(np.asarray(lam, dtype=float), grid, values,
-                             left=0.0, right=0.0)
-
-        super().__init__(delta, (grid[0], grid[-1]), density)
+    def _density(self, lam):
+        return np.interp(lam, self._grid, self._values, left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
@@ -341,8 +335,8 @@ class ShrinkageSet:
     """
 
     def __init__(self, spectrum: SpectrumModel, theta: float):
-        if theta < 0:
-            raise SpectraError(f"SNR must be nonnegative, got {theta}")
+        if not 0.0 <= theta < np.inf:
+            raise SpectraError(f"SNR must be finite and nonnegative, got {theta}")
         self.spectrum = spectrum
         self.theta = float(theta)
         self.delta = spectrum.delta
@@ -353,12 +347,10 @@ class ShrinkageSet:
         # interpreted as the Hilbert transform of the noise spectrum itself.
         logger.info("phi2(0) uses H_mu(0) = %.6g (interpreted as the noise-spectrum "
                     "Hilbert transform)", h0)
+        # read by the induced measures and by every DenoiserSet's means
+        self.node_numerators = self.numerators(spectrum.nodes)
 
     # -- raw pieces ---------------------------------------------------------
-
-    def _mu_h(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.spectrum.density(lam), self.spectrum.hilbert(lam)
 
     def numerators(self, lam):
         """(n1, n2, n3, den) with phi_i = n_i / den.
@@ -372,8 +364,7 @@ class ShrinkageSet:
             raise SpectraError("shrinkage functions are defined on the nonnegative axis")
         th2 = self.theta ** 2
         d = self.delta
-        mu, h = self._mu_h(lam)
-        mu, h = np.atleast_1d(mu), np.atleast_1d(h)
+        mu, h = self.spectrum.density(lam), self.spectrum.hilbert(lam)
         den = (1.0 - th2 * ((1.0 - d) * np.pi * h
                             - d * np.pi ** 2 * lam * (mu ** 2 - h ** 2))) ** 2 \
             + (np.pi * th2 * mu * (1.0 - d + 2.0 * d * np.pi * lam * h)) ** 2
@@ -434,7 +425,8 @@ class ShrinkageSet:
         spec, th = self.spectrum, self.theta
         g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
         grid = np.linspace(a, b, ROOT_SCAN_POINTS)
-        vals = 1.0 - th ** 2 * np.real(spec.c_transform(grid.astype(complex)))
+        vals = np.concatenate([g(block.astype(complex))
+                               for block in np.array_split(grid, ROOT_SCAN_BLOCKS)])
         found = []
         sign_change = np.nonzero(np.diff(np.signbit(vals)))[0]
         for i in sign_change:
@@ -471,7 +463,7 @@ class ShrinkageSet:
         spec, d = self.spectrum, self.delta
         lam = spec.nodes
         base = spec.quad_weights * spec._density_at_nodes
-        n1, n2, n3, den = self.numerators(lam)
+        n1, n2, n3, den = self.node_numerators
         phi1, phi2, phi3 = n1 / den, n2 / den, n3 / den
         atoms = self.find_spectral_atoms()
 

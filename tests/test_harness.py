@@ -27,6 +27,11 @@ methods = oamp,amp,pca
 workers = 1
 """
 
+# rotationally invariant Beta noise: the pool ships a ShiftedBeta
+SMALL_BETA = (SMALL.replace("spectrum = mp", "spectrum = beta")
+              .replace("noise = gaussian", "noise = ri")
+              .replace("methods = oamp,amp,pca", "methods = oamp,pca"))
+
 
 class TestConfig:
     def test_parse_round_trip(self):
@@ -85,8 +90,9 @@ class TestRunExperiment:
 
     def test_aggregation_independent_recompute(self, small_report):
         cfg = parse_config(SMALL)
-        _, schedules = harness.se_predictions(cfg)
-        per_seed = {s: harness.run_single_seed(cfg, s, schedules)
+        shrinkage = harness.ShrinkageSet(harness.build_spectrum(cfg), cfg.theta)
+        _, schedules = harness.se_predictions(cfg, shrinkage)
+        per_seed = {s: harness.run_single_seed(cfg, s, shrinkage, schedules)
                     for s in cfg.seeds}
         oamp_rows = [r for r in small_report.rows if r["method"] == "oamp"]
         for t, row in enumerate(oamp_rows):
@@ -95,19 +101,39 @@ class TestRunExperiment:
             assert row["se_cos2_u"] == pytest.approx(
                 np.std(vals, ddof=1) / np.sqrt(3), abs=1e-12)
 
-    def test_parallel_matches_serial(self, small_report):
-        cfg = parse_config(SMALL, {"workers": "3"})
-        report = run_experiment(cfg)
-        assert report.rows == small_report.rows
+    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
+    @pytest.mark.parametrize("text", [SMALL, SMALL_BETA], ids=["mp", "beta_ri"])
+    def test_parallel_matches_serial(self, text):
+        serial = run_experiment(parse_config(text))
+        report = run_experiment(parse_config(text, {"workers": "3"}))
+        assert report.rows == serial.rows
+
+    def test_seed_independent_objects_built_once(self, monkeypatch):
+        calls = {"build_spectrum": 0, "ShrinkageSet": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(harness, name, counted)
+        report = run_experiment(parse_config(SMALL))
+        assert report.n_seeds == 3
+        assert calls == {"build_spectrum": 1, "ShrinkageSet": 1}
+
+    def test_amp_on_ri_noise_logged_once(self, caplog):
+        cfg = parse_config(SMALL_BETA, {"methods": "amp"})
+        with caplog.at_level("WARNING", logger="rectoamp.harness"):
+            run_experiment(cfg)
+        notices = [r for r in caplog.records if "Gaussian AMP" in r.getMessage()]
+        assert len(notices) == 1
 
     def test_failure_threshold(self, monkeypatch):
         cfg = parse_config(SMALL)
         real = harness.run_single_seed
 
-        def flaky(cfg, seed, schedules):
+        def flaky(cfg, seed, shrinkage, schedules):
             if seed != 0:
                 raise ModelError("synthetic failure")
-            return real(cfg, seed, schedules)
+            return real(cfg, seed, shrinkage, schedules)
 
         monkeypatch.setattr(harness, "run_single_seed", flaky)
         with pytest.raises(HarnessError, match="seeds failed"):
@@ -117,10 +143,10 @@ class TestRunExperiment:
         cfg = parse_config(SMALL, {"seeds": "0,1,2,3,4"})
         real = harness.run_single_seed
 
-        def flaky(cfg, seed, schedules):
+        def flaky(cfg, seed, shrinkage, schedules):
             if seed == 4:
                 raise ModelError("synthetic failure")
-            return real(cfg, seed, schedules)
+            return real(cfg, seed, shrinkage, schedules)
 
         monkeypatch.setattr(harness, "run_single_seed", flaky)
         report = run_experiment(cfg)
@@ -131,7 +157,7 @@ class TestRunExperiment:
         # only domain errors count as seed failures
         cfg = parse_config(SMALL)
 
-        def broken(cfg, seed, schedules):
+        def broken(cfg, seed, shrinkage, schedules):
             raise TypeError("synthetic bug")
 
         monkeypatch.setattr(harness, "run_single_seed", broken)
@@ -183,10 +209,27 @@ class TestCli:
         assert cli_main(["run", "/no/such/file.cfg"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "M = 400\nN = 200\n", "w0_u = 1.5\n", "w0_v = -0.1\n", "theta = nan\n",
+        "theta = inf\n", "spectrum = beta\nbeta_lo = -1\n",
+        "spectrum = beta\nbeta_lo = 3\n", "spectrum = beta\nbeta_a = 0\n",
+        "workers = 0\n"],
+        ids=["M_above_N", "w0_u", "w0_v", "theta_nan", "theta_inf", "beta_lo",
+             "beta_empty_support", "beta_a", "workers_zero"])
+    def test_bad_config(self, tmp_path, capsys, text):
         p = tmp_path / "bad.cfg"
-        p.write_text("M = 400\nN = 200\n")
+        p.write_text("M = 20\nN = 40\nseeds = 2\n" + text)
         assert cli_main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_domain_error_in_setup(self, tmp_path, capsys):
+        # a valid config whose spectrum the quadrature cannot normalize
+        p = tmp_path / "beta.cfg"
+        p.write_text("M = 20\nN = 40\nseeds = 2\nspectrum = beta\nbeta_a = 0.2\n")
+        assert cli_main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_fixed_point_output(self, capsys):
         assert cli_main(["fixed-point", "--theta", "2", "--delta", "0.5",

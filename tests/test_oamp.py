@@ -134,6 +134,28 @@ class TestOptimalRun:
         tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule)
         assert tr.w1 == schedule.w1 and tr.w2 == schedule.w2
 
+    def test_numerators_evaluated_once(self, small_instance, shrink_mp2,
+                                       shrink_beta2, channels, monkeypatch):
+        # the nodes' numerators are kept once per shrinkage set, and a run
+        # evaluates the eigenvalues' numerators once for all its steps
+        for sh in (shrink_mp2, shrink_beta2):
+            for kept, fresh in zip(sh.node_numerators,
+                                   sh.numerators(sh.spectrum.nodes)):
+                assert np.array_equal(kept, fresh)
+        inst, svd = small_instance
+        schedule = optimal_se_run(shrink_mp2, *channels, 4)
+        calls = []
+        real = ShrinkageSet.numerators
+
+        def counted(self, lam):
+            calls.append(len(lam))
+            return real(self, lam)
+
+        monkeypatch.setattr(ShrinkageSet, "numerators", counted)
+        tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule)
+        assert len(tr.cos2_u) == 4
+        assert calls == [inst.M]
+
     def test_theta_zero_stays_at_side_info_floor(self, mp05):
         prior = PriorModel("rademacher", 0.3)
         inst = make_instance(prior, prior, "gaussian", 400, 800, 0.0, 3)

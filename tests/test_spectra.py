@@ -1,9 +1,12 @@
 """Spectral transforms, shrinkage functions, and induced measures."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from rectoamp import spectra
 from rectoamp.spectra import (MarchenkoPastur, Measure, ShiftedBeta,
                               ShrinkageSet, SpectraError, Tabulated,
                               detection_threshold)
@@ -127,6 +130,22 @@ class TestTabulated:
         assert tab.measure().total_mass == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MarchenkoPastur(DELTA),
+    lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA),
+    lambda: Tabulated(np.linspace(1.0, 3.0, 201),
+                      np.sin(np.linspace(0.0, np.pi, 201)), DELTA),
+], ids=["mp", "beta", "tabulated"])
+def test_pickle_round_trip(make):
+    sp = make()
+    back = pickle.loads(pickle.dumps(sp))
+    x = np.linspace(sp.support[0] - 0.5, sp.support[1] + 0.5, 41)
+    z = x + 0.3j
+    assert np.array_equal(back.density(x), sp.density(x))
+    assert np.array_equal(back.stieltjes(z), sp.stieltjes(z))
+    assert np.array_equal(back.hilbert(x), sp.hilbert(x))
+
+
 class TestMeasure:
     def test_atoms_and_complex(self):
         m = Measure(np.array([1.0]), np.array([0.5]), atoms=((3.0, 0.5),))
@@ -162,6 +181,14 @@ class TestShrinkage:
         for x in (0.5, 1.0, 2.0):
             oracle = abs(1 - 4.0 * mp05.c_transform(complex(x, -1e-8))) ** 2
             assert sh.plemelj_denominator(x) == pytest.approx(oracle, rel=1e-4)
+
+    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
+    def test_atom_scan_independent_of_blocks(self, beta_spectrum, monkeypatch):
+        sh = ShrinkageSet(beta_spectrum, 2.0)
+        atoms = sh.find_spectral_atoms()
+        monkeypatch.setattr(spectra, "ROOT_SCAN_BLOCKS", 7)
+        assert sh.find_spectral_atoms() == atoms
+        assert len(atoms) == 2
 
     def test_negative_lambda_rejected(self, shrink_mp2):
         with pytest.raises(SpectraError):
