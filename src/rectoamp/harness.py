@@ -241,8 +241,26 @@ def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list
     return rows
 
 
+def _worker_count(cfg: ExperimentConfig) -> int:
+    """The ``workers`` key, else ``RECTOAMP_WORKERS`` (an integer >= 1, like
+    the key), else the smaller of the seed count and the CPU count."""
+    if cfg.workers is not None:
+        return cfg.workers
+    env = os.environ.get("RECTOAMP_WORKERS")
+    if env is None:
+        return min(len(cfg.seeds), os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"RECTOAMP_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
+
+
 def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     cfg.validate()
+    workers = _worker_count(cfg)
     shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
     predictions, schedules = se_predictions(cfg, shrinkage)
     simulated = [m for m in cfg.methods if m != "se-only"]
@@ -251,8 +269,6 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     if "amp" in simulated and cfg.noise != "gaussian":
         logger.warning("running Gaussian AMP on non-Gaussian noise")
     if simulated:
-        workers = cfg.workers or int(os.environ.get("RECTOAMP_WORKERS", "0")) \
-            or min(len(cfg.seeds), os.cpu_count() or 1)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {seed: pool.submit(run_single_seed, cfg, seed,

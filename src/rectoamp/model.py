@@ -9,11 +9,14 @@ counter-based generator with one substream per (seed, component).
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectra import SpectrumModel
+
+logger = logging.getLogger(__name__)
 
 DUMP_FORMAT_VERSION = 1
 
@@ -68,7 +71,12 @@ class ProblemInstance:
 
 @dataclass
 class SvdCache:
-    """Thin SVD of the observation; the N - M null directions stay implicit."""
+    """Thin SVD of the observation; the N - M null directions stay implicit.
+
+    ``thin_svd`` builds it from ``eigh(Y Y^T)``, with ``sigma_i = |Y^T u_i|``
+    and ``V = Y^T U / sigma``, or from the direct SVD when
+    ``lambda_min / lambda_max <= GRAM_COND_FLOOR``.
+    """
 
     singular_values: np.ndarray   # length M, descending
     U: np.ndarray                 # M x M
@@ -149,11 +157,34 @@ def _side_info(x_star, w0, rng):
     return np.sqrt(w0) * x_star + np.sqrt(1.0 - w0) * rng.standard_normal(len(x_star))
 
 
+# eigh(Y Y^T) squares the condition number of Y: below this ratio of the
+# smallest to the largest eigenvalue, thin_svd takes the direct SVD instead
+GRAM_COND_FLOOR = 1e-8
+
+
 def thin_svd(Y: np.ndarray) -> SvdCache:
+    """Thin SVD of an M x N observation, M <= N, singular values descending.
+
+    Factorizes the M x M Gram matrix: ``eigh(Y Y^T)`` gives U (columns in
+    descending eigenvalue order), ``sigma_i = |Y^T u_i|`` and
+    ``V = Y^T U / sigma``.  When ``lambda_min <= GRAM_COND_FLOOR *
+    lambda_max`` (near-square, rank-deficient or zero Y) it logs the ratio
+    at INFO and returns the direct ``np.linalg.svd`` instead.
+    """
     M, N = Y.shape
     if M > N:
         raise ModelError("thin_svd expects M <= N")
     try:
+        lam, U = np.linalg.eigh(Y @ Y.T)
+        if lam[0] > GRAM_COND_FLOOR * lam[-1]:
+            U = np.ascontiguousarray(U[:, ::-1])
+            YtU = Y.T @ U
+            # |Y^T u_i| keeps sigma_min to ~1e-13 relative where sqrt(lambda)
+            # loses up to eps * lambda_max / lambda_min
+            sv = np.linalg.norm(YtU, axis=0)
+            return SvdCache(sv, U, YtU / sv)
+        logger.info("Gram eigenvalue ratio %.3g <= %g: direct SVD",
+                    lam[0] / lam[-1] if lam[-1] > 0 else 0.0, GRAM_COND_FLOOR)
         U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"SVD failed to converge: {exc}") from exc

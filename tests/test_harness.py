@@ -223,6 +223,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
+    def test_bad_workers_env(self, tmp_path, capsys, monkeypatch, value):
+        def no_work(*args):
+            raise AssertionError("the run started before the check")
+        monkeypatch.setattr(harness, "build_spectrum", no_work)
+        monkeypatch.setenv("RECTOAMP_WORKERS", value)
+        p = tmp_path / "c.cfg"
+        p.write_text("M = 20\nN = 40\nseeds = 2\n")
+        assert cli_main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "RECTOAMP_WORKERS" in err
+
     def test_domain_error_in_setup(self, tmp_path, capsys):
         # a valid config whose spectrum the quadrature cannot normalize
         p = tmp_path / "beta.cfg"

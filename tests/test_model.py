@@ -2,12 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectoamp.model import (ModelError, PriorModel, component_rng,
                             dump_instance, empirical_signal_measures,
                             load_instance, make_instance, measure_moments,
                             sample_haar_orthogonal, sample_ri_noise,
                             thin_svd)
+from rectoamp.spectra import ShiftedBeta
+
+FALLBACK_LOG = "direct SVD"
+
+
+def assert_thin_svd_invariants(Y, svd):
+    """Descending singular values, orthonormal factors, U diag(sigma) V^T = Y
+    and the singular values of ``np.linalg.svd`` to 1e-10 relative."""
+    M, N = Y.shape
+    sv = svd.singular_values
+    assert sv.shape == (M,) and svd.U.shape == (M, M) and svd.V.shape == (N, M)
+    assert np.all(np.isfinite(sv)) and np.all(np.isfinite(svd.U))
+    assert np.all(np.isfinite(svd.V))
+    assert np.all(np.diff(sv) <= 0)
+    ref = np.linalg.svd(Y, compute_uv=False)
+    assert np.all(np.abs(sv - ref) <= 1e-10 * ref + 1e-14 * max(ref[0], 1.0))
+    assert np.max(np.abs(svd.U.T @ svd.U - np.eye(M))) <= 1e-12
+    assert np.max(np.abs(svd.V.T @ svd.V - np.eye(M))) <= 1e-9
+    assert np.allclose((svd.U * sv) @ svd.V.T, Y, rtol=0, atol=1e-10)
 
 
 class TestRng:
@@ -97,6 +118,46 @@ class TestSvdAndMeasures:
         recon = (svd.U * svd.singular_values) @ svd.V.T
         assert np.allclose(recon, inst.Y, atol=1e-10)
         assert np.all(np.diff(svd.singular_values) <= 0)
+
+    # seed 1 at M = N = 1000 has lambda_min / lambda_max = 1.3e-8, just above
+    # the fallback floor: the Gram path at its least accurate
+    @pytest.mark.parametrize("noise,M,N", [
+        ("gaussian", 400, 800), ("gaussian", 1000, 1000),
+        ("beta", 400, 800), ("beta", 400, 400)],
+        ids=["mp_0.5", "mp_1", "beta_ri_0.5", "beta_ri_1"])
+    @pytest.mark.filterwarnings("error")
+    def test_gram_path_accuracy(self, caplog, noise, M, N):
+        if noise == "beta":
+            noise = ShiftedBeta(1.5, 1.5, 1.0, 3.0, M / N)
+        prior = PriorModel("rademacher", 0.04)
+        inst = make_instance(prior, prior, noise, M, N, 2.0, 1)
+        with caplog.at_level("INFO", logger="rectoamp.model"):
+            svd = thin_svd(inst.Y)
+        assert FALLBACK_LOG not in caplog.text
+        assert_thin_svd_invariants(inst.Y, svd)
+
+    @pytest.mark.parametrize("M,N,zero_row", [(30, 60, 7), (20, 40, None)],
+                             ids=["zero_row", "zero_matrix"])
+    @pytest.mark.filterwarnings("error")
+    def test_rank_deficient_falls_back(self, caplog, M, N, zero_row):
+        if zero_row is None:
+            Y = np.zeros((M, N))
+        else:
+            Y = component_rng(3, "noise").standard_normal((M, N)) / np.sqrt(N)
+            Y[zero_row] = 0.0
+        with caplog.at_level("INFO", logger="rectoamp.model"):
+            svd = thin_svd(Y)
+        notices = [r for r in caplog.records if FALLBACK_LOG in r.getMessage()]
+        assert len(notices) == 1 and notices[0].levelname == "INFO"
+        assert_thin_svd_invariants(Y, svd)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 60), m_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_thin_svd_property(self, N, m_frac, seed):
+        M = max(1, round(m_frac * N))
+        Y = component_rng(seed, "noise").standard_normal((M, N))
+        assert_thin_svd_invariants(Y, thin_svd(Y))
 
     def test_empirical_measure_masses(self):
         prior = PriorModel("rademacher")
