@@ -6,23 +6,48 @@ Side information, when present, is an independent observation of the same
 signal, C = sqrt(w0) X* + sqrt(1 - w0) Z', and every estimator conditions on
 the pair (X, C).  With w0 = 0 all formulas reduce to the plain single-channel
 expressions.
+
+The pair (X, C) enters the posterior only through the total SNR
+gamma = snr(w) + snr(w0), with snr(w) = w / (1 - w).  For the Rademacher
+prior the posterior mean is tanh(eta) and, given X* = 1, eta ~ N(gamma,
+gamma), so the mmse is the one-dimensional E[(1 - tanh(gamma + sqrt(gamma) Z))^2],
+taken by a trapezoid rule in Z (spectrally accurate for this smooth Gaussian
+integrand).  By Stein's lemma the Gaussian sensitivity of the posterior mean
+is kappa = E[Z phi(X, C)] = sqrt(snr(w)) mmse(w), for either prior.  The 2-D
+Gauss-Hermite rule over (X*, Z, Z') remains for ``channel_stats`` of an
+arbitrary function.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 GH_NODES = 201
+# Trapezoid rule for the Rademacher mmse: step MMSE_STEP on
+# [-MMSE_HALF_WIDTH, MMSE_HALF_WIDTH] (961 points); the Gaussian tail beyond
+# 12 is below 1e-32.
+MMSE_STEP = 0.025
+MMSE_HALF_WIDTH = 12.0
+_MMSE_Z = np.linspace(-MMSE_HALF_WIDTH, MMSE_HALF_WIDTH,
+                      round(2 * MMSE_HALF_WIDTH / MMSE_STEP) + 1)
+_MMSE_WEIGHTS = MMSE_STEP * np.exp(-0.5 * _MMSE_Z ** 2) / np.sqrt(2.0 * np.pi)
 
 
 class ChannelError(Exception):
     pass
 
 
+@functools.cache
 def _gauss_hermite(n: int):
-    """Probabilists' Gauss-Hermite rule: E[f(Z)] ~ sum w_i f(x_i), Z ~ N(0,1)."""
+    """Probabilists' Gauss-Hermite rule: E[f(Z)] ~ sum w_i f(x_i), Z ~ N(0,1).
+
+    Built on first use and shared; the arrays are read-only."""
     x, w = np.polynomial.hermite.hermgauss(n)
-    return x * np.sqrt(2.0), w / np.sqrt(np.pi)
+    x, w = x * np.sqrt(2.0), w / np.sqrt(np.pi)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _snr(w):
@@ -33,8 +58,9 @@ class ScalarChannel:
     """Immutable channel calculus for one prior and one side-info strength.
 
     The iterate strength w varies per iteration and is passed explicitly;
-    expectations are over (X*, Z, Z') with a 2-D Gauss-Hermite rule (the
-    Rademacher prior is a two-point sum, the Gaussian prior is closed form).
+    the mmse is closed form (Gaussian prior) or a 1-D trapezoid rule
+    (Rademacher prior); ``channel_stats`` takes expectations over
+    (X*, Z, Z') with a 2-D Gauss-Hermite rule.
     """
 
     def __init__(self, prior_kind: str, w0: float = 0.0):
@@ -44,7 +70,6 @@ class ScalarChannel:
             raise ChannelError(f"side-info strength must be in [0, 1), got {w0}")
         self.prior = prior_kind
         self.w0 = float(w0)
-        self._z, self._wz = _gauss_hermite(GH_NODES)
 
     # -- posterior mean -------------------------------------------------------
 
@@ -82,12 +107,12 @@ class ScalarChannel:
 
     def _channel_samples(self, w: float, with_side: bool = True):
         """(x*, x, c, joint weight) arrays covering the (X*, Z, Z') law."""
+        z, wz = _gauss_hermite(GH_NODES)
         if self.prior == "rademacher":
             xs = np.array([1.0, -1.0])
             ws = np.array([0.5, 0.5])
         else:
-            xs, ws = self._z, self._wz
-        z, wz = self._z, self._wz
+            xs, ws = z, wz
         if with_side and self.w0 > 0:
             xstar = xs[:, None, None]
             x = np.sqrt(w) * xstar + np.sqrt(1.0 - w) * z[None, :, None]
@@ -109,12 +134,11 @@ class ScalarChannel:
         """E[(X* - E[X*|X, C])^2], clamped to [0, 1]."""
         if w >= 1.0:
             return 0.0
+        gamma = _snr(w) + _snr(self.w0)
         if self.prior == "gaussian":
-            gamma = _snr(w) + _snr(self.w0)
             return 1.0 / (1.0 + gamma)
-        xstar, x, c, weight = self._channel_samples(w)
-        err = (xstar - self.posterior_mean(x, c, w)) ** 2
-        return float(np.clip(np.sum(weight * err), 0.0, 1.0))
+        err = (1.0 - np.tanh(gamma + np.sqrt(gamma) * _MMSE_Z)) ** 2
+        return float(np.clip(np.dot(_MMSE_WEIGHTS, err), 0.0, 1.0))
 
     def channel_stats(self, f, w: float):
         """(alpha, second_moment) = (E[X* f(X, C)], E[f(X, C)^2])."""
@@ -128,17 +152,17 @@ class ScalarChannel:
         """(kappa, denom) of the divergence-free projection at strength w.
 
         kappa = E[Z phi(X, C)] is the Gaussian sensitivity of the posterior
-        mean; the projection subtracts kappa / sqrt(1 - w) times the identity
-        and renormalizes by 1 - sqrt(w / (1 - w)) kappa.
+        mean, sqrt(snr(w)) mmse(w) by Stein's lemma; the projection subtracts
+        kappa / sqrt(1 - w) times the identity and renormalizes by
+        1 - sqrt(snr(w)) kappa.
         """
         if not 0.0 <= w < 1.0:
             raise ChannelError(f"dmmse requires w in [0, 1), got {w}")
         if w == 0.0:
             return 0.0, 1.0
-        xstar, x, c, weight = self._channel_samples(w)
-        z = (x - np.sqrt(w) * xstar) / np.sqrt(1.0 - w)
-        kappa = float(np.sum(weight * z * self.posterior_mean(x, c, w)))
-        denom = 1.0 - np.sqrt(w / (1.0 - w)) * kappa
+        root_snr = np.sqrt(_snr(w))
+        kappa = float(root_snr * self.mmse(w))
+        denom = 1.0 - root_snr * kappa
         if abs(denom) < 1e-12:
             raise ChannelError(
                 f"degenerate channel at w={w}: divergence-free projection "

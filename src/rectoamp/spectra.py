@@ -10,19 +10,19 @@ measures (densities plus point masses at outlier locations).
 from __future__ import annotations
 
 import logging
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import beta as beta_fn
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_QUAD_NODES = 2000
-# Search window for outlier roots above the support edge, scanned on a
-# 1e4-point grid before bisection.  C decays monotonically to 0 above the
-# support, so roots cannot hide beyond an SNR-dependent bound.
+# Below the lower support edge C is not monotone, so outlier roots there are
+# bracketed by a sign scan on this many grid points before bisection.  Above
+# the upper edge C decreases monotonically to 0, so one bracket
+# [edge, edge + ROOT_MARGIN_FACTOR (1 + theta^2)] holds at most one root.
 ROOT_SCAN_POINTS = 10_000
 # The scan evaluates C in this many blocks: a quadrature Stieltjes transform
 # holds points x nodes complex values, about 16 MB per block at 2000 nodes.
@@ -34,12 +34,27 @@ class SpectraError(Exception):
     pass
 
 
-class RootFindingError(SpectraError):
-    """Root finder failed; carries the bracketing interval for diagnosis."""
+def _bisect(g, a: float, b: float) -> float:
+    """Root of g in [a, b], where g(a) and g(b) differ in sign bit: halve
+    the bracket until its midpoint rounds to an endpoint."""
+    neg_a = np.signbit(g(a))
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid
+        if np.signbit(g(mid)) == neg_a:
+            a = mid
+        else:
+            b = mid
 
-    def __init__(self, msg, bracket=None):
-        super().__init__(msg)
-        self.bracket = bracket
+
+def _scan_roots(g, a: float, b: float) -> list[float]:
+    """Bisected roots of g at every sign change on a ROOT_SCAN_POINTS grid."""
+    grid = np.linspace(a, b, ROOT_SCAN_POINTS)
+    vals = np.concatenate([g(block.astype(complex))
+                           for block in np.array_split(grid, ROOT_SCAN_BLOCKS)])
+    return [_bisect(g, grid[i], grid[i + 1])
+            for i in np.nonzero(np.diff(np.signbit(vals)))[0]]
 
 
 @dataclass(frozen=True)
@@ -68,8 +83,38 @@ class Measure:
         return float(np.sum(self.weights)) + sum(m for _, m in self.atoms)
 
 
+def _legendre(n: int, x: np.ndarray):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, entrywise."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 def _gauss_legendre(lo: float, hi: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre rule on [lo, hi], nodes ascending.
+
+    Newton's method on the three-term recurrence from Tricomi's initial
+    guesses (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013), vectorized
+    over the positive nodes; the negative ones are their mirror images, so
+    the rule is exactly symmetric, and odd n adds the node 0.
+    """
+    k = np.arange(1, n // 2 + 1)
+    t = np.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x -= dx
+        if np.all(np.abs(dx) <= np.finfo(float).eps):
+            break
+    else:
+        raise SpectraError(f"Gauss-Legendre Newton iteration did not converge (n = {n})")
+    x = np.concatenate((np.zeros(n % 2), x[::-1]))      # 0 <= x, ascending
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre(n, x)[1] ** 2)
+    x = np.concatenate((-x[n % 2:][::-1], x))
+    w = np.concatenate((w[n % 2:][::-1], w))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -267,7 +312,8 @@ class ShiftedBeta(SpectrumModel):
 
     def __init__(self, a: float, b: float, lo: float, hi: float, delta: float):
         self.a, self.b = float(a), float(b)
-        self._norm = beta_fn(a, b) * (hi - lo)
+        self._norm = math.exp(math.lgamma(a) + math.lgamma(b)
+                              - math.lgamma(a + b)) * (hi - lo)
         super().__init__(delta, (lo, hi))
 
     def _density(self, lam):
@@ -400,44 +446,29 @@ class ShrinkageSet:
     def find_spectral_atoms(self) -> list[SpectralAtom]:
         """Roots of 1 - theta^2 C(lambda) = 0 off the support, with masses.
 
-        Scans above the upper support edge (and below the lower edge when the
-        support is bounded away from zero) for sign changes, bisects each
-        bracket, and converts the roots into point masses through the
-        derivative of the C-transform.
+        Above the upper edge S and lambda S are positive and decreasing, so
+        C = delta (lambda S) S + (1 - delta) S decreases and there is at most
+        one root: it is bisected when g = 1 - theta^2 C changes sign between
+        the edge and the search margin.  Below the lower edge (when the
+        support is bounded away from zero) C is not monotone, so there a sign
+        scan on ROOT_SCAN_POINTS points brackets the roots before bisection.
+        The roots become point masses through the derivative of the
+        C-transform.
         """
         if self.theta == 0:
             return []
         spec, th = self.spectrum, self.theta
-        lo, hi = spec.support
-        search_margin = ROOT_MARGIN_FACTOR * (1.0 + th ** 2)
-        atoms = []
-        eps_lo, eps_hi = 1e-9 * max(1.0, lo), 1e-9 * max(1.0, hi)
-        for a, b, verified in (
-            (hi + eps_hi, hi + search_margin, True),
-            (eps_lo if lo > 0 else None, lo - eps_lo if lo > 0 else None, False),
-        ):
-            if a is None or b <= a:
-                continue
-            atoms.extend(self._scan_bracketed(a, b, verified))
-        return atoms
-
-    def _scan_bracketed(self, a, b, verified):
-        spec, th = self.spectrum, self.theta
         g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
-        grid = np.linspace(a, b, ROOT_SCAN_POINTS)
-        vals = np.concatenate([g(block.astype(complex))
-                               for block in np.array_split(grid, ROOT_SCAN_BLOCKS)])
-        found = []
-        sign_change = np.nonzero(np.diff(np.signbit(vals)))[0]
-        for i in sign_change:
-            try:
-                root = brentq(g, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-14)
-            except ValueError as exc:
-                raise RootFindingError(
-                    f"bisection failed on [{grid[i]:.6g}, {grid[i + 1]:.6g}]: {exc}",
-                    bracket=(grid[i], grid[i + 1])) from exc
-            found.append(self._atom_at(root, verified))
-        return found
+        lo, hi = spec.support
+        atoms = []
+        a, b = hi + 1e-9 * max(1.0, hi), hi + ROOT_MARGIN_FACTOR * (1.0 + th ** 2)
+        if np.signbit(g(a)) != np.signbit(g(b)):
+            atoms.append(self._atom_at(_bisect(g, a, b), verified=True))
+        eps_lo = 1e-9 * max(1.0, lo)
+        if lo - eps_lo > eps_lo:
+            atoms.extend(self._atom_at(root, verified=False)
+                         for root in _scan_roots(g, eps_lo, lo - eps_lo))
+        return atoms
 
     def _atom_at(self, lam_star, verified):
         spec, th, d = self.spectrum, self.theta, self.delta

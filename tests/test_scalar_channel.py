@@ -7,6 +7,19 @@ from rectoamp.scalar_channel import (ChannelError, ScalarChannel,
                                      mmse_inverse)
 
 
+def dense_mmse(w, w0):
+    """Rademacher mmse E[(1 - tanh(eta))^2] given X* = 1, by a 2001 x 2001
+    trapezoid rule over (Z, Z') on [-12, 12]^2 (within 3e-16 of mpmath)."""
+    z = np.linspace(-12.0, 12.0, 2001)
+    pdf = np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi)
+    snr, snr0 = w / (1 - w), w0 / (1 - w0)
+    eta_x = snr / np.sqrt(w) * (np.sqrt(w) + np.sqrt(1 - w) * z)
+    eta_c = (snr0 / np.sqrt(w0) * (np.sqrt(w0) + np.sqrt(1 - w0) * z)
+             if w0 > 0 else np.zeros_like(z))
+    rows = [np.trapezoid((1 - np.tanh(eta_x + e)) ** 2 * pdf, z) for e in eta_c]
+    return np.trapezoid(np.array(rows) * pdf, z)
+
+
 class TestPosteriorMean:
     def test_rademacher_closed_form(self):
         ch = ScalarChannel("rademacher")
@@ -64,6 +77,24 @@ class TestMmse:
         oracle = 1 - np.trapezoid(np.tanh(snr + np.sqrt(snr) * z) * pdf, z)
         assert ch.mmse(w) == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("w0", [0.0, 0.04, 0.5])
+    @pytest.mark.parametrize("w", [0.3, 0.8, 0.92, 0.97])
+    def test_rademacher_against_dense_oracle(self, w, w0):
+        # the former 201 x 201 Gauss-Hermite product rule was off by 2.2e-8
+        # at w = 0.92, w0 = 0.04 (against mpmath); the 1-D rule is exact here
+        assert ScalarChannel("rademacher", w0).mmse(w) == pytest.approx(
+            dense_mmse(w, w0), abs=1e-12)
+
+    def test_no_hermite_rule_needed(self, monkeypatch):
+        # the channel builds its Gauss-Hermite rule only for channel_stats
+        def unavailable(n):
+            raise AssertionError("hermgauss called")
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", unavailable)
+        for kind in ("rademacher", "gaussian"):
+            ch = ScalarChannel(kind, 0.04)
+            assert 0.0 < ch.mmse(0.5) < 1.0
+            ch.dmmse_coefficients(0.5)
+
     def test_gaussian_closed_form(self):
         ch = ScalarChannel("gaussian", 0.2)
         w = 0.3
@@ -112,6 +143,28 @@ class TestDmmse:
                 z * np.tanh(snr / np.sqrt(w) * x) * pdf, z)
         kappa, _ = ch.dmmse_coefficients(w)
         assert kappa == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    def test_kappa_stein_identity(self, kind):
+        # kappa = E[Z phi] = sqrt(1 - w) E[phi'] = sqrt(snr) mmse
+        ch = ScalarChannel(kind, 0.04)
+        for w in (0.1, 0.5, 0.9):
+            kappa, denom = ch.dmmse_coefficients(w)
+            assert kappa == np.sqrt(w / (1 - w)) * ch.mmse(w)
+            assert denom == 1 - np.sqrt(w / (1 - w)) * kappa
+
+    @pytest.mark.parametrize("w", [0.1, 0.5, 0.9])
+    def test_kappa_against_dense_oracle(self, w):
+        # E[Z tanh(...)] by dense trapezoid, as in test_kappa_against_oracle;
+        # the 201-node Gauss-Hermite rule is off by 2.3e-8 at w = 0.9
+        snr = w / (1 - w)
+        z = np.linspace(-12, 12, 100001)
+        pdf = np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi)
+        oracle = sum(0.5 * np.trapezoid(
+            z * np.tanh(snr / np.sqrt(w) * (np.sqrt(w) * xs + np.sqrt(1 - w) * z)) * pdf, z)
+            for xs in (1.0, -1.0))
+        kappa, _ = ScalarChannel("rademacher").dmmse_coefficients(w)
+        assert kappa == pytest.approx(oracle, abs=1e-12)
 
     def test_stats_match_quadrature(self):
         ch = ScalarChannel("rademacher", 0.04)

@@ -1,11 +1,17 @@
 """Spectral transforms, shrinkage functions, and induced measures."""
 
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, optimize
 
+import rectoamp
 from rectoamp import spectra
 from rectoamp.spectra import (MarchenkoPastur, Measure, ShiftedBeta,
                               ShrinkageSet, SpectraError, Tabulated,
@@ -33,6 +39,59 @@ def pv_hilbert(spectrum, x, eps=1e-7):
     right = integrate.quad(lambda l: spectrum.density(l) / (x - l),
                            x + eps, hi, limit=400)[0] if x + eps < hi else 0.0
     return (left + right) / np.pi
+
+
+def scan_brentq_roots(shrink, a, b):
+    """The former atom search on [a, b]: sign changes of 1 - theta^2 C on a
+    ROOT_SCAN_POINTS grid, each refined by scipy's brentq."""
+    spec, th = shrink.spectrum, shrink.theta
+    g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
+    grid = np.linspace(a, b, spectra.ROOT_SCAN_POINTS)
+    vals = np.concatenate([g(block.astype(complex)) for block in np.array_split(grid, 20)])
+    return [optimize.brentq(g, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-14)
+            for i in np.nonzero(np.diff(np.signbit(vals)))[0]]
+
+
+def mp_or_beta(kind, delta):
+    if kind == "mp":
+        return MarchenkoPastur(delta)
+    return ShiftedBeta(1.5, 1.5, 1.0, 3.0, delta)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [7, 8, 2000])
+    def test_rule(self, n):
+        x, w = spectra._gauss_legendre(-1.0, 1.0, n)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15
+        assert np.max(np.abs(w / w_ref - 1)) <= 1e-7
+        assert abs(w.sum() - 2.0) <= 1e-14
+
+    def test_high_degree_monomial(self):
+        # leggauss(2000) is off by 1.2e-10 here
+        x, w = spectra._gauss_legendre(-1.0, 1.0, 2000)
+        assert np.dot(w, x ** 1000) == pytest.approx(2 / 1001, rel=1e-12, abs=0)
+
+    def test_spectra_build_without_leggauss(self, monkeypatch):
+        def unavailable(n):
+            raise AssertionError("leggauss called")
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", unavailable)
+        for kind in ("mp", "beta"):
+            assert mp_or_beta(kind, DELTA).measure().total_mass == pytest.approx(1.0)
+
+
+def test_cold_start_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(rectoamp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, rectoamp\n"
+            "rectoamp.MarchenkoPastur(0.5)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMarchenkoPastur:
@@ -222,6 +281,50 @@ class TestAtoms:
         above = [a for a in sh.find_spectral_atoms() if a.location > sp.support[1]]
         assert len(above) == 1 and above[0].verified
         assert above[0].nu1_mass > 0 and above[0].nu2_mass > 0
+
+    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["mp", "beta"]), delta=st.floats(0.2, 1.0),
+           data=st.data())
+    def test_upper_root_matches_scan(self, kind, delta, data):
+        # one bisected bracket above the edge finds the root of the former
+        # grid scan plus brentq; the masses follow the root, whose error
+        # they amplify by |C''/C'| ~ 1 / (2 (root - edge)) near the edge
+        sp = mp_or_beta(kind, delta)
+        theta_c = detection_threshold(sp)
+        log_excess = data.draw(st.floats(-6.0, np.log10(5.0 / theta_c - 1.0)))
+        sh = ShrinkageSet(sp, min(theta_c * (1.0 + 10.0 ** log_excess), 5.0))
+        upper = [a for a in sh.find_spectral_atoms() if a.verified]
+        hi = sp.support[1]
+        old = scan_brentq_roots(sh, hi + 1e-9 * max(1.0, hi),
+                                hi + spectra.ROOT_MARGIN_FACTOR * (1 + sh.theta ** 2))
+        assert len(upper) == len(old) == 1
+        new = upper[0]
+        assert new.location == pytest.approx(old[0], rel=1e-12, abs=0)
+        ref = sh._atom_at(old[0], verified=True)
+        tol = abs(new.location - old[0]) / (new.location - hi) + 1e-12
+        for got, want in ((new.nu1_mass, ref.nu1_mass), (new.nu2_mass, ref.nu2_mass),
+                          (new.nu3_mass_pos, ref.nu3_mass_pos)):
+            assert got == pytest.approx(want, rel=tol, abs=0)
+
+    @pytest.mark.parametrize("excess", [1e-3, 1e-6])
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["mp", "beta"])
+    def test_no_upper_atom_below_threshold(self, kind, delta, excess):
+        sp = mp_or_beta(kind, delta)
+        sh = ShrinkageSet(sp, detection_threshold(sp) * (1 - excess))
+        assert not [a for a in sh.find_spectral_atoms() if a.verified]
+
+    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
+    def test_lower_root_matches_scan(self, shrink_beta2):
+        # below the lower edge the sign scan stays; bisection replaces brentq
+        lo = shrink_beta2.spectrum.support[0]
+        old = scan_brentq_roots(shrink_beta2, 1e-9, lo - 1e-9)
+        lower = [a.location for a in shrink_beta2.find_spectral_atoms()
+                 if not a.verified]
+        assert len(old) == len(lower) == 1
+        assert lower[0] == pytest.approx(old[0], rel=1e-12, abs=0)
+        assert lower[0] == pytest.approx(0.943336, abs=1e-6)
 
     def test_beta_has_two_atoms(self, shrink_beta2):
         atoms = shrink_beta2.find_spectral_atoms()
