@@ -25,7 +25,7 @@ DEFAULT_QUAD_NODES = 2000
 # [edge, edge + ROOT_MARGIN_FACTOR (1 + theta^2)] holds at most one root.
 ROOT_SCAN_POINTS = 10_000
 # The scan evaluates C in this many blocks: a quadrature Stieltjes transform
-# holds points x nodes complex values, about 16 MB per block at 2000 nodes.
+# holds points x nodes real values, about 8 MB per block at 2000 nodes.
 ROOT_SCAN_BLOCKS = 20
 ROOT_MARGIN_FACTOR = 10.0
 
@@ -51,8 +51,7 @@ def _bisect(g, a: float, b: float) -> float:
 def _scan_roots(g, a: float, b: float) -> list[float]:
     """Bisected roots of g at every sign change on a ROOT_SCAN_POINTS grid."""
     grid = np.linspace(a, b, ROOT_SCAN_POINTS)
-    vals = np.concatenate([g(block.astype(complex))
-                           for block in np.array_split(grid, ROOT_SCAN_BLOCKS)])
+    vals = np.concatenate([g(block) for block in np.array_split(grid, ROOT_SCAN_BLOCKS)])
     return [_bisect(g, grid[i], grid[i + 1])
             for i in np.nonzero(np.diff(np.signbit(vals)))[0]]
 
@@ -145,6 +144,8 @@ class SpectrumModel:
         if abs(mass - 1.0) > 5e-3:
             raise SpectraError(f"density does not integrate to 1 (got {mass:.8f})")
         self.quad_weights = self.quad_weights / mass
+        # read by every ShrinkageSet's node numerators, whatever its SNR
+        self._hilbert_at_nodes = self.hilbert(self.nodes)
 
     # -- basic evaluators ---------------------------------------------------
 
@@ -173,6 +174,12 @@ class SpectrumModel:
         return real & (x > lo) & (x < hi)
 
     def _stieltjes(self, z):
+        z = np.asarray(z)
+        if z.ndim and not np.iscomplexobj(z):
+            # real points off the support (the lower-edge atom scan): one
+            # real mat-vec, no complex temporaries
+            return (1.0 / (z[..., None] - self.nodes)) @ (
+                self.quad_weights * self._density_at_nodes)
         z = np.asarray(z, dtype=complex)
         vals = np.sum(
             self.quad_weights * self._density_at_nodes
@@ -203,8 +210,9 @@ class SpectrumModel:
         mux = self.density(x)
         mux = np.atleast_1d(mux)
         diff = x[:, None] - self.nodes
-        # nodes never coincide with arbitrary x in exact arithmetic, but
-        # guard the division anyway
+        # where x is a quadrature node (every ShrinkageSet's node numerators,
+        # computed once in SpectrumModel.__init__) that node's term is 0/0 and
+        # is set to 0, which drops w_i (-mu'(x_i)) / pi from the sum
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = (self._density_at_nodes - mux[:, None]) / diff
         integrand = np.where(np.isfinite(integrand), integrand, 0.0)
@@ -394,7 +402,8 @@ class ShrinkageSet:
         logger.info("phi2(0) uses H_mu(0) = %.6g (interpreted as the noise-spectrum "
                     "Hilbert transform)", h0)
         # read by the induced measures and by every DenoiserSet's means
-        self.node_numerators = self.numerators(spectrum.nodes)
+        self.node_numerators = self._numerators(
+            spectrum.nodes, spectrum._density_at_nodes, spectrum._hilbert_at_nodes)
 
     # -- raw pieces ---------------------------------------------------------
 
@@ -408,9 +417,12 @@ class ShrinkageSet:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if np.any(lam < 0):
             raise SpectraError("shrinkage functions are defined on the nonnegative axis")
+        return self._numerators(lam, self.spectrum.density(lam), self.spectrum.hilbert(lam))
+
+    def _numerators(self, lam, mu, h):
+        """numerators(lam) from the density mu and Hilbert transform h at lam."""
         th2 = self.theta ** 2
         d = self.delta
-        mu, h = self.spectrum.density(lam), self.spectrum.hilbert(lam)
         den = (1.0 - th2 * ((1.0 - d) * np.pi * h
                             - d * np.pi ** 2 * lam * (mu ** 2 - h ** 2))) ** 2 \
             + (np.pi * th2 * mu * (1.0 - d + 2.0 * d * np.pi * lam * h)) ** 2
@@ -452,8 +464,10 @@ class ShrinkageSet:
         the edge and the search margin.  Below the lower edge (when the
         support is bounded away from zero) C is not monotone, so there a sign
         scan on ROOT_SCAN_POINTS points brackets the roots before bisection.
-        The roots become point masses through the derivative of the
-        C-transform.
+        The scan passes real arrays, so a quadrature spectrum evaluates it in
+        real arithmetic; it only picks the brackets, and the bisection and
+        the masses evaluate scalars on the complex path.  The roots become
+        point masses through the derivative of the C-transform.
         """
         if self.theta == 0:
             return []

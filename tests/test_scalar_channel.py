@@ -20,6 +20,18 @@ def dense_mmse(w, w0):
     return np.trapezoid(np.array(rows) * pdf, z)
 
 
+def dense_dmmse_divergence(ch, w):
+    """E[phi_bar'] = E[Z dmmse(X, C)] / sqrt(1 - w) by a 2001 x 2001
+    trapezoid rule over (Z, Z') on [-12, 12]^2, given X* = 1: dmmse is odd
+    in (X, C), so the X* = -1 half is its mirror image."""
+    z = np.linspace(-12.0, 12.0, 2001)
+    pdf = np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi)
+    x = np.sqrt(w) + np.sqrt(1 - w) * z
+    c = np.sqrt(ch.w0) + np.sqrt(1 - ch.w0) * z
+    rows = [np.trapezoid(z * ch.dmmse(x, cj, w) * pdf, z) for cj in c]
+    return np.trapezoid(np.array(rows) * pdf, z) / np.sqrt(1 - w)
+
+
 class TestPosteriorMean:
     def test_rademacher_closed_form(self):
         ch = ScalarChannel("rademacher")
@@ -119,6 +131,14 @@ class TestDmmse:
             z = (x - np.sqrt(w) * xstar) / np.sqrt(1 - w)
             stein = np.sum(wt * z * ch.dmmse(x, c, w)) / np.sqrt(1 - w)
             assert abs(stein) <= 1e-6
+
+    @pytest.mark.parametrize("w0", [0.0, 0.04])
+    @pytest.mark.parametrize("w", [0.3, 0.9])
+    def test_divergence_free_dense_oracle(self, w, w0):
+        # the denoiser itself, not the 201-node rule of _channel_samples
+        # (off by 2.3e-8 at w = 0.9), has zero divergence to rounding
+        ch = ScalarChannel("rademacher", w0)
+        assert abs(dense_dmmse_divergence(ch, w)) <= 1e-12
 
     def test_gaussian_prior_degenerate(self):
         # with no side information the linear posterior mean projects to zero,

@@ -52,6 +52,19 @@ def scan_brentq_roots(shrink, a, b):
             for i in np.nonzero(np.diff(np.signbit(vals)))[0]]
 
 
+def complex_scan_roots(shrink, a, b):
+    """The lower-edge scan in complex arithmetic: sign changes of
+    1 - theta^2 C on the ROOT_SCAN_POINTS grid from complex-dtype blocks,
+    each refined by spectra._bisect."""
+    spec, th = shrink.spectrum, shrink.theta
+    g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
+    grid = np.linspace(a, b, spectra.ROOT_SCAN_POINTS)
+    vals = np.concatenate([g(block.astype(complex))
+                           for block in np.array_split(grid, spectra.ROOT_SCAN_BLOCKS)])
+    return [spectra._bisect(g, grid[i], grid[i + 1])
+            for i in np.nonzero(np.diff(np.signbit(vals)))[0]]
+
+
 def mp_or_beta(kind, delta):
     if kind == "mp":
         return MarchenkoPastur(delta)
@@ -205,6 +218,40 @@ def test_pickle_round_trip(make):
     assert np.array_equal(back.hilbert(x), sp.hilbert(x))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MarchenkoPastur(DELTA),
+    lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA),
+    lambda: Tabulated(np.linspace(1.0, 3.0, 201),
+                      np.sin(np.linspace(0.0, np.pi, 201)), DELTA),
+], ids=["mp", "beta", "tabulated"])
+def test_node_hilbert_pickles(make):
+    sp = make()
+    back = pickle.loads(pickle.dumps(sp))
+    assert np.array_equal(back._hilbert_at_nodes, sp._hilbert_at_nodes)
+    assert np.array_equal(back._hilbert_at_nodes, sp.hilbert(sp.nodes))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA),
+    lambda: ShiftedBeta(0.5, 2.0, 1.0, 3.0, DELTA),
+    lambda: ShiftedBeta(3.0, 0.7, 1.0, 3.0, DELTA),
+    lambda: Tabulated(np.linspace(1.0, 3.0, 201),
+                      np.sin(np.linspace(0.0, np.pi, 201)), DELTA),
+], ids=["beta_1.5_1.5", "beta_0.5_2", "beta_3_0.7", "tabulated"])
+def test_real_stieltjes_matches_complex(make):
+    # real arrays take one real mat-vec; complex ones the complex sum
+    sp = make()
+    lo, hi = sp.support
+    below = np.linspace(1e-9 * max(1.0, lo), lo - 1e-9 * max(1.0, lo),
+                        spectra.ROOT_SCAN_POINTS)
+    above = np.linspace(hi + 1e-9 * max(1.0, hi),
+                        hi + spectra.ROOT_MARGIN_FACTOR * (1.0 + 5.0 ** 2), 2001)
+    for x in (below, above):
+        real, cplx = sp.stieltjes(x), sp.stieltjes(x.astype(complex))
+        assert real.dtype == np.float64 and np.all(cplx.imag == 0)
+        assert np.max(np.abs(real / cplx.real - 1.0)) <= 1e-14
+
+
 class TestMeasure:
     def test_atoms_and_complex(self):
         m = Measure(np.array([1.0]), np.array([0.5]), atoms=((3.0, 0.5),))
@@ -248,6 +295,24 @@ class TestShrinkage:
         monkeypatch.setattr(spectra, "ROOT_SCAN_BLOCKS", 7)
         assert sh.find_spectral_atoms() == atoms
         assert len(atoms) == 2
+
+    def test_node_hilbert_computed_once(self, monkeypatch):
+        # a ShrinkageSet reads the spectrum's stored node Hilbert transform;
+        # only the scalar H(0) is evaluated per SNR
+        sp = ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA)
+        hilbert = sp.hilbert
+
+        def scalar_only(x):
+            if np.size(x) > 1:
+                raise AssertionError("node Hilbert transform recomputed")
+            return hilbert(x)
+
+        monkeypatch.setattr(sp, "hilbert", scalar_only)
+        built = [ShrinkageSet(sp, theta) for theta in (0.5, 2.0, 4.0)]
+        monkeypatch.undo()
+        for sh in built:
+            for got, want in zip(sh.node_numerators, sh.numerators(sp.nodes)):
+                assert np.array_equal(got, want)
 
     def test_negative_lambda_rejected(self, shrink_mp2):
         with pytest.raises(SpectraError):
@@ -325,6 +390,19 @@ class TestAtoms:
         assert len(old) == len(lower) == 1
         assert lower[0] == pytest.approx(old[0], rel=1e-12, abs=0)
         assert lower[0] == pytest.approx(0.943336, abs=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
+    @settings(max_examples=20, deadline=None)
+    @given(delta=st.floats(0.2, 1.0), theta=st.floats(0.5, 5.0),
+           a=st.floats(0.5, 3.0), b=st.floats(0.5, 3.0))
+    def test_lower_roots_match_complex_scan(self, delta, theta, a, b):
+        # the real-arithmetic scan picks the same brackets as the complex
+        # one, and the scalar bisection then gives the same roots bitwise
+        sp = ShiftedBeta(a, b, 1.0, 3.0, delta)
+        sh = ShrinkageSet(sp, theta)
+        lower = [atom.location for atom in sh.find_spectral_atoms()
+                 if not atom.verified]
+        assert lower == complex_scan_roots(sh, 1e-9, 1.0 - 1e-9)
 
     def test_beta_has_two_atoms(self, shrink_beta2):
         atoms = shrink_beta2.find_spectral_atoms()
