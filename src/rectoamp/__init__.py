@@ -10,7 +10,7 @@ from .model import (PriorModel, ProblemInstance, SvdCache,
                     empirical_signal_measures, make_instance, thin_svd)
 from .oamp import DenoiserSet, GeneralOampSpec, IterationTrace, \
     general_oamp_run, optimal_oamp_run
-from .scalar_channel import ScalarChannel, mmse_inverse
+from .scalar_channel import ScalarChannel
 from .spectra import (InducedMeasures, MarchenkoPastur, Measure, ShiftedBeta,
                       ShrinkageSet, SpectrumModel, Tabulated,
                       detection_threshold)
@@ -26,7 +26,7 @@ __all__ = [
     "ShrinkageSet", "SpectrumModel", "SvdCache", "Tabulated",
     "detection_threshold", "emit_csv", "empirical_signal_measures",
     "gaussian_amp_run", "gaussian_fixed_point", "general_oamp_run",
-    "load_config", "make_instance", "mmse_inverse",
-    "optimal_oamp_run", "optimal_se_run", "parse_config", "pca_estimate",
+    "load_config", "make_instance", "optimal_oamp_run", "optimal_se_run",
+    "parse_config", "pca_estimate",
     "run_experiment", "se_step_general", "thin_svd", "write_report",
 ]

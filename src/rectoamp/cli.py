@@ -9,10 +9,10 @@ import sys
 
 import numpy as np
 
-from .harness import (DOMAIN_ERRORS, ConfigError, ExperimentConfig, HarnessError,
-                      build_spectrum, load_config, run_experiment, write_report)
+from .harness import (DOMAIN_ERRORS, ConfigError, HarnessError, load_config,
+                      run_experiment, write_report)
 from .scalar_channel import ScalarChannel
-from .spectra import ShrinkageSet, detection_threshold
+from .spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, detection_threshold
 from .state_evolution import gaussian_fixed_point, optimal_se_run
 
 USAGE_EXIT = 2
@@ -28,11 +28,9 @@ def _spectrum_args(parser):
 
 
 def _make_spectrum(args):
-    cfg = ExperimentConfig(spectrum=args.spectrum, M=1000,
-                           N=int(round(1000 / args.delta)),
-                           beta_a=args.beta_a, beta_b=args.beta_b,
-                           beta_lo=args.beta_lo, beta_hi=args.beta_hi)
-    return build_spectrum(cfg)
+    if args.spectrum == "mp":
+        return MarchenkoPastur(args.delta)
+    return ShiftedBeta(args.beta_a, args.beta_b, args.beta_lo, args.beta_hi, args.delta)
 
 
 def _cmd_run(args) -> int:
@@ -58,6 +56,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_se(args) -> int:
+    if args.iters < 1:
+        raise ConfigError(f"iters must be >= 1, got {args.iters}")
     spectrum = _make_spectrum(args)
     shrink = ShrinkageSet(spectrum, args.theta)
     channel = ScalarChannel(args.prior, args.w0)

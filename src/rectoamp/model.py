@@ -97,14 +97,9 @@ class EmpiricalSignalMeasures:
     nu_L3: tuple          # (eigenvalues of the dilation, signed weights)
 
 
-def sample_haar_orthogonal(n: int, rng) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via sign-corrected QR."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
 def _haar_columns(n: int, k: int, rng) -> np.ndarray:
-    """First k columns of a Haar orthogonal n x n matrix."""
+    """First k columns of a Haar orthogonal n x n matrix (all of it for
+    k = n), via sign-corrected QR."""
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))
 
@@ -117,7 +112,7 @@ def sample_ri_noise(spectrum: SpectrumModel, M: int, N: int, rng) -> np.ndarray:
     if M > N:
         raise ModelError("aspect ratios above 1 are unsupported (need M <= N)")
     sigma = np.sqrt(spectrum.sample_eigenvalues(M, rng))
-    U = sample_haar_orthogonal(M, rng)
+    U = _haar_columns(M, M, rng)
     V = _haar_columns(N, M, rng)
     return (U * sigma) @ V.T
 

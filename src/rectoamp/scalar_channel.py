@@ -198,25 +198,3 @@ class ScalarChannel:
         if rho <= 0.0:
             raise ChannelError(f"dmmse output carries no signal at w={w}")
         return alpha, alpha ** 2 / rho, rho
-
-
-def mmse_inverse(channel: ScalarChannel, target: float, tol: float = 1e-13) -> float:
-    """Strength w with mmse(w) = target; mmse is strictly decreasing in w.
-
-    Targets at or below the w -> 1 limit return 1; targets at or above
-    mmse(0) return 0.
-    """
-    lo, hi = 0.0, 1.0 - 1e-15
-    if target >= channel.mmse(lo):
-        return 0.0
-    if target <= channel.mmse(hi):
-        return 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if channel.mmse(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)

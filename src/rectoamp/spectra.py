@@ -19,15 +19,15 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 DEFAULT_QUAD_NODES = 2000
-# Below the lower support edge C is not monotone, so outlier roots there are
-# bracketed by a sign scan on this many grid points before bisection.  Above
-# the upper edge C decreases monotonically to 0, so one bracket
-# [edge, edge + ROOT_MARGIN_FACTOR (1 + theta^2)] holds at most one root.
-ROOT_SCAN_POINTS = 10_000
-# The scan evaluates C in this many blocks: a quadrature Stieltjes transform
-# holds points x nodes real values, about 8 MB per block at 2000 nodes.
-ROOT_SCAN_BLOCKS = 20
+# Each side of the support holds at most one outlier root, so each is
+# bisected in one bracket: [eps, lo - eps] below the lower edge and
+# [hi + eps, hi + ROOT_MARGIN_FACTOR (1 + theta^2)] above the upper one
+# (ShrinkageSet.find_spectral_atoms says why).
 ROOT_MARGIN_FACTOR = 10.0
+# No search reads this any more: the benchmark's spectra.scan_mb metric
+# (perfbench/pipeline.py) still sizes the former lower-edge sign scan from
+# it, so it goes when that metric does.
+ROOT_SCAN_POINTS = 10_000
 
 
 class SpectraError(Exception):
@@ -46,14 +46,6 @@ def _bisect(g, a: float, b: float) -> float:
             a = mid
         else:
             b = mid
-
-
-def _scan_roots(g, a: float, b: float) -> list[float]:
-    """Bisected roots of g at every sign change on a ROOT_SCAN_POINTS grid."""
-    grid = np.linspace(a, b, ROOT_SCAN_POINTS)
-    vals = np.concatenate([g(block) for block in np.array_split(grid, ROOT_SCAN_BLOCKS)])
-    return [_bisect(g, grid[i], grid[i + 1])
-            for i in np.nonzero(np.diff(np.signbit(vals)))[0]]
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,7 @@ class SpectrumModel:
         if not 0.0 < delta <= 1.0:
             raise SpectraError(f"aspect ratio must be in (0, 1], got {delta}")
         lo, hi = float(support[0]), float(support[1])
-        if lo < 0 or hi <= lo:
+        if not 0.0 <= lo < hi < np.inf:
             raise SpectraError(f"invalid support [{lo}, {hi}]")
         self.delta = float(delta)
         self.support = (lo, hi)
@@ -174,12 +166,6 @@ class SpectrumModel:
         return real & (x > lo) & (x < hi)
 
     def _stieltjes(self, z):
-        z = np.asarray(z)
-        if z.ndim and not np.iscomplexobj(z):
-            # real points off the support (the lower-edge atom scan): one
-            # real mat-vec, no complex temporaries
-            return (1.0 / (z[..., None] - self.nodes)) @ (
-                self.quad_weights * self._density_at_nodes)
         z = np.asarray(z, dtype=complex)
         vals = np.sum(
             self.quad_weights * self._density_at_nodes
@@ -319,6 +305,8 @@ class ShiftedBeta(SpectrumModel):
     kind = "shifted_beta"
 
     def __init__(self, a: float, b: float, lo: float, hi: float, delta: float):
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+            raise SpectraError(f"Beta shapes must be finite and positive, got ({a}, {b})")
         self.a, self.b = float(a), float(b)
         self._norm = math.exp(math.lgamma(a) + math.lgamma(b)
                               - math.lgamma(a + b)) * (hi - lo)
@@ -458,30 +446,33 @@ class ShrinkageSet:
     def find_spectral_atoms(self) -> list[SpectralAtom]:
         """Roots of 1 - theta^2 C(lambda) = 0 off the support, with masses.
 
-        Above the upper edge S and lambda S are positive and decreasing, so
-        C = delta (lambda S) S + (1 - delta) S decreases and there is at most
-        one root: it is bisected when g = 1 - theta^2 C changes sign between
-        the edge and the search margin.  Below the lower edge (when the
-        support is bounded away from zero) C is not monotone, so there a sign
-        scan on ROOT_SCAN_POINTS points brackets the roots before bisection.
-        The scan passes real arrays, so a quadrature spectrum evaluates it in
-        real arithmetic; it only picks the brackets, and the bisection and
-        the masses evaluate scalars on the complex path.  The roots become
-        point masses through the derivative of the C-transform.
+        Each side of the support holds at most one root, so one bracket per
+        edge is bisected when g = 1 - theta^2 C differs in sign bit at its
+        ends.  Above the upper edge S and lambda S are positive and
+        decreasing, so C = delta (lambda S) S + (1 - delta) S decreases.
+        Below the lower edge, for 0 < lambda < lo, T = -S = int dmu(t) /
+        (t - lambda) > 0 and h = lambda T both increase strictly (T' > 0,
+        h' = T + lambda T' > 0, h(0+) = 0), and C = T (delta h - (1 - delta)):
+        C increases strictly wherever it is positive and is <= 0 elsewhere.
+        So g has at most one zero there, with g > 0 to its left and g < 0
+        to its right.  Both arguments need only a nonnegative measure on
+        the half-line, so they hold for the quadrature measure as well.  The roots become
+        point masses through the derivative of the C-transform; the upper
+        atom comes first.
         """
         if self.theta == 0:
             return []
         spec, th = self.spectrum, self.theta
         g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
         lo, hi = spec.support
-        atoms = []
-        a, b = hi + 1e-9 * max(1.0, hi), hi + ROOT_MARGIN_FACTOR * (1.0 + th ** 2)
-        if np.signbit(g(a)) != np.signbit(g(b)):
-            atoms.append(self._atom_at(_bisect(g, a, b), verified=True))
-        eps_lo = 1e-9 * max(1.0, lo)
+        eps_lo, eps_hi = 1e-9 * max(1.0, lo), 1e-9 * max(1.0, hi)
+        brackets = [(hi + eps_hi, hi + ROOT_MARGIN_FACTOR * (1.0 + th ** 2), True)]
         if lo - eps_lo > eps_lo:
-            atoms.extend(self._atom_at(root, verified=False)
-                         for root in _scan_roots(g, eps_lo, lo - eps_lo))
+            brackets.append((eps_lo, lo - eps_lo, False))
+        atoms = []
+        for a, b, verified in brackets:
+            if np.signbit(g(a)) != np.signbit(g(b)):
+                atoms.append(self._atom_at(_bisect(g, a, b), verified))
         return atoms
 
     def _atom_at(self, lam_star, verified):
@@ -490,7 +481,7 @@ class ShrinkageSet:
         if not verified:
             warnings.warn(
                 f"root {lam_star:.6g} below the spectrum support: unverified branch",
-                RuntimeWarning, stacklevel=3)
+                RuntimeWarning, stacklevel=2)
         s = float(np.real(spec.stieltjes(lam_star)))
         denom = -th ** 2 * cprime
         nu1_mass = s / denom

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from rectoamp import harness
+from rectoamp import cli, harness
 from rectoamp.cli import main as cli_main
 from rectoamp.harness import (ConfigError, ExperimentConfig, HarnessError,
                               emit_csv, parse_config, run_experiment,
@@ -243,6 +243,27 @@ class TestCli:
         assert cli_main(["run", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--delta", "0"], 1), (["--spectrum", "beta", "--beta-a", "0"], 1),
+        (["--iters", "0"], 2)], ids=["delta_zero", "beta_a_zero", "iters_zero"])
+    def test_bad_se_args(self, capsys, argv, code):
+        assert cli_main(["se", "--theta", "2", *argv]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_se_spectrum_at_given_delta(self, capsys, monkeypatch):
+        deltas = []
+        shrinkage_set = cli.ShrinkageSet
+
+        def recording(spectrum, theta):
+            deltas.append(spectrum.delta)
+            return shrinkage_set(spectrum, theta)
+
+        monkeypatch.setattr(cli, "ShrinkageSet", recording)
+        assert cli_main(["se", "--theta", "2", "--delta", "0.3", "--iters", "1"]) == 0
+        assert deltas == [0.3]
 
     def test_fixed_point_output(self, capsys):
         assert cli_main(["fixed-point", "--theta", "2", "--delta", "0.5",

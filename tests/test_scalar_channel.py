@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from rectoamp.scalar_channel import (ChannelError, ScalarChannel,
-                                     mmse_inverse)
+from rectoamp.scalar_channel import ChannelError, ScalarChannel
 
 
 def dense_mmse(w, w0):
@@ -112,13 +111,6 @@ class TestMmse:
         w = 0.3
         gamma = w / (1 - w) + 0.2 / 0.8
         assert ch.mmse(w) == pytest.approx(1 / (1 + gamma))
-
-    def test_inverse_round_trip(self):
-        ch = ScalarChannel("rademacher", 0.04)
-        for w in (0.05, 0.5, 0.95):
-            assert mmse_inverse(ch, ch.mmse(w)) == pytest.approx(w, abs=1e-12)
-        assert mmse_inverse(ch, 1.0) == 0.0
-        assert mmse_inverse(ch, 0.0) == 1.0
 
 
 class TestDmmse:

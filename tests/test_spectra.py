@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
@@ -18,6 +18,9 @@ from rectoamp.spectra import (MarchenkoPastur, Measure, ShiftedBeta,
                               detection_threshold)
 
 DELTA = 0.5
+# the grid of the former atom sign scan, kept here as an independent oracle
+SCAN_POINTS = 10_000
+SCAN_BLOCKS = 20
 
 
 def quad_stieltjes(spectrum, z):
@@ -41,28 +44,35 @@ def pv_hilbert(spectrum, x, eps=1e-7):
     return (left + right) / np.pi
 
 
-def scan_brentq_roots(shrink, a, b):
-    """The former atom search on [a, b]: sign changes of 1 - theta^2 C on a
-    ROOT_SCAN_POINTS grid, each refined by scipy's brentq."""
+def scan_c_transform(spectrum, a, b):
+    """(grid, C on it): the SCAN_POINTS grid on [a, b], evaluated in
+    complex-dtype blocks."""
+    grid = np.linspace(a, b, SCAN_POINTS)
+    return grid, np.concatenate([np.real(spectrum.c_transform(block.astype(complex)))
+                                 for block in np.array_split(grid, SCAN_BLOCKS)])
+
+
+def scan_brackets(shrink, a, b):
+    """g = 1 - theta^2 C and the grid cells on [a, b] where its sign bit changes."""
     spec, th = shrink.spectrum, shrink.theta
     g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
-    grid = np.linspace(a, b, spectra.ROOT_SCAN_POINTS)
-    vals = np.concatenate([g(block.astype(complex)) for block in np.array_split(grid, 20)])
-    return [optimize.brentq(g, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-14)
-            for i in np.nonzero(np.diff(np.signbit(vals)))[0]]
+    grid, c = scan_c_transform(spec, a, b)
+    return g, [(grid[i], grid[i + 1])
+               for i in np.nonzero(np.diff(np.signbit(1.0 - th ** 2 * c)))[0]]
+
+
+def scan_brentq_roots(shrink, a, b):
+    """The former atom search on [a, b]: sign changes of 1 - theta^2 C on
+    the scan grid, each refined by scipy's brentq."""
+    g, cells = scan_brackets(shrink, a, b)
+    return [optimize.brentq(g, l, r, xtol=1e-12, rtol=1e-14) for l, r in cells]
 
 
 def complex_scan_roots(shrink, a, b):
-    """The lower-edge scan in complex arithmetic: sign changes of
-    1 - theta^2 C on the ROOT_SCAN_POINTS grid from complex-dtype blocks,
-    each refined by spectra._bisect."""
-    spec, th = shrink.spectrum, shrink.theta
-    g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
-    grid = np.linspace(a, b, spectra.ROOT_SCAN_POINTS)
-    vals = np.concatenate([g(block.astype(complex))
-                           for block in np.array_split(grid, spectra.ROOT_SCAN_BLOCKS)])
-    return [spectra._bisect(g, grid[i], grid[i + 1])
-            for i in np.nonzero(np.diff(np.signbit(vals)))[0]]
+    """The former lower-edge search in complex arithmetic: sign changes of
+    1 - theta^2 C on the scan grid, each refined by spectra._bisect."""
+    g, cells = scan_brackets(shrink, a, b)
+    return [spectra._bisect(g, l, r) for l, r in cells]
 
 
 def mp_or_beta(kind, delta):
@@ -192,6 +202,15 @@ class TestShiftedBeta:
         # symmetry point: PV integral vanishes
         assert sp.hilbert(2.0) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("a,b,lo,hi", [
+        (0.0, 1.5, 1.0, 3.0), (1.5, -1.0, 1.0, 3.0), (np.nan, 1.5, 1.0, 3.0),
+        (1.5, np.inf, 1.0, 3.0), (1.5, 1.5, np.nan, 3.0), (1.5, 1.5, 1.0, np.inf)],
+        ids=["a_zero", "b_negative", "a_nan", "b_inf", "lo_nan", "hi_inf"])
+    def test_invalid_parameters(self, a, b, lo, hi):
+        # rejected before any quadrature is built
+        with pytest.raises(SpectraError):
+            ShiftedBeta(a, b, lo, hi, DELTA)
+
 
 class TestTabulated:
     def test_round_trip(self):
@@ -231,27 +250,6 @@ def test_node_hilbert_pickles(make):
     assert np.array_equal(back._hilbert_at_nodes, sp.hilbert(sp.nodes))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA),
-    lambda: ShiftedBeta(0.5, 2.0, 1.0, 3.0, DELTA),
-    lambda: ShiftedBeta(3.0, 0.7, 1.0, 3.0, DELTA),
-    lambda: Tabulated(np.linspace(1.0, 3.0, 201),
-                      np.sin(np.linspace(0.0, np.pi, 201)), DELTA),
-], ids=["beta_1.5_1.5", "beta_0.5_2", "beta_3_0.7", "tabulated"])
-def test_real_stieltjes_matches_complex(make):
-    # real arrays take one real mat-vec; complex ones the complex sum
-    sp = make()
-    lo, hi = sp.support
-    below = np.linspace(1e-9 * max(1.0, lo), lo - 1e-9 * max(1.0, lo),
-                        spectra.ROOT_SCAN_POINTS)
-    above = np.linspace(hi + 1e-9 * max(1.0, hi),
-                        hi + spectra.ROOT_MARGIN_FACTOR * (1.0 + 5.0 ** 2), 2001)
-    for x in (below, above):
-        real, cplx = sp.stieltjes(x), sp.stieltjes(x.astype(complex))
-        assert real.dtype == np.float64 and np.all(cplx.imag == 0)
-        assert np.max(np.abs(real / cplx.real - 1.0)) <= 1e-14
-
-
 class TestMeasure:
     def test_atoms_and_complex(self):
         m = Measure(np.array([1.0]), np.array([0.5]), atoms=((3.0, 0.5),))
@@ -287,14 +285,6 @@ class TestShrinkage:
         for x in (0.5, 1.0, 2.0):
             oracle = abs(1 - 4.0 * mp05.c_transform(complex(x, -1e-8))) ** 2
             assert sh.plemelj_denominator(x) == pytest.approx(oracle, rel=1e-4)
-
-    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
-    def test_atom_scan_independent_of_blocks(self, beta_spectrum, monkeypatch):
-        sh = ShrinkageSet(beta_spectrum, 2.0)
-        atoms = sh.find_spectral_atoms()
-        monkeypatch.setattr(spectra, "ROOT_SCAN_BLOCKS", 7)
-        assert sh.find_spectral_atoms() == atoms
-        assert len(atoms) == 2
 
     def test_node_hilbert_computed_once(self, monkeypatch):
         # a ShrinkageSet reads the spectrum's stored node Hilbert transform;
@@ -382,7 +372,8 @@ class TestAtoms:
 
     @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
     def test_lower_root_matches_scan(self, shrink_beta2):
-        # below the lower edge the sign scan stays; bisection replaces brentq
+        # one bisected bracket below the lower edge finds the root of the
+        # former grid scan plus brentq
         lo = shrink_beta2.spectrum.support[0]
         old = scan_brentq_roots(shrink_beta2, 1e-9, lo - 1e-9)
         lower = [a.location for a in shrink_beta2.find_spectral_atoms()
@@ -393,16 +384,48 @@ class TestAtoms:
 
     @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
     @settings(max_examples=20, deadline=None)
-    @given(delta=st.floats(0.2, 1.0), theta=st.floats(0.5, 5.0),
+    @given(kind=st.sampled_from(["beta", "mp", "tabulated"]),
+           delta=st.floats(0.2, 1.0), theta=st.floats(0.5, 5.0),
            a=st.floats(0.5, 3.0), b=st.floats(0.5, 3.0))
-    def test_lower_roots_match_complex_scan(self, delta, theta, a, b):
-        # the real-arithmetic scan picks the same brackets as the complex
-        # one, and the scalar bisection then gives the same roots bitwise
-        sp = ShiftedBeta(a, b, 1.0, 3.0, delta)
+    @example(kind="beta", delta=1.0, theta=4.0, a=1.5, b=1.5)
+    @example(kind="mp", delta=0.5, theta=5.0, a=1.5, b=1.5)
+    @example(kind="mp", delta=1.0, theta=5.0, a=1.5, b=1.5)
+    @example(kind="tabulated", delta=0.5, theta=4.0, a=1.0, b=1.5)
+    @example(kind="tabulated", delta=1.0, theta=4.0, a=1.0, b=1.5)
+    def test_lower_roots_match_complex_scan(self, kind, delta, theta, a, b):
+        # one bisected bracket below the lower edge gives, bitwise, the roots
+        # of the former grid scan plus the same bisection (none for MP, whose
+        # C stays <= 0 below its support; none at all for MP at delta = 1,
+        # whose support starts at 0)
+        if kind == "mp":
+            sp = MarchenkoPastur(delta)
+        elif kind == "tabulated":
+            t = np.linspace(0.0, 1.0, 201)
+            sp = Tabulated(1.0 + 2.0 * t, np.sin(np.pi * t) ** a * (1.0 + t) ** b, delta)
+        else:
+            sp = ShiftedBeta(a, b, 1.0, 3.0, delta)
         sh = ShrinkageSet(sp, theta)
         lower = [atom.location for atom in sh.find_spectral_atoms()
                  if not atom.verified]
-        assert lower == complex_scan_roots(sh, 1e-9, 1.0 - 1e-9)
+        lo = sp.support[0]
+        eps = 1e-9 * max(1.0, lo)
+        assert lower == (complex_scan_roots(sh, eps, lo - eps) if lo > 2 * eps else [])
+
+    @settings(max_examples=20, deadline=None)
+    @given(delta=st.floats(0.05, 1.0), theta=st.floats(0.1, 16.0),
+           a=st.floats(0.36, 4.0), b=st.floats(0.36, 4.0),
+           lo=st.floats(0.05, 3.0), width=st.floats(0.1, 4.0))
+    def test_lower_edge_c_transform_increases_where_positive(self, delta, theta, a, b,
+                                                             lo, width):
+        # the lemma behind the single lower bracket: below the support
+        # C = T (delta h - (1 - delta)) with T = -S and h = lambda T
+        # increasing, so C increases wherever it is positive and
+        # g = 1 - theta^2 C changes sign at most once
+        sp = ShiftedBeta(a, b, lo, lo + width, delta)
+        eps = 1e-9 * max(1.0, lo)
+        _, c = scan_c_transform(sp, eps, lo - eps)
+        assert np.all(np.diff(c)[c[:-1] > 0] > 0)
+        assert np.count_nonzero(np.diff(np.signbit(1.0 - theta ** 2 * c))) <= 1
 
     def test_beta_has_two_atoms(self, shrink_beta2):
         atoms = shrink_beta2.find_spectral_atoms()
