@@ -9,7 +9,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,6 +269,8 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         logger.warning("running Gaussian AMP on non-Gaussian noise")
     if simulated:
         if workers > 1:
+            # imported here: concurrent.futures.process costs every run ~20 ms
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {seed: pool.submit(run_single_seed, cfg, seed,
                                              shrinkage, schedules)

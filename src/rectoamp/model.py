@@ -104,23 +104,45 @@ def _haar_columns(n: int, k: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+# sample_ri_noise reaches V through a Cholesky factor only when N >= this * M:
+# nearer square, its kappa(G)^2 eps error has no bound
+CHOLESKY_ASPECT = 2
+
+
 def sample_ri_noise(spectrum: SpectrumModel, M: int, N: int, rng) -> np.ndarray:
     """W = U diag(sigma) V^T with independent Haar factors.
 
-    Squared singular values are drawn i.i.d. from the spectrum.
+    Squared singular values are drawn i.i.d. from the spectrum, then U, then
+    the N x M Gaussian G behind V, in that order.  V is the Q of G = V R with
+    a positive-diagonal R.  When N >= CHOLESKY_ASPECT * M, R is L^T from the
+    Cholesky factor L of G^T G, and W = (U diag(sigma) L^-1) G^T is formed
+    without V.  Its loss of orthogonality is about kappa(G)^2 eps; with
+    M / N <= 1/2, Bai-Yin puts kappa(G) near (1 + sqrt(1/2)) / (1 - sqrt(1/2))
+    = 5.8, so V agrees with the Householder factor to a few eps (3.3e-16 at
+    1000 x 2000).  Near-square G makes kappa(G)^2 unbounded, so those
+    instances keep the sign-corrected Householder QR of ``_haar_columns``.
     """
     if M > N:
         raise ModelError("aspect ratios above 1 are unsupported (need M <= N)")
     sigma = np.sqrt(spectrum.sample_eigenvalues(M, rng))
-    U = _haar_columns(M, M, rng)
-    V = _haar_columns(N, M, rng)
-    return (U * sigma) @ V.T
+    U_sigma = _haar_columns(M, M, rng)
+    U_sigma *= sigma
+    if N < CHOLESKY_ASPECT * M:
+        return U_sigma @ _haar_columns(N, M, rng).T
+    G = rng.standard_normal((N, M))
+    try:
+        L = np.linalg.cholesky(G.T @ G)
+    except np.linalg.LinAlgError as exc:
+        raise ModelError(f"Cholesky of the Haar Gram matrix failed: {exc}") from exc
+    return np.linalg.solve(L.T, U_sigma.T).T @ G.T
 
 
 def sample_gaussian_noise(M: int, N: int, rng) -> np.ndarray:
     if M > N:
         raise ModelError("aspect ratios above 1 are unsupported (need M <= N)")
-    return rng.standard_normal((M, N)) / np.sqrt(N)
+    W = rng.standard_normal((M, N))
+    W /= np.sqrt(N)
+    return W
 
 
 def make_instance(prior_u: PriorModel, prior_v: PriorModel, noise, M: int, N: int,
@@ -144,7 +166,9 @@ def make_instance(prior_u: PriorModel, prior_v: PriorModel, noise, M: int, N: in
         raise ModelError(f"unknown noise model {noise!r}")
     a = _side_info(u_star, prior_u.side_info_strength, component_rng(seed, "side_u"))
     b = _side_info(v_star, prior_v.side_info_strength, component_rng(seed, "side_v"))
-    Y = (theta / np.sqrt(M * N)) * np.outer(u_star, v_star) + W
+    Y = np.outer(u_star, v_star)
+    Y *= theta / np.sqrt(M * N)
+    Y += W
     return ProblemInstance(M, N, theta, Y, W, u_star, v_star, a, b, seed)
 
 
@@ -177,7 +201,8 @@ def thin_svd(Y: np.ndarray) -> SvdCache:
             # |Y^T u_i| keeps sigma_min to ~1e-13 relative where sqrt(lambda)
             # loses up to eps * lambda_max / lambda_min
             sv = np.linalg.norm(YtU, axis=0)
-            return SvdCache(sv, U, YtU / sv)
+            YtU /= sv
+            return SvdCache(sv, U, YtU)
         logger.info("Gram eigenvalue ratio %.3g <= %g: direct SVD",
                     lam[0] / lam[-1] if lam[-1] > 0 else 0.0, GRAM_COND_FLOOR)
         U, sv, Vt = np.linalg.svd(Y, full_matrices=False)

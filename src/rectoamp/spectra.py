@@ -195,13 +195,14 @@ class SpectrumModel:
         lo, hi = self.support
         mux = self.density(x)
         mux = np.atleast_1d(mux)
-        diff = x[:, None] - self.nodes
+        integrand = self._density_at_nodes - mux[:, None]
         # where x is a quadrature node (every ShrinkageSet's node numerators,
         # computed once in SpectrumModel.__init__) that node's term is 0/0 and
-        # is set to 0, which drops w_i (-mu'(x_i)) / pi from the sum
+        # is set to 0, which drops w_i (-mu'(x_i)) / pi from the sum; so is
+        # every term at an x where the density is infinite
         with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = (self._density_at_nodes - mux[:, None]) / diff
-        integrand = np.where(np.isfinite(integrand), integrand, 0.0)
+            integrand /= x[:, None] - self.nodes
+        integrand[~np.isfinite(integrand)] = 0.0
         out = integrand @ self.quad_weights
         inside = (x > lo) & (x < hi)
         out[inside] += mux[inside] * np.log((x[inside] - lo) / (hi - x[inside]))

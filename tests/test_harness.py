@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rectoamp
 from rectoamp import cli, harness
 from rectoamp.cli import main as cli_main
 from rectoamp.harness import (ConfigError, ExperimentConfig, HarnessError,
@@ -74,6 +78,17 @@ class TestConfig:
 @pytest.fixture(scope="module")
 def small_report():
     return run_experiment(parse_config(SMALL))
+
+
+def test_import_leaves_process_pool_out():
+    src = os.path.dirname(os.path.dirname(rectoamp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, rectoamp.harness\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestRunExperiment:

@@ -76,6 +76,38 @@ class TestNoise:
         assert np.mean(lam) == pytest.approx(1.0, abs=0.1)
         assert np.mean(lam ** 2) == pytest.approx(1.5, abs=0.2)
 
+    @staticmethod
+    def householder_draw(spectrum, M, N, seed):
+        """(U sigma, V) from the noise stream, V by the sign-corrected
+        Householder QR, in the order sample_ri_noise draws them."""
+        rng = component_rng(seed, "noise")
+        sigma = np.sqrt(spectrum.sample_eigenvalues(M, rng))
+        U = _haar_columns(M, M, rng)
+        return U * sigma, _haar_columns(N, M, rng)
+
+    @pytest.mark.parametrize("M,N", [(300, 600), (200, 400)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cholesky_draw_matches_householder(self, beta_spectrum, M, N, seed):
+        w = sample_ri_noise(beta_spectrum, M, N, component_rng(seed, "noise"))
+        U_sigma, V = self.householder_draw(beta_spectrum, M, N, seed)
+        ref = U_sigma @ V.T
+        assert np.linalg.norm(w - ref) <= 1e-13 * np.linalg.norm(ref)
+        sigma2 = np.sort(np.sum(U_sigma ** 2, axis=0))
+        lam = np.linalg.eigvalsh(w @ w.T)
+        assert np.max(np.abs(lam - sigma2)) <= 1e-12 * sigma2[-1]
+
+    def test_square_draw_unchanged(self, beta_spectrum):
+        w = sample_ri_noise(beta_spectrum, 120, 120, component_rng(4, "noise"))
+        U_sigma, V = self.householder_draw(beta_spectrum, 120, 120, 4)
+        assert np.array_equal(w, U_sigma @ V.T)
+
+    def test_cholesky_failure_is_model_error(self, beta_spectrum, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        with pytest.raises(ModelError, match="Cholesky"):
+            sample_ri_noise(beta_spectrum, 20, 40, component_rng(0, "noise"))
+
     def test_ri_noise_rejects_tall(self, mp05):
         with pytest.raises(ModelError):
             sample_ri_noise(mp05, 10, 5, component_rng(0, "noise"))

@@ -212,6 +212,43 @@ class TestShiftedBeta:
             ShiftedBeta(a, b, lo, hi, DELTA)
 
 
+def hilbert_reference(spectrum, x):
+    """SpectrumModel.hilbert as it was computed with full-size temporaries."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    lo, hi = spectrum.support
+    mux = np.atleast_1d(spectrum.density(x))
+    diff = x[:, None] - spectrum.nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = (spectrum._density_at_nodes - mux[:, None]) / diff
+    integrand = np.where(np.isfinite(integrand), integrand, 0.0)
+    out = integrand @ spectrum.quad_weights
+    inside = (x > lo) & (x < hi)
+    out[inside] += mux[inside] * np.log((x[inside] - lo) / (hi - x[inside]))
+    out /= np.pi
+    return float(out[0]) if scalar else out
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("make", [
+    lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA),
+    lambda: ShiftedBeta(0.5, 2.0, 1.0, 3.0, 1.0),
+    lambda: Tabulated(np.linspace(1.0, 3.0, 201),
+                      np.sin(np.linspace(0.0, np.pi, 201)), DELTA),
+], ids=["beta", "beta_infinite_edge", "tabulated"])
+def test_hilbert_matches_reference_bitwise(make):
+    sp = make()
+    lo, hi = sp.support
+    off_nodes = np.linspace(lo, hi, 37)
+    outside = np.array([0.0, 0.5 * lo, hi + 1e-9, 2.0 * hi])
+    for x in (sp.nodes, off_nodes, outside, np.concatenate((off_nodes, sp.nodes))):
+        assert np.array_equal(sp.hilbert(x), hilbert_reference(sp, x))
+    for x in (sp.nodes[17], 0.5 * (lo + hi) + 0.1, lo, hi + 0.5):
+        h = sp.hilbert(x)
+        assert isinstance(h, float) and h == hilbert_reference(sp, x)
+
+
 class TestTabulated:
     def test_round_trip(self):
         sp = ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA)
