@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise ConfigError(f"need 0 < M <= N, got M={self.M}, N={self.N}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be distinct and nonnegative, got "
+                              f"{list(self.seeds)}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if self.spectrum not in ("mp", "beta"):
@@ -241,20 +244,9 @@ def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:
-    """The ``workers`` key, else ``RECTOAMP_WORKERS`` (an integer >= 1, like
-    the key), else the smaller of the seed count and the CPU count."""
-    if cfg.workers is not None:
-        return cfg.workers
-    env = os.environ.get("RECTOAMP_WORKERS")
-    if env is None:
-        return min(len(cfg.seeds), os.cpu_count() or 1)
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"RECTOAMP_WORKERS must be an integer >= 1, got {env!r}")
-    return workers
+    """The ``workers`` key, else the smaller of the seed count and the CPU
+    count."""
+    return cfg.workers or min(len(cfg.seeds), os.cpu_count() or 1)
 
 
 def run_experiment(cfg: ExperimentConfig) -> AggregateReport:

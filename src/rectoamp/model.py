@@ -8,7 +8,6 @@ counter-based generator with one substream per (seed, component).
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -17,8 +16,6 @@ import numpy as np
 from .spectra import SpectrumModel
 
 logger = logging.getLogger(__name__)
-
-DUMP_FORMAT_VERSION = 1
 
 # substream labels for the counter-based RNG
 _STREAMS = {"u": 0, "v": 1, "noise": 2, "side_u": 3, "side_v": 4}
@@ -238,25 +235,3 @@ def empirical_signal_measures(inst: ProblemInstance,
 
 def measure_moments(values, weights, orders=(0, 1, 2, 3)) -> np.ndarray:
     return np.array([np.dot(weights, np.asarray(values) ** k) for k in orders])
-
-
-def dump_instance(inst: ProblemInstance, path, spectrum_descriptor: str = "") -> None:
-    """Versioned NPZ container with a JSON header (documented in the README)."""
-    header = {
-        "format_version": DUMP_FORMAT_VERSION,
-        "M": inst.M, "N": inst.N, "theta": inst.theta, "seed": inst.seed,
-        "spectrum": spectrum_descriptor,
-    }
-    np.savez_compressed(path, header=json.dumps(header), Y=inst.Y, W=inst.W,
-                        u_star=inst.u_star, v_star=inst.v_star, a=inst.a, b=inst.b)
-
-
-def load_instance(path) -> tuple[ProblemInstance, dict]:
-    with np.load(path) as data:
-        header = json.loads(str(data["header"]))
-        if header.get("format_version") != DUMP_FORMAT_VERSION:
-            raise ModelError(f"unsupported dump version {header.get('format_version')}")
-        inst = ProblemInstance(
-            header["M"], header["N"], header["theta"], data["Y"], data["W"],
-            data["u_star"], data["v_star"], data["a"], data["b"], header["seed"])
-    return inst, header

@@ -7,7 +7,13 @@ iterates with trace-free polynomial-in-Y linear updates:
     v_t = (1/sqrt(w2_t)) [G*_t(Y^T Y) gbar(v_{t-1}) + Gtil*_t(Y^T Y) Y^T fbar(u_{t-1})]
 
 with estimates given by the posterior means at the predicted strengths.
-All matrix functions act through the cached thin SVD of Y.
+The module holds the optimal matrix denoisers (``DenoiserSet``, exact at
+the spectral outliers), the four spectral applications through the cached
+thin SVD of Y (``apply_left``, ``apply_right``, ``apply_cross_left``,
+``apply_cross_right``) and the one run loop, ``optimal_oamp_run``.  That
+the general state evolution collapses to the scalar schedule under these
+denoisers is checked by driving ``state_evolution.se_step_general`` with
+them, not by a second iteration.
 """
 
 from __future__ import annotations
@@ -32,16 +38,41 @@ class DivergenceError(OampError):
 class DenoiserSet:
     """Optimal trace-free matrix denoisers at fixed output SNRs (rho1, rho2).
 
-    Evaluation uses a cleared-denominator form: with phi_i = n_i / den, every
-    occurrence of D(lambda) is multiplied through by den(lambda)^2, so the
-    removable singularities of F*, Ftil*, G*, Gtil* at spectral outliers
-    (where den -> 0) evaluate exactly, without clamping:
+    With phi_i = n_i / den (``ShrinkageSet.numerators``), the numerators
+    satisfy the identity
 
-        P*  = lambda den (rho2 n2 + delta den) / Dhat,
-        Ptil* = sqrt(delta) rho2 n3 den / Dhat,
-        Q*  = delta lambda den (rho1 n1 + den) / Dhat,
-        Qtil* = sqrt(delta) rho1 n3 den / Dhat,
-        Dhat = (rho1 n1 + den)(rho2 n2 + delta den) lambda - rho1 rho2 n3^2.
+        n1 n2 lambda - n3^2 = delta lambda den.
+
+    Proof: write G = pi (H + i mu), p = 2 Re G = 2 pi H and q = |G|^2, with
+    H and mu the Hilbert transform and density at lambda.  Then
+    den = |1 - theta^2 G (1 - delta + delta lambda G)|^2,
+    n1 = 1 + delta theta^2 lambda q, n3 = theta (1 - delta + delta lambda p)
+    and n2 lambda = delta lambda n1 + theta (1 - delta) n3.  With A = 1 - delta,
+    B = delta lambda and s = theta^2, both n1 n2 lambda - n3^2 and B den
+    expand to
+
+        B - s A B p - s B^2 p^2 + 2 s B^2 q + s^2 A^2 B q + s^2 A B^2 p q
+          + s^2 B^3 q^2.
+
+    The identity is polynomial in (H, mu), so it holds for any values of
+    them: on and off the support, and for quadrature transforms.  The
+    denominator of the phi-ratio formulas, D = (rho1 phi1 + 1)(rho2 phi2 +
+    delta) lambda - rho1 rho2 phi3^2, then factors: den^2 D = lambda den E
+    with
+
+        E = delta rho1 rho2 + delta rho1 n1 + rho2 n2 + delta den,
+
+    and for lambda > 0 the denoisers are
+
+        P*    = (rho2 n2 + delta den) / E,
+        Ptil* = sqrt(delta) rho2 n3 / (lambda E),
+        Q*    = delta (rho1 n1 + den) / E,
+        Qtil* = sqrt(delta) rho1 n3 / (lambda E).
+
+    The common factor den, which vanishes at the spectral outliers, has
+    cancelled, so these are exact there.  Since n1 >= 1 and den >= 0, the
+    identity gives n2 >= 0 and hence E >= delta rho1 rho2 > 0.  lambda = 0
+    keeps its own branch: Q* there is ``q_zero``, not the E-form's limit.
     """
 
     def __init__(self, shrinkage: ShrinkageSet, rho1: float, rho2: float):
@@ -71,23 +102,17 @@ class DenoiserSet:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         d, r1, r2 = self.delta, self.rho1, self.rho2
         n1, n2, n3, den = numerators
-        a1 = r1 * n1 + den
         a2 = r2 * n2 + d * den
-        dhat = a1 * a2 * lam - r1 * r2 * n3 ** 2
+        a1 = r1 * n1 + den
+        e = d * r1 * r2 + d * r1 * n1 + a2
         zero = lam == 0.0
-        if np.any(dhat[~zero] <= 0):
-            raise OampError("denoiser denominator D(lambda) is not positive "
+        if not np.all(e[~zero] > 0):
+            raise OampError("denoiser denominator E(lambda) is not positive "
                             "on the evaluation grid")
-        safe = np.where(zero, 1.0, dhat)
-        p = lam * den * a2 / safe
-        ptil = np.sqrt(d) * r2 * n3 * den / safe
-        q = d * lam * den * a1 / safe
-        qtil = np.sqrt(d) * r1 * n3 * den / safe
-        p = np.where(zero, 0.0, p)
-        ptil = np.where(zero, 0.0, ptil)
-        q = np.where(zero, self.q_zero, q)
-        qtil = np.where(zero, 0.0, qtil)
-        return p, ptil, q, qtil
+        cross = np.sqrt(d) * n3 / (np.where(zero, 1.0, lam) * e)
+        p = np.where(zero, 0.0, a2 / e)
+        q = np.where(zero, self.q_zero, d * a1 / e)
+        return p, np.where(zero, 0.0, r2 * cross), q, np.where(zero, 0.0, r1 * cross)
 
     def evaluate(self, lam, numerators=None):
         """(F*, Ftil*, G*, Gtil*) entrywise at eigenvalues of YY^T."""
@@ -211,66 +236,4 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageS
         trace.w2.append(w2)
         if t in keep_iterates:
             trace.iterates[t] = (u_it.copy(), v_it.copy())
-    return trace
-
-
-@dataclass
-class GeneralOampSpec:
-    """User-supplied pieces of one OAMP run (diagnostic / ablation harness).
-
-    ``matrix_denoisers(t)`` returns callables (F, Ftil, G, Gtil) on the
-    lambda axis plus the scalar G(0) used on the null space.  The iterate
-    denoisers map (t, iterate, side info) to denoised vectors and must be
-    divergence-free; the optional post-processors produce the reported
-    estimates (default: the raw iterates).
-    """
-
-    matrix_denoisers: object
-    denoiser_u: object
-    denoiser_v: object
-    post_u: object = None
-    post_v: object = None
-
-
-TRACE_FREE_TOL = 1e-8
-
-
-def _check_trace_free(spectrum, F, G, g_zero, t):
-    mu = spectrum.measure()
-    d = spectrum.delta
-    mean_f = mu.integrate(lambda l: F(np.atleast_1d(l)))
-    mean_g = d * mu.integrate(lambda l: G(np.atleast_1d(l))) + (1.0 - d) * g_zero
-    if abs(mean_f) > TRACE_FREE_TOL or abs(mean_g) > TRACE_FREE_TOL:
-        raise OampError(
-            f"matrix denoisers at t={t} are not trace-free: "
-            f"<F>_mu = {mean_f:.3g}, <G>_mu_tilde = {mean_g:.3g}")
-
-
-def general_oamp_run(inst: ProblemInstance, svd: SvdCache, spec: GeneralOampSpec,
-                     spectrum, n_iter: int) -> IterationTrace:
-    """OAMP with user-supplied per-iteration pieces.
-
-    The matrix denoisers are checked for trace-freeness against the noise
-    spectrum at registration of every iteration.
-    """
-    lam = svd.eigenvalues
-    trace = IterationTrace()
-    u_it = np.zeros(inst.M)
-    v_it = np.zeros(inst.N)
-    for t in range(1, n_iter + 1):
-        f = spec.denoiser_u(t, u_it, inst.a)
-        g = spec.denoiser_v(t, v_it, inst.b)
-        F, Ftil, G, Gtil, g_zero = spec.matrix_denoisers(t)
-        _check_trace_free(spectrum, F, G, g_zero, t)
-        u_it = apply_left(svd, F(lam), f) + apply_cross_left(svd, Ftil(lam), g)
-        v_it = (apply_right(svd, G(lam), g_zero, g)
-                + apply_cross_right(svd, Gtil(lam), f))
-        _check_finite(u_it, "u")
-        _check_finite(v_it, "v")
-        u_hat = spec.post_u(t, u_it, inst.a) if spec.post_u else u_it
-        v_hat = spec.post_v(t, v_it, inst.b) if spec.post_v else v_it
-        trace.cos2_u.append(_cos2(u_hat, inst.u_star))
-        trace.cos2_v.append(_cos2(v_hat, inst.v_star))
-        trace.mse_u.append(float(np.mean((u_hat - inst.u_star) ** 2)))
-        trace.mse_v.append(float(np.mean((v_hat - inst.v_star) ** 2)))
     return trace

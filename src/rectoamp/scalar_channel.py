@@ -25,6 +25,8 @@ import functools
 import numpy as np
 
 GH_NODES = 201
+# dmmse_stats floors the mmse here, so rho = 1/m - 1/(1 - w) stays finite
+MMSE_FLOOR = 1e-14
 # Trapezoid rule for the Rademacher mmse: step MMSE_STEP on
 # [-MMSE_HALF_WIDTH, MMSE_HALF_WIDTH] (961 points); the Gaussian tail beyond
 # 12 is below 1e-32.
@@ -188,10 +190,12 @@ class ScalarChannel:
 
         Closed forms in the posterior mmse m: the divergence-free projection
         of the posterior mean has alpha = (1 - w - m) / (1 - w - w m) and
-        output SNR rho = 1/m - 1/(1 - w) exactly, for any prior.
+        output SNR rho = 1/m - 1/(1 - w) exactly, for any prior.  The mmse
+        is floored at MMSE_FLOOR, so a channel whose quadrature mmse
+        underflows to 0 keeps a finite, very large rho.
         """
-        m = self.mmse(w)
-        if m <= 0.0 or m >= 1.0 - 1e-15:
+        m = max(self.mmse(w), MMSE_FLOOR)
+        if m >= 1.0 - 1e-15:
             raise ChannelError(f"dmmse stats undefined at w={w} (mmse={m})")
         alpha = (1.0 - w - m) / (1.0 - w - w * m)
         rho = 1.0 / m - 1.0 / (1.0 - w)

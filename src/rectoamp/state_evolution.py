@@ -13,7 +13,6 @@ from .oamp import DenoiserSet
 from .scalar_channel import ScalarChannel
 from .spectra import InducedMeasures, ShrinkageSet, SpectrumModel
 
-MMSE_FLOOR = 1e-14
 SE_CONVERGENCE_TOL = 1e-12
 FIXED_POINT_DAMPING = 0.5
 FIXED_POINT_TOL = 1e-13
@@ -82,16 +81,6 @@ def se_step_general(measures: InducedMeasures, spectrum: SpectrumModel,
     return mu_u, max(sigma_u2, 0.0), mu_v, max(sigma_v2, 0.0)
 
 
-def _rho(channel: ScalarChannel, w: float) -> float:
-    m = max(channel.mmse(w), MMSE_FLOOR)
-    rho = 1.0 / m - 1.0 / (1.0 - w)
-    if rho <= 0:
-        raise StateEvolutionError(
-            f"non-positive denoiser output SNR at w={w} (mmse={m:.3g}); "
-            "the scalar denoiser carries no excess information")
-    return rho
-
-
 def _append_overlaps(trace: SeTrace, m_u: float, m_v: float) -> None:
     trace.mmse_u.append(m_u)
     trace.mmse_v.append(m_v)
@@ -113,8 +102,8 @@ def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
     trace = SeTrace()
     w1 = w2 = 0.0
     for t in range(1, n_iter + 1):
-        rho1 = _rho(channel_u, w1)
-        rho2 = _rho(channel_v, w2)
+        rho1 = channel_u.dmmse_stats(w1)[2]
+        rho2 = channel_v.dmmse_stats(w2)[2]
         w1_next, w2_next = DenoiserSet(shrinkage, rho1, rho2).next_strengths()
         # round-off around a collapsed strength (e.g. theta = 0) becomes 0
         w1_next = 0.0 if -1e-9 < w1_next < 1e-12 else w1_next

@@ -228,28 +228,16 @@ class TestCli:
         "M = 400\nN = 200\n", "w0_u = 1.5\n", "w0_v = -0.1\n", "theta = nan\n",
         "theta = inf\n", "spectrum = beta\nbeta_lo = -1\n",
         "spectrum = beta\nbeta_lo = 3\n", "spectrum = beta\nbeta_a = 0\n",
-        "workers = 0\n"],
+        "workers = 0\n", "seeds = 1, 1\n", "seeds = 0, -1\n"],
         ids=["M_above_N", "w0_u", "w0_v", "theta_nan", "theta_inf", "beta_lo",
-             "beta_empty_support", "beta_a", "workers_zero"])
+             "beta_empty_support", "beta_a", "workers_zero", "seeds_repeated",
+             "seeds_negative"])
     def test_bad_config(self, tmp_path, capsys, text):
         p = tmp_path / "bad.cfg"
         p.write_text("M = 20\nN = 40\nseeds = 2\n" + text)
         assert cli_main(["run", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
-    def test_bad_workers_env(self, tmp_path, capsys, monkeypatch, value):
-        def no_work(*args):
-            raise AssertionError("the run started before the check")
-        monkeypatch.setattr(harness, "build_spectrum", no_work)
-        monkeypatch.setenv("RECTOAMP_WORKERS", value)
-        p = tmp_path / "c.cfg"
-        p.write_text("M = 20\nN = 40\nseeds = 2\n")
-        assert cli_main(["run", str(p)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "RECTOAMP_WORKERS" in err
 
     def test_domain_error_in_setup(self, tmp_path, capsys):
         # a valid config whose spectrum the quadrature cannot normalize

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectoamp.model import (ModelError, PriorModel, _haar_columns,
-                            component_rng, dump_instance,
-                            empirical_signal_measures, load_instance,
+                            component_rng, empirical_signal_measures,
                             make_instance, measure_moments, sample_ri_noise,
                             thin_svd)
 from rectoamp.spectra import ShiftedBeta
@@ -207,15 +206,3 @@ class TestSvdAndMeasures:
         weights = np.array([0.5, 0.5])
         assert np.allclose(measure_moments(vals, weights),
                            [1.0, 1.5, 2.5, 4.5])
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        prior = PriorModel("rademacher", 0.04)
-        inst = make_instance(prior, prior, "gaussian", 50, 100, 2.0, 9)
-        path = tmp_path / "inst.npz"
-        dump_instance(inst, path, spectrum_descriptor="mp(0.5)")
-        loaded, header = load_instance(path)
-        assert np.array_equal(loaded.Y, inst.Y)
-        assert np.array_equal(loaded.a, inst.a)
-        assert loaded.seed == 9 and header["spectrum"] == "mp(0.5)"

@@ -5,7 +5,7 @@ import pytest
 
 from rectoamp.oamp import DenoiserSet
 from rectoamp.scalar_channel import ScalarChannel
-from rectoamp.spectra import MarchenkoPastur, ShrinkageSet
+from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
 from rectoamp.state_evolution import (StateEvolutionError, amp_se_trajectory,
                                       gaussian_fixed_point, optimal_se_run,
                                       se_step_general)
@@ -55,6 +55,63 @@ class TestGeneralStep:
         assert mu_u ** 2 + su2 == pytest.approx(w1, abs=1e-8)
         assert mu_v == pytest.approx(w2, abs=1e-8)
         assert mu_v ** 2 + sv2 == pytest.approx(w2, abs=1e-8)
+
+
+def general_se_gaps(shrinkage, ch_u, ch_v, n_iter):
+    """Per step t = 1..n_iter, the largest of |mu_u - w1|, |mu_u^2 +
+    sigma_u^2 - w1| and the same on v, where (mu, sigma^2) come from the
+    general state evolution driven by ``DenoiserSet`` along the schedule of
+    ``optimal_se_run`` and w are that schedule's strengths."""
+    se = optimal_se_run(shrinkage, ch_u, ch_v, n_iter)
+    meas = shrinkage.build_induced_measures()
+    cache = {}
+
+    def numerators(lam):
+        # the numerators do not depend on rho: evaluate each grid once
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        key = lam.tobytes()
+        if key not in cache:
+            cache[key] = shrinkage.numerators(lam)
+        return cache[key]
+
+    gaps = []
+    w1p = w2p = 0.0
+    for t in range(n_iter):
+        a, sf2, rho1 = ch_u.dmmse_stats(w1p)
+        b, sg2, rho2 = ch_v.dmmse_stats(w2p)
+        # past convergence the schedule repeats the rho of its last step
+        assert rho1 == pytest.approx(se.rho1[t], rel=1e-9)
+        assert rho2 == pytest.approx(se.rho2[t], rel=1e-9)
+        den = DenoiserSet(shrinkage, rho1, rho2)
+        F, Ftil, G, Gtil = (lambda l, i=i: den.evaluate(l, numerators(l))[i]
+                            for i in range(4))
+        mu_u, su2, mu_v, sv2 = se_step_general(
+            meas, shrinkage.spectrum, (a, sf2), (b, sg2), F, Ftil, G, Gtil)
+        w1p, w2p = se.w1[t], se.w2[t]
+        gaps.append(max(abs(mu_u - w1p), abs(mu_u ** 2 + su2 - w1p),
+                        abs(mu_v - w2p), abs(mu_v ** 2 + sv2 - w2p)))
+    return gaps
+
+
+class TestGeneralSeTrajectory:
+    # the paper's claim: with the optimal denoisers the general state
+    # evolution collapses to the scalar schedule.  MP at delta = 0.5 has
+    # closed-form transforms and a regular quadrature; the other tolerances
+    # cover the quadrature's defects at singular edges and in the on-node
+    # Hilbert transform (gaps 8.9e-12, 1.4e-5, 3.0e-5, 9.2e-6, 3.4e-5)
+    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
+    @pytest.mark.parametrize("make,tol", [
+        (lambda: MarchenkoPastur(0.5), 1e-10),
+        (lambda: MarchenkoPastur(1.0), 1e-4),
+        (lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5), 1e-4),
+        (lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, 1.0), 1e-4),
+        (lambda: ShiftedBeta(0.5, 2.0, 1.0, 3.0, 0.5), 1e-4)],
+        ids=["mp_delta05", "mp_delta1", "beta_delta05", "beta_delta1",
+             "beta_a05_b2"])
+    def test_collapses_to_schedule(self, channels, make, tol):
+        gaps = general_se_gaps(ShrinkageSet(make(), 2.0), *channels, 8)
+        assert len(gaps) == 8
+        assert max(gaps) <= tol
 
 
 class TestOptimalRecursion:
