@@ -6,8 +6,8 @@ and baselines.
 from .baselines import gaussian_amp_run, pca_estimate
 from .harness import (AggregateReport, ExperimentConfig, emit_csv,
                       load_config, parse_config, run_experiment, write_report)
-from .model import (PriorModel, ProblemInstance, SvdCache,
-                    empirical_signal_measures, make_instance, thin_svd)
+from .model import (PriorModel, ProblemInstance, SvdCache, make_instance,
+                    thin_svd)
 from .oamp import DenoiserSet, IterationTrace, optimal_oamp_run
 from .scalar_channel import ScalarChannel
 from .spectra import (InducedMeasures, MarchenkoPastur, Measure, ShiftedBeta,
@@ -23,7 +23,7 @@ __all__ = [
     "InducedMeasures", "IterationTrace", "MarchenkoPastur", "Measure",
     "PriorModel", "ProblemInstance", "ScalarChannel", "SeTrace", "ShiftedBeta",
     "ShrinkageSet", "SpectrumModel", "SvdCache", "Tabulated",
-    "detection_threshold", "emit_csv", "empirical_signal_measures",
+    "detection_threshold", "emit_csv",
     "gaussian_amp_run", "gaussian_fixed_point",
     "load_config", "make_instance", "optimal_oamp_run", "optimal_se_run",
     "parse_config", "pca_estimate",

@@ -19,7 +19,8 @@ def pca_estimate(inst: ProblemInstance, svd: SvdCache):
     Returns (u_hat, v_hat, cos2_u, cos2_v) with unit-RMS normalization.
     """
     u = svd.U[:, 0] * np.sqrt(inst.M)
-    v = svd.V[:, 0] * np.sqrt(inst.N)
+    v = svd.Y.T @ svd.U[:, 0]         # sigma_0 v_0, column 0 of Y^T U
+    v = v / np.linalg.norm(v) * np.sqrt(inst.N)
     if u @ inst.u_star < 0:
         u = -u
     if v @ inst.v_star < 0:

@@ -8,9 +8,12 @@ iterates with trace-free polynomial-in-Y linear updates:
 
 with estimates given by the posterior means at the predicted strengths.
 The module holds the optimal matrix denoisers (``DenoiserSet``, exact at
-the spectral outliers), the four spectral applications through the cached
-thin SVD of Y (``apply_left``, ``apply_right``, ``apply_cross_left``,
-``apply_cross_right``) and the one run loop, ``optimal_oamp_run``.  That
+the spectral outliers), the four spectral applications (``apply_left``,
+``apply_right``, ``apply_cross_left``, ``apply_cross_right``) and the one
+run loop, ``optimal_oamp_run``.  The applications need only the
+eigenpairs (lambda, U) of YY^T and Y itself, since h(Y^T Y) Y^T =
+Y^T h(YY^T) and h(Y^T Y) = h(0) I + Y^T U diag((h - h(0)) / lambda) U^T Y;
+each step projects its two inputs, U^T f and U^T (Y g), once.  That
 the general state evolution collapses to the scalar schedule under these
 denoisers is checked by driving ``state_evolution.se_step_general`` with
 them, not by a second iteration.
@@ -138,26 +141,35 @@ class DenoiserSet:
         return w1, w2
 
 
-# -- spectral application through the cached SVD -------------------------------
+# -- spectral application through U and Y ---------------------------------------
+# Each takes h by its values at the eigenvalues of YY^T and ``proj``, the
+# input's U-coordinates named in its docstring, which the caller computes
+# once per step for the two products that share it.
 
-def apply_left(svd: SvdCache, hvals, x):
-    """h(YY^T) x for h given by its values at the eigenvalues."""
-    return svd.U @ (hvals * (svd.U.T @ x))
-
-
-def apply_right(svd: SvdCache, hvals, h_zero, y):
-    """h(Y^T Y) y; the N - M dimensional null space contributes h(0) y."""
-    return h_zero * y + svd.V @ ((hvals - h_zero) * (svd.V.T @ y))
+def apply_left(svd: SvdCache, hvals, proj):
+    """h(YY^T) x = U diag(h) U^T x; ``proj`` is U^T x."""
+    return svd.U @ (hvals * proj)
 
 
-def apply_cross_left(svd: SvdCache, hvals, g):
-    """h(YY^T) Y g = U diag(h(sigma^2) sigma) V^T g."""
-    return svd.U @ (hvals * svd.singular_values * (svd.V.T @ g))
+def apply_right(svd: SvdCache, hvals, h_zero, y, proj):
+    """h(Y^T Y) y = h(0) y + Y^T U diag((h - h(0)) / lambda) U^T Y y;
+    ``proj`` is U^T (Y y).  The N - M dimensional null space contributes
+    h(0) y.  lambda = 0 occurs only on the direct-SVD fallback, where
+    Y^T u = 0, so its term is 0."""
+    lam = svd.eigenvalues
+    scale = np.divide(hvals - h_zero, lam, out=np.zeros_like(lam),
+                      where=lam != 0.0)
+    return h_zero * y + svd.Y.T @ (svd.U @ (scale * proj))
 
 
-def apply_cross_right(svd: SvdCache, hvals, f):
-    """h(Y^T Y) Y^T f = V diag(h(sigma^2) sigma) U^T f."""
-    return svd.V @ (hvals * svd.singular_values * (svd.U.T @ f))
+def apply_cross_left(svd: SvdCache, hvals, proj):
+    """h(YY^T) Y g = U diag(h) U^T Y g; ``proj`` is U^T (Y g)."""
+    return svd.U @ (hvals * proj)
+
+
+def apply_cross_right(svd: SvdCache, hvals, proj):
+    """h(Y^T Y) Y^T f = Y^T U diag(h) U^T f; ``proj`` is U^T f."""
+    return svd.Y.T @ (svd.U @ (hvals * proj))
 
 
 # -- iteration ------------------------------------------------------------------
@@ -210,18 +222,20 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageS
         f = channel_u.dmmse(u_it, inst.a, w1)
         g = channel_v.dmmse(v_it, inst.b, w2)
         fv, ftv, gv, gtv = den.evaluate(lam, numerators)
+        f_proj = svd.U.T @ f
+        yg_proj = svd.U.T @ (svd.Y @ g)
         # a zero strength means the matrix step carries no signal (e.g.
         # theta = 0); the zero iterate keeps estimates on side info
         if w1_next == 0.0:
             u_it = np.zeros(inst.M)
         else:
-            u_it = (apply_left(svd, fv, f)
-                    + apply_cross_left(svd, ftv, g)) / np.sqrt(w1_next)
+            u_it = (apply_left(svd, fv, f_proj)
+                    + apply_cross_left(svd, ftv, yg_proj)) / np.sqrt(w1_next)
         if w2_next == 0.0:
             v_it = np.zeros(inst.N)
         else:
-            v_it = (apply_right(svd, gv, den.g_zero(), g)
-                    + apply_cross_right(svd, gtv, f)) / np.sqrt(w2_next)
+            v_it = (apply_right(svd, gv, den.g_zero(), g, yg_proj)
+                    + apply_cross_right(svd, gtv, f_proj)) / np.sqrt(w2_next)
         _check_finite(u_it, "u")
         _check_finite(v_it, "v")
         w1, w2 = w1_next, w2_next

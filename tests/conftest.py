@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from rectoamp.baselines import gaussian_amp_run, pca_estimate
-from rectoamp.model import (PriorModel, empirical_signal_measures,
-                            make_instance, measure_moments, thin_svd)
+from rectoamp.model import PriorModel, make_instance, thin_svd
 from rectoamp.oamp import optimal_oamp_run
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
 from rectoamp.state_evolution import amp_se_trajectory, optimal_se_run
+
+from empirical_measures import empirical_signal_measures, measure_moments
 
 THETA = 2.0
 DELTA = 0.5

@@ -116,6 +116,22 @@ class TestRunExperiment:
             assert row["se_cos2_u"] == pytest.approx(
                 np.std(vals, ddof=1) / np.sqrt(3), abs=1e-12)
 
+    def test_seed_never_forms_right_factor(self, monkeypatch):
+        """OAMP, AMP and PCA read only the eigenpairs of YY^T and Y: no
+        seed forms V or the singular values."""
+        caches = []
+
+        def kept(Y, _real=harness.thin_svd):
+            caches.append(_real(Y))
+            return caches[-1]
+        monkeypatch.setattr(harness, "thin_svd", kept)
+        cfg = parse_config(SMALL, {"seeds": "1"})
+        shrinkage = harness.ShrinkageSet(harness.build_spectrum(cfg), cfg.theta)
+        _, schedules = harness.se_predictions(cfg, shrinkage)
+        out = harness.run_single_seed(cfg, 1, shrinkage, schedules)
+        assert set(out) == {"oamp", "amp", "pca"}
+        assert len(caches) == 1 and caches[0]._right is None
+
     @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
     @pytest.mark.parametrize("text", [SMALL, SMALL_BETA], ids=["mp", "beta_ri"])
     def test_parallel_matches_serial(self, text):

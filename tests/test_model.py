@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectoamp.model import (ModelError, PriorModel, _haar_columns,
-                            component_rng, empirical_signal_measures,
-                            make_instance, measure_moments, sample_ri_noise,
+                            component_rng, make_instance, sample_ri_noise,
                             thin_svd)
 from rectoamp.spectra import ShiftedBeta
+
+from empirical_measures import empirical_signal_measures, measure_moments
 
 FALLBACK_LOG = "direct SVD"
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectoamp.model import PriorModel, make_instance, thin_svd
+from rectoamp.model import PriorModel, component_rng, make_instance, thin_svd
 from rectoamp.oamp import (DenoiserSet, OampError, apply_cross_left,
                            apply_cross_right, apply_left, apply_right,
                            optimal_oamp_run)
@@ -25,13 +25,13 @@ class TestApplySpectral:
     def test_left_identity(self, small_instance):
         inst, svd = small_instance
         x = np.sin(np.arange(inst.M, dtype=float))
-        out = apply_left(svd, np.ones(inst.M), x)
+        out = apply_left(svd, np.ones(inst.M), svd.U.T @ x)
         assert np.allclose(out, x, atol=1e-10)
 
     def test_left_lambda(self, small_instance):
         inst, svd = small_instance
         x = np.cos(np.arange(inst.M, dtype=float))
-        out = apply_left(svd, svd.eigenvalues, x)
+        out = apply_left(svd, svd.eigenvalues, svd.U.T @ x)
         assert np.allclose(out, inst.Y @ (inst.Y.T @ x), atol=1e-8)
 
     def test_right_null_space(self, small_instance):
@@ -39,7 +39,8 @@ class TestApplySpectral:
         rng = np.random.default_rng(0)
         y = rng.normal(size=inst.N)
         y -= svd.V @ (svd.V.T @ y)          # project onto the null space
-        out = apply_right(svd, svd.eigenvalues, 0.7, y)
+        out = apply_right(svd, svd.eigenvalues, 0.7, y,
+                          svd.U.T @ (inst.Y @ y))
         assert np.allclose(out, 0.7 * y, atol=1e-10)
 
     def test_cross_terms(self, small_instance):
@@ -50,10 +51,65 @@ class TestApplySpectral:
         h = 1.0 / (1.0 + svd.eigenvalues)
         # h(YY^T) Y g via dense reference
         dense = np.linalg.solve(np.eye(inst.M) + inst.Y @ inst.Y.T, inst.Y @ g)
-        assert np.allclose(apply_cross_left(svd, h, g), dense, atol=1e-8)
+        assert np.allclose(apply_cross_left(svd, h, svd.U.T @ (inst.Y @ g)),
+                           dense, atol=1e-8)
         dense_r = inst.Y.T @ np.linalg.solve(
             np.eye(inst.M) + inst.Y @ inst.Y.T, f)
-        assert np.allclose(apply_cross_right(svd, h, f), dense_r, atol=1e-8)
+        assert np.allclose(apply_cross_right(svd, h, svd.U.T @ f), dense_r,
+                           atol=1e-8)
+
+    @staticmethod
+    def observation(case):
+        """Y of each factorization path: the Gram path for MP at delta = 0.5
+        and 1 and Beta RI, the direct-SVD fallback for a zero row and a zero
+        matrix (the inputs of test_rank_deficient_falls_back)."""
+        prior = PriorModel("rademacher", 0.04)
+        if case == "zero_matrix":
+            return np.zeros((20, 40))
+        if case == "zero_row":
+            Y = component_rng(3, "noise").standard_normal((30, 60)) / np.sqrt(60)
+            Y[7] = 0.0
+            return Y
+        M, N = {"mp_delta05": (120, 240), "mp_delta1": (120, 120),
+                "beta_ri": (120, 240)}[case]
+        noise = "gaussian"
+        if case == "beta_ri":
+            noise = ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5)
+        return make_instance(prior, prior, noise, M, N, 2.0, 1).Y
+
+    @pytest.mark.parametrize("case", ["mp_delta05", "mp_delta1", "beta_ri",
+                                      "zero_row", "zero_matrix"])
+    @pytest.mark.filterwarnings("error")
+    def test_match_explicit_v_oracle(self, case):
+        """The four products through U and Y against U diag(.) V^T products
+        with the factors of np.linalg.svd, to 1e-12 relative."""
+        Y = self.observation(case)
+        M, N = Y.shape
+        svd = thin_svd(Y)
+        fallback = case.startswith("zero")
+        assert (svd._right is not None) == fallback
+        if case == "zero_matrix":
+            assert np.all(svd.eigenvalues == 0.0)    # the lambda = 0 guard
+        U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
+
+        def h(lam):
+            return np.exp(-lam) + 0.5 * lam / (1.0 + lam)
+        hvals, h_ref, h0 = h(svd.eigenvalues), h(sv ** 2), h(0.0)
+        rng = np.random.default_rng(2)
+        x, f = rng.normal(size=M), rng.normal(size=M)
+        g, y = rng.normal(size=N), rng.normal(size=N)
+        pairs = [
+            (apply_left(svd, hvals, svd.U.T @ x), U @ (h_ref * (U.T @ x))),
+            (apply_cross_left(svd, hvals, svd.U.T @ (Y @ g)),
+             U @ (h_ref * sv * (Vt @ g))),
+            (apply_cross_right(svd, hvals, svd.U.T @ f),
+             Vt.T @ (h_ref * sv * (U.T @ f))),
+            (apply_right(svd, hvals, h0, y, svd.U.T @ (Y @ y)),
+             h0 * y + Vt.T @ ((h_ref - h0) * (Vt @ y))),
+        ]
+        for out, ref in pairs:
+            assert np.all(np.isfinite(out))
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def assert_continuous_at_atoms(den):
