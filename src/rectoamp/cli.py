@@ -115,9 +115,10 @@ def _cmd_spectra_check(args) -> int:
     threshold = detection_threshold(spectrum)
     print(f"# detection threshold: theta_c = {threshold:.6f}")
     for atom in measures.atoms:
+        side = "above" if atom.location > spectrum.support[1] else "below"
         print(f"# atom at lambda* = {atom.location:.6f}: nu1 mass "
               f"{atom.nu1_mass:.6f}, nu2 mass {atom.nu2_mass:.6f} "
-              f"(verified branch: {atom.verified})")
+              f"({side} the support)")
     failed = 0
     for name, err, tol in checks:
         ok = err <= tol

@@ -170,12 +170,11 @@ def se_predictions(cfg: ExperimentConfig,
                                              channel_v, cfg.iters)
     preds = {m: (tr.cos2_u, tr.cos2_v) for m, tr in schedules.items()}
     if "pca" in cfg.methods:
-        atoms = [a for a in shrinkage.find_spectral_atoms() if a.verified]
-        if atoms:
-            top = max(atoms, key=lambda a: a.location)
-            preds["pca"] = ([top.nu1_mass], [top.nu2_mass])
-        else:
-            preds["pca"] = ([0.0], [0.0])
+        # PCA takes the top eigenvector: the atom above the support, if any
+        hi = shrinkage.spectrum.support[1]
+        above = [a for a in shrinkage.find_spectral_atoms() if a.location > hi]
+        preds["pca"] = (([above[0].nu1_mass], [above[0].nu2_mass]) if above
+                        else ([0.0], [0.0]))
     return preds, schedules
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,13 +342,18 @@ class Tabulated(SpectrumModel):
 
 @dataclass(frozen=True)
 class SpectralAtom:
-    """Point mass shared by the induced measures at an outlier location."""
+    """Point mass shared by the induced measures at an outlier location.
+
+    Every root of 1 = theta^2 C(lambda) off the support, above it or below
+    it, is an outlier eigenvalue of Y Y^T (ShrinkageSet.find_spectral_atoms
+    says why), and its nu1 and nu2 masses are the limiting squared overlaps
+    of that eigenvector with u* and v*.
+    """
 
     location: float          # root lambda* of 1 - theta^2 C(lambda) = 0
     nu1_mass: float
     nu2_mass: float
     nu3_mass_pos: float      # signed mass of nu3 at +sqrt(lambda*)
-    verified: bool = True    # False for roots below the support edge
 
     @property
     def nu3_mass_neg(self) -> float:
@@ -460,6 +464,23 @@ class ShrinkageSet:
         the half-line, so they hold for the quadrature measure as well.  The roots become
         point masses through the derivative of the C-transform; the upper
         atom comes first.
+
+        Every root is an outlier, on either side of the support (the master
+        equation of Benaych-Georges & Nadakuditi, J. Multivariate Anal. 111,
+        2012).  Take lambda > 0 that is not an eigenvalue of W W^T.  Then
+        lambda is an eigenvalue of Y Y^T exactly when the equation's 2 x 2
+        determinant of resolvent quadratic forms in u* and v* vanishes.  At
+        any lambda a positive distance from both the support and 0, those
+        forms tend to
+        S(lambda), delta S(lambda) + (1 - delta) / lambda and 0, so the limit
+        equation is 1 = theta^2 C(lambda) on (0, lo) just as on (hi, inf),
+        and the masses follow from C' by the same residue step.
+        Rotationally invariant noise puts every eigenvalue of W W^T in
+        [lo, hi] by construction, and Marchenko-Pastur has no root below its
+        support (C <= 0 there).  On Beta(3/2, 3/2) noise on [1, 3] with
+        delta = 1/2 and theta = 2 the smallest eigenvalue of Y Y^T sits at
+        the lower root 0.9433, with overlaps matching its nu1 and nu2 masses
+        (tests/test_spectra.py pins this on 20 simulated instances).
         """
         if self.theta == 0:
             return []
@@ -467,22 +488,18 @@ class ShrinkageSet:
         g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
         lo, hi = spec.support
         eps_lo, eps_hi = 1e-9 * max(1.0, lo), 1e-9 * max(1.0, hi)
-        brackets = [(hi + eps_hi, hi + ROOT_MARGIN_FACTOR * (1.0 + th ** 2), True)]
+        brackets = [(hi + eps_hi, hi + ROOT_MARGIN_FACTOR * (1.0 + th ** 2))]
         if lo - eps_lo > eps_lo:
-            brackets.append((eps_lo, lo - eps_lo, False))
+            brackets.append((eps_lo, lo - eps_lo))
         atoms = []
-        for a, b, verified in brackets:
+        for a, b in brackets:
             if np.signbit(g(a)) != np.signbit(g(b)):
-                atoms.append(self._atom_at(_bisect(g, a, b), verified))
+                atoms.append(self._atom_at(_bisect(g, a, b)))
         return atoms
 
-    def _atom_at(self, lam_star, verified):
+    def _atom_at(self, lam_star):
         spec, th, d = self.spectrum, self.theta, self.delta
         cprime = spec.c_derivative(lam_star)
-        if not verified:
-            warnings.warn(
-                f"root {lam_star:.6g} below the spectrum support: unverified branch",
-                RuntimeWarning, stacklevel=2)
         s = float(np.real(spec.stieltjes(lam_star)))
         denom = -th ** 2 * cprime
         nu1_mass = s / denom
@@ -493,7 +510,7 @@ class ShrinkageSet:
                 f"(nu1 {nu1_mass:.3g}, nu2 {nu2_mass:.3g}, C' {cprime:.3g})")
         sigma_star = np.sqrt(lam_star)
         nu3_pos = -np.sqrt(d) / (1.0 + d) / (2.0 * th ** 3 * sigma_star * cprime)
-        return SpectralAtom(lam_star, nu1_mass, nu2_mass, nu3_pos, verified)
+        return SpectralAtom(lam_star, nu1_mass, nu2_mass, nu3_pos)
 
     def build_induced_measures(self) -> InducedMeasures:
         """Assemble nu1, nu2 (lambda axis) and nu3 (signed, sigma axis)."""

@@ -37,15 +37,24 @@ def shrink_mp2(mp05):
 
 @pytest.fixture(scope="session")
 def shrink_beta2(beta_spectrum):
-    with pytest.warns(RuntimeWarning, match="unverified branch"):
-        s = ShrinkageSet(beta_spectrum, THETA)
-        s.find_spectral_atoms()
-    return s
+    return ShrinkageSet(beta_spectrum, THETA)
 
 
 @pytest.fixture(scope="session")
 def channels():
     return ScalarChannel("rademacher", W0), ScalarChannel("rademacher", W0)
+
+
+def dense_dmmse_divergence(ch, w):
+    """E[phi_bar'] = E[Z dmmse(X, C)] / sqrt(1 - w) by a 2001 x 2001
+    trapezoid rule over (Z, Z') on [-12, 12]^2, given X* = 1: dmmse is odd
+    in (X, C), so the X* = -1 half is its mirror image."""
+    z = np.linspace(-12.0, 12.0, 2001)
+    pdf = np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi)
+    x = np.sqrt(w) + np.sqrt(1 - w) * z
+    c = np.sqrt(ch.w0) + np.sqrt(1 - ch.w0) * z
+    rows = [np.trapezoid(z * ch.dmmse(x, cj, w) * pdf, z) for cj in c]
+    return np.trapezoid(np.array(rows) * pdf, z) / np.sqrt(1 - w)
 
 
 def run_seed(spectrum, noise, theta, M, N, seed, shrinkage=None, channels=None,
@@ -56,8 +65,14 @@ def run_seed(spectrum, noise, theta, M, N, seed, shrinkage=None, channels=None,
     inst = make_instance(prior, prior, noise, M, N, theta, seed)
     svd = thin_svd(inst.Y)
     meas = empirical_signal_measures(inst, svd)
+    u_min = svd.U[:, -1]
+    v_min = inst.Y.T @ u_min
     out = {
         "top_eig": float(svd.eigenvalues[0]),
+        # the bottom eigenpair, for the outlier below the support
+        "bottom_eig": float(svd.eigenvalues[-1]),
+        "bottom_u": float(u_min @ inst.u_star) ** 2 / M,
+        "bottom_v": float(v_min @ inst.v_star / np.linalg.norm(v_min)) ** 2 / N,
         "mom_nu1": measure_moments(*meas.nu_M1),
         "mom_nu2": measure_moments(*meas.nu_N2),
         "nu2_zero_mass": float(meas.nu_N2[1][-1]),

@@ -132,7 +132,6 @@ class TestRunExperiment:
         assert set(out) == {"oamp", "amp", "pca"}
         assert len(caches) == 1 and caches[0]._right is None
 
-    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
     @pytest.mark.parametrize("text", [SMALL, SMALL_BETA], ids=["mp", "beta_ri"])
     def test_parallel_matches_serial(self, text):
         serial = run_experiment(parse_config(text))
@@ -301,6 +300,19 @@ class TestCli:
     def test_spectra_check_passes(self, capsys):
         assert cli_main(["spectra-check", "--theta", "2"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_spectra_check_names_each_atom_side(self, capsys, recwarn):
+        assert cli_main(["spectra-check", "--spectrum", "beta", "--theta", "2"]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        atoms = [l for l in lines if l.startswith("# atom at")]
+        assert len(atoms) == 2
+        assert atoms[0].startswith("# atom at lambda* = 6.898")
+        assert atoms[0].endswith("(above the support)")
+        assert atoms[1].startswith("# atom at lambda* = 0.943")
+        assert atoms[1].endswith("(below the support)")
+        assert len([l for l in lines if l.startswith("[PASS]")]) == 6
+        assert err == "" and not recwarn.list
 
     def test_run_writes_outputs(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -172,7 +172,6 @@ class TestDenoiserSet:
         # the value there continues the values just beside the root
         assert_continuous_at_atoms(DenoiserSet(shrink_mp2, 1.5, 2.5))
 
-    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
     @pytest.mark.parametrize("make", [
         lambda: MarchenkoPastur(1.0),
         lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5),
@@ -183,7 +182,6 @@ class TestDenoiserSet:
         sh = ShrinkageSet(make(), 2.0)
         assert_continuous_at_atoms(DenoiserSet(sh, 1.5, 2.5))
 
-    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
     @pytest.mark.filterwarnings("ignore:divide by zero")
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(["mp", "beta"]), delta=st.floats(0.05, 1.0),

@@ -5,6 +5,8 @@ import pytest
 
 from rectoamp.scalar_channel import ChannelError, ScalarChannel
 
+from conftest import dense_dmmse_divergence
+
 
 def dense_mmse(w, w0):
     """Rademacher mmse E[(1 - tanh(eta))^2] given X* = 1, by a 2001 x 2001
@@ -17,18 +19,6 @@ def dense_mmse(w, w0):
              if w0 > 0 else np.zeros_like(z))
     rows = [np.trapezoid((1 - np.tanh(eta_x + e)) ** 2 * pdf, z) for e in eta_c]
     return np.trapezoid(np.array(rows) * pdf, z)
-
-
-def dense_dmmse_divergence(ch, w):
-    """E[phi_bar'] = E[Z dmmse(X, C)] / sqrt(1 - w) by a 2001 x 2001
-    trapezoid rule over (Z, Z') on [-12, 12]^2, given X* = 1: dmmse is odd
-    in (X, C), so the X* = -1 half is its mirror image."""
-    z = np.linspace(-12.0, 12.0, 2001)
-    pdf = np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi)
-    x = np.sqrt(w) + np.sqrt(1 - w) * z
-    c = np.sqrt(ch.w0) + np.sqrt(1 - ch.w0) * z
-    rows = [np.trapezoid(z * ch.dmmse(x, cj, w) * pdf, z) for cj in c]
-    return np.trapezoid(np.array(rows) * pdf, z) / np.sqrt(1 - w)
 
 
 class TestPosteriorMean:

@@ -99,7 +99,6 @@ class TestGeneralSeTrajectory:
     # closed-form transforms and a regular quadrature; the other tolerances
     # cover the quadrature's defects at singular edges and in the on-node
     # Hilbert transform (gaps 8.9e-12, 1.4e-5, 3.0e-5, 9.2e-6, 3.4e-5)
-    @pytest.mark.filterwarnings("ignore:root .* below the spectrum support")
     @pytest.mark.parametrize("make,tol", [
         (lambda: MarchenkoPastur(0.5), 1e-10),
         (lambda: MarchenkoPastur(1.0), 1e-4),
