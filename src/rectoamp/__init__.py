@@ -6,8 +6,7 @@ and baselines.
 from .baselines import gaussian_amp_run, pca_estimate
 from .harness import (AggregateReport, ExperimentConfig, emit_csv,
                       load_config, parse_config, run_experiment, write_report)
-from .model import (PriorModel, ProblemInstance, SvdCache, make_instance,
-                    thin_svd)
+from .model import ProblemInstance, SvdCache, make_instance, thin_svd
 from .oamp import DenoiserSet, IterationTrace, optimal_oamp_run
 from .scalar_channel import ScalarChannel
 from .spectra import (InducedMeasures, MarchenkoPastur, Measure, ShiftedBeta,
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateReport", "DenoiserSet", "ExperimentConfig",
     "InducedMeasures", "IterationTrace", "MarchenkoPastur", "Measure",
-    "PriorModel", "ProblemInstance", "ScalarChannel", "SeTrace", "ShiftedBeta",
+    "ProblemInstance", "ScalarChannel", "SeTrace", "ShiftedBeta",
     "ShrinkageSet", "SpectrumModel", "SvdCache", "Tabulated",
     "detection_threshold", "emit_csv",
     "gaussian_amp_run", "gaussian_fixed_point",

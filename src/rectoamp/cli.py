@@ -9,10 +9,10 @@ import sys
 
 import numpy as np
 
-from .harness import (DOMAIN_ERRORS, ConfigError, HarnessError, load_config,
-                      run_experiment, write_report)
+from .harness import (DOMAIN_ERRORS, ConfigError, HarnessError, build_spectrum,
+                      load_config, run_experiment, write_report)
 from .scalar_channel import ScalarChannel
-from .spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, detection_threshold
+from .spectra import ShrinkageSet, detection_threshold
 from .state_evolution import gaussian_fixed_point, optimal_se_run
 
 USAGE_EXIT = 2
@@ -25,12 +25,6 @@ def _spectrum_args(parser):
     parser.add_argument("--beta-b", type=float, default=1.5)
     parser.add_argument("--beta-lo", type=float, default=1.0)
     parser.add_argument("--beta-hi", type=float, default=3.0)
-
-
-def _make_spectrum(args):
-    if args.spectrum == "mp":
-        return MarchenkoPastur(args.delta)
-    return ShiftedBeta(args.beta_a, args.beta_b, args.beta_lo, args.beta_hi, args.delta)
 
 
 def _cmd_run(args) -> int:
@@ -58,7 +52,7 @@ def _cmd_run(args) -> int:
 def _cmd_se(args) -> int:
     if args.iters < 1:
         raise ConfigError(f"iters must be >= 1, got {args.iters}")
-    spectrum = _make_spectrum(args)
+    spectrum = build_spectrum(args)
     shrink = ShrinkageSet(spectrum, args.theta)
     channel = ScalarChannel(args.prior, args.w0)
     trace = optimal_se_run(shrink, channel, channel, args.iters)
@@ -84,7 +78,7 @@ def _cmd_fixed_point(args) -> int:
 
 
 def _cmd_spectra_check(args) -> int:
-    spectrum = _make_spectrum(args)
+    spectrum = build_spectrum(args)
     shrink = ShrinkageSet(spectrum, args.theta)
     measures = shrink.build_induced_measures()
     checks = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import BaselineError, gaussian_amp_run, pca_estimate
-from .model import ModelError, PriorModel, make_instance, thin_svd
+from .model import ModelError, make_instance, thin_svd
 from .oamp import OampError, optimal_oamp_run
 from .scalar_channel import ChannelError, ScalarChannel
 from .spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, SpectraError
@@ -83,10 +83,15 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods must be non-empty and distinct, got "
+                              f"{list(self.methods)}")
         if not 0.0 <= self.theta < np.inf:
             raise ConfigError(f"theta must be finite and nonnegative, got {self.theta}")
-        if not (0.0 <= self.w0_u < 1.0 and 0.0 <= self.w0_v < 1.0):
-            raise ConfigError(f"w0 must lie in [0, 1), got {self.w0_u}, {self.w0_v}")
+        try:
+            build_channels(self)
+        except ChannelError as exc:
+            raise ConfigError(str(exc)) from exc
         beta = (self.beta_a, self.beta_b, self.beta_lo, self.beta_hi)
         if not (0.0 < self.beta_a < np.inf and 0.0 < self.beta_b < np.inf
                 and 0.0 <= self.beta_lo < self.beta_hi < np.inf):
@@ -146,6 +151,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 # -- assembly -------------------------------------------------------------------
 
 def build_spectrum(cfg: ExperimentConfig):
+    """The noise spectrum of a config, or of the ``se`` and ``spectra-check``
+    arguments, which carry the same six attributes."""
     if cfg.spectrum == "mp":
         return MarchenkoPastur(cfg.delta)
     return ShiftedBeta(cfg.beta_a, cfg.beta_b, cfg.beta_lo, cfg.beta_hi, cfg.delta)
@@ -183,10 +190,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
     """Run every simulated method on one instance with the run's shrinkage
     set, along the strength schedules of ``se_predictions``; returns curves."""
     channel_u, channel_v = build_channels(cfg)
-    prior_u = PriorModel(cfg.prior_u, cfg.w0_u)
-    prior_v = PriorModel(cfg.prior_v, cfg.w0_v)
     noise = "gaussian" if cfg.noise == "gaussian" else shrinkage.spectrum
-    inst = make_instance(prior_u, prior_v, noise, cfg.M, cfg.N, cfg.theta, seed)
+    inst = make_instance(channel_u, channel_v, noise, cfg.M, cfg.N, cfg.theta, seed)
     svd = thin_svd(inst.Y)
     out = {}
     if "oamp" in cfg.methods:

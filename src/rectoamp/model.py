@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scalar_channel import ScalarChannel
 from .spectra import SpectrumModel
 
 logger = logging.getLogger(__name__)
@@ -30,22 +31,12 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, _STREAMS[component]]))
 
 
-@dataclass(frozen=True)
-class PriorModel:
-    kind: str                     # "rademacher" | "gaussian"
-    side_info_strength: float = 0.0   # w0, squared cosine similarity of the side channel
-
-    def __post_init__(self):
-        if self.kind not in ("rademacher", "gaussian"):
-            raise ModelError(f"unknown prior kind {self.kind!r}")
-        if not 0.0 <= self.side_info_strength < 1.0:
-            raise ModelError(f"side-info strength must be in [0, 1), got "
-                             f"{self.side_info_strength}")
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        if self.kind == "rademacher":
-            return rng.choice([-1.0, 1.0], size=n)
-        return rng.standard_normal(n)
+def _sample_prior(kind: str, n: int, rng) -> np.ndarray:
+    """n i.i.d. draws of the unit-variance prior ``kind`` ("rademacher" or
+    "gaussian", as a ScalarChannel has already checked)."""
+    if kind == "rademacher":
+        return rng.choice([-1.0, 1.0], size=n)
+    return rng.standard_normal(n)
 
 
 @dataclass
@@ -164,18 +155,20 @@ def sample_gaussian_noise(M: int, N: int, rng) -> np.ndarray:
     return W
 
 
-def make_instance(prior_u: PriorModel, prior_v: PriorModel, noise, M: int, N: int,
-                  theta: float, seed: int) -> ProblemInstance:
+def make_instance(channel_u: ScalarChannel, channel_v: ScalarChannel, noise,
+                  M: int, N: int, theta: float, seed: int) -> ProblemInstance:
     """Assemble a problem instance.
 
-    ``noise`` is either a SpectrumModel (rotationally invariant noise) or the
-    string "gaussian".  Side information is the Gaussian channel
+    Each signal side is drawn from its channel's prior, and its side
+    information is the channel's Gaussian observation
     a = sqrt(w0) u* + sqrt(1 - w0) z with i.i.d. standard normal z.
+    ``noise`` is either a SpectrumModel (rotationally invariant noise) or the
+    string "gaussian".
     """
     if M <= 0 or N <= 0 or M > N:
         raise ModelError(f"invalid dimensions M={M}, N={N}")
-    u_star = prior_u.sample(M, component_rng(seed, "u"))
-    v_star = prior_v.sample(N, component_rng(seed, "v"))
+    u_star = _sample_prior(channel_u.prior, M, component_rng(seed, "u"))
+    v_star = _sample_prior(channel_v.prior, N, component_rng(seed, "v"))
     noise_rng = component_rng(seed, "noise")
     if isinstance(noise, SpectrumModel):
         W = sample_ri_noise(noise, M, N, noise_rng)
@@ -183,8 +176,8 @@ def make_instance(prior_u: PriorModel, prior_v: PriorModel, noise, M: int, N: in
         W = sample_gaussian_noise(M, N, noise_rng)
     else:
         raise ModelError(f"unknown noise model {noise!r}")
-    a = _side_info(u_star, prior_u.side_info_strength, component_rng(seed, "side_u"))
-    b = _side_info(v_star, prior_v.side_info_strength, component_rng(seed, "side_v"))
+    a = _side_info(u_star, channel_u.w0, component_rng(seed, "side_u"))
+    b = _side_info(v_star, channel_v.w0, component_rng(seed, "side_v"))
     Y = np.outer(u_star, v_star)
     Y *= theta / np.sqrt(M * N)
     Y += W

@@ -1,5 +1,5 @@
 """Scalar Gaussian-channel calculus: posterior means, the divergence-free
-DMMSE transform, mmse functions, and channel-output statistics.
+DMMSE transform and mmse functions.
 
 The channel is X = sqrt(w) X* + sqrt(1 - w) Z with unit-variance prior X*.
 Side information, when present, is an independent observation of the same
@@ -13,18 +13,17 @@ prior the posterior mean is tanh(eta) and, given X* = 1, eta ~ N(gamma,
 gamma), so the mmse is the one-dimensional E[(1 - tanh(gamma + sqrt(gamma) Z))^2],
 taken by a trapezoid rule in Z (spectrally accurate for this smooth Gaussian
 integrand).  By Stein's lemma the Gaussian sensitivity of the posterior mean
-is kappa = E[Z phi(X, C)] = sqrt(snr(w)) mmse(w), for either prior.  The 2-D
-Gauss-Hermite rule over (X*, Z, Z') remains for ``channel_stats`` of an
-arbitrary function.
+is kappa = E[Z phi(X, C)] = sqrt(snr(w)) mmse(w), for either prior.
+
+A ScalarChannel is the whole description of one signal side: instances draw
+the signal from its prior and the side information at its strength w0
+(``model.make_instance``), and the denoisers condition on the same pair.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-GH_NODES = 201
 # dmmse_stats floors the mmse here, so rho = 1/m - 1/(1 - w) stays finite
 MMSE_FLOOR = 1e-14
 # Trapezoid rule for the Rademacher mmse: step MMSE_STEP on
@@ -41,17 +40,6 @@ class ChannelError(Exception):
     pass
 
 
-@functools.cache
-def _gauss_hermite(n: int):
-    """Probabilists' Gauss-Hermite rule: E[f(Z)] ~ sum w_i f(x_i), Z ~ N(0,1).
-
-    Built on first use and shared; the arrays are read-only."""
-    x, w = np.polynomial.hermite.hermgauss(n)
-    x, w = x * np.sqrt(2.0), w / np.sqrt(np.pi)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def _snr(w):
     return w / (1.0 - w)
 
@@ -61,8 +49,7 @@ class ScalarChannel:
 
     The iterate strength w varies per iteration and is passed explicitly;
     the mmse is closed form (Gaussian prior) or a 1-D trapezoid rule
-    (Rademacher prior); ``channel_stats`` takes expectations over
-    (X*, Z, Z') with a 2-D Gauss-Hermite rule.
+    (Rademacher prior).
     """
 
     def __init__(self, prior_kind: str, w0: float = 0.0):
@@ -105,33 +92,6 @@ class ScalarChannel:
         gamma = _snr(w) + (_snr(self.w0) if c is not None else 0.0)
         return np.full_like(x, scale / (1.0 + gamma))
 
-    # -- channel expectations --------------------------------------------------
-
-    def _channel_samples(self, w: float, with_side: bool = True):
-        """(x*, x, c, joint weight) arrays covering the (X*, Z, Z') law."""
-        z, wz = _gauss_hermite(GH_NODES)
-        if self.prior == "rademacher":
-            xs = np.array([1.0, -1.0])
-            ws = np.array([0.5, 0.5])
-        else:
-            xs, ws = z, wz
-        if with_side and self.w0 > 0:
-            xstar = xs[:, None, None]
-            x = np.sqrt(w) * xstar + np.sqrt(1.0 - w) * z[None, :, None]
-            c = np.sqrt(self.w0) * xstar + np.sqrt(1.0 - self.w0) * z[None, None, :]
-            weight = ws[:, None, None] * wz[None, :, None] * wz[None, None, :]
-            shape = weight.shape
-            xstar = np.broadcast_to(xstar, shape)
-            x = np.broadcast_to(x, shape)
-            c = np.broadcast_to(c, shape)
-        else:
-            xstar = xs[:, None]
-            x = np.sqrt(w) * xstar + np.sqrt(1.0 - w) * z[None, :]
-            c = None
-            weight = ws[:, None] * wz[None, :]
-            xstar = np.broadcast_to(xstar, x.shape)
-        return xstar, x, c, weight
-
     def mmse(self, w: float) -> float:
         """E[(X* - E[X*|X, C])^2], clamped to [0, 1]."""
         if w >= 1.0:
@@ -141,12 +101,6 @@ class ScalarChannel:
             return 1.0 / (1.0 + gamma)
         err = (1.0 - np.tanh(gamma + np.sqrt(gamma) * _MMSE_Z)) ** 2
         return float(np.clip(np.dot(_MMSE_WEIGHTS, err), 0.0, 1.0))
-
-    def channel_stats(self, f, w: float):
-        """(alpha, second_moment) = (E[X* f(X, C)], E[f(X, C)^2])."""
-        xstar, x, c, weight = self._channel_samples(w)
-        vals = f(x, c)
-        return float(np.sum(weight * xstar * vals)), float(np.sum(weight * vals ** 2))
 
     # -- divergence-free denoiser ----------------------------------------------
 

@@ -384,6 +384,12 @@ class ShrinkageSet:
     def __init__(self, spectrum: SpectrumModel, theta: float):
         if not 0.0 <= theta < np.inf:
             raise SpectraError(f"SNR must be finite and nonnegative, got {theta}")
+        # reject before theta^2 overflows: the numerators' common
+        # denominator grows like theta^4, which is no float past this
+        theta_max = np.finfo(float).max ** 0.25
+        if theta > theta_max:
+            raise SpectraError(f"SNR {theta:g} too large: the shrinkage numerators "
+                               f"grow like theta^4 and overflow past {theta_max:.3g}")
         self.spectrum = spectrum
         self.theta = float(theta)
         self.delta = spectrum.delta

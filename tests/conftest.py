@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rectoamp.baselines import gaussian_amp_run, pca_estimate
-from rectoamp.model import PriorModel, make_instance, thin_svd
+from rectoamp.model import make_instance, thin_svd
 from rectoamp.oamp import optimal_oamp_run
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
@@ -45,24 +45,36 @@ def channels():
     return ScalarChannel("rademacher", W0), ScalarChannel("rademacher", W0)
 
 
-def dense_dmmse_divergence(ch, w):
-    """E[phi_bar'] = E[Z dmmse(X, C)] / sqrt(1 - w) by a 2001 x 2001
-    trapezoid rule over (Z, Z') on [-12, 12]^2, given X* = 1: dmmse is odd
-    in (X, C), so the X* = -1 half is its mirror image."""
+def dense_channel_mean(ch, w, f, xstars=(1.0, -1.0)):
+    """E[f(X*, Z, X, C)] for the Rademacher channel ``ch`` at strength w, by
+    a 2001 x 2001 trapezoid rule over (Z, Z') on [-12, 12]^2 for each X* in
+    ``xstars``, averaged over them.  f gets X* and Z, X as arrays over Z and
+    one C = sqrt(w0) X* + sqrt(1 - w0) Z' at a time."""
     z = np.linspace(-12.0, 12.0, 2001)
     pdf = np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi)
-    x = np.sqrt(w) + np.sqrt(1 - w) * z
-    c = np.sqrt(ch.w0) + np.sqrt(1 - ch.w0) * z
-    rows = [np.trapezoid(z * ch.dmmse(x, cj, w) * pdf, z) for cj in c]
-    return np.trapezoid(np.array(rows) * pdf, z) / np.sqrt(1 - w)
+    total = 0.0
+    for xs in xstars:
+        x = np.sqrt(w) * xs + np.sqrt(1 - w) * z
+        c = np.sqrt(ch.w0) * xs + np.sqrt(1 - ch.w0) * z
+        rows = [np.trapezoid(f(xs, z, x, cj) * pdf, z) for cj in c]
+        total += np.trapezoid(np.array(rows) * pdf, z)
+    return total / len(xstars)
+
+
+def dense_dmmse_divergence(ch, w):
+    """E[phi_bar'] = E[Z dmmse(X, C)] / sqrt(1 - w) by ``dense_channel_mean``
+    given X* = 1: dmmse is odd in (X, C), so the X* = -1 half is its mirror
+    image."""
+    return dense_channel_mean(ch, w, lambda xs, z, x, c: z * ch.dmmse(x, c, w),
+                              xstars=(1.0,)) / np.sqrt(1 - w)
 
 
 def run_seed(spectrum, noise, theta, M, N, seed, shrinkage=None, channels=None,
              schedules=None, keep_iterates=(), with_amp=False, with_oamp=True):
     """One seed's worth of everything the acceptance suite consumes; the
     runs read their strengths from ``schedules`` (see ``schedules_for``)."""
-    prior = PriorModel("rademacher", W0)
-    inst = make_instance(prior, prior, noise, M, N, theta, seed)
+    side = ScalarChannel("rademacher", W0)
+    inst = make_instance(side, side, noise, M, N, theta, seed)
     svd = thin_svd(inst.Y)
     meas = empirical_signal_measures(inst, svd)
     u_min = svd.U[:, -1]

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from rectoamp.model import PriorModel, make_instance, thin_svd
+from rectoamp.model import make_instance, thin_svd
 from rectoamp.oamp import DenoiserSet
-from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import ShrinkageSet
 from rectoamp.state_evolution import gaussian_fixed_point, optimal_se_run
 
-from conftest import (DELTA, M_DESK, N_SEEDS, T_DESK, THETA, W0,
+from conftest import (DELTA, M_DESK, N_SEEDS, T_DESK, THETA,
                       dense_dmmse_divergence)
 
 MP_OUTLIER = 5.625          # root of 1 = theta^2 C(lambda), MP(1/2), theta = 2
@@ -163,16 +162,14 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     details.append(f"|<F>|,|<G>| <= {worst_mean:.2e} (tol 1e-10)")
 
     # empirical trace on one simulated instance
-    prior = PriorModel("rademacher", W0)
-    inst = make_instance(prior, prior, "gaussian", M_DESK, 2 * M_DESK, THETA, 0)
+    inst = make_instance(*channels, "gaussian", M_DESK, 2 * M_DESK, THETA, 0)
     svd = thin_svd(inst.Y)
     den = DenoiserSet(shrink_mp2, se_mp.rho1[-1], se_mp.rho2[-1])
     emp = abs(np.sum(den.evaluate(svd.eigenvalues)[0])) / M_DESK
     ok &= emp <= 0.01
     details.append(f"|tr F|/M = {emp:.4f} (tol 0.01)")
 
-    # Stein identity: the divergence-free denoiser has E[phi_bar'] = 0; a
-    # dense oracle, since the channel's own 201-node rule is off by 2e-8
+    # Stein identity: the divergence-free denoiser has E[phi_bar'] = 0
     worst_stein = max(abs(dense_dmmse_divergence(channels[0], w))
                       for w in (0.1, 0.3, 0.5, 0.7, 0.9))
     ok &= worst_stein <= 1e-6

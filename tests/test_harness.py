@@ -243,10 +243,12 @@ class TestCli:
         "M = 400\nN = 200\n", "w0_u = 1.5\n", "w0_v = -0.1\n", "theta = nan\n",
         "theta = inf\n", "spectrum = beta\nbeta_lo = -1\n",
         "spectrum = beta\nbeta_lo = 3\n", "spectrum = beta\nbeta_a = 0\n",
-        "workers = 0\n", "seeds = 1, 1\n", "seeds = 0, -1\n"],
+        "workers = 0\n", "seeds = 1, 1\n", "seeds = 0, -1\n",
+        "methods = pca,pca\n", "methods =\n", "prior_u = bernoulli\n"],
         ids=["M_above_N", "w0_u", "w0_v", "theta_nan", "theta_inf", "beta_lo",
              "beta_empty_support", "beta_a", "workers_zero", "seeds_repeated",
-             "seeds_negative"])
+             "seeds_negative", "methods_repeated", "methods_empty",
+             "prior_unknown"])
     def test_bad_config(self, tmp_path, capsys, text):
         p = tmp_path / "bad.cfg"
         p.write_text("M = 20\nN = 40\nseeds = 2\n" + text)
@@ -262,9 +264,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_huge_theta_in_setup(self, tmp_path, capsys):
+        # a finite theta whose shrinkage numerators cannot be finite
+        p = tmp_path / "theta.cfg"
+        p.write_text("M = 20\nN = 40\nseeds = 2\ntheta = 1e200\n")
+        assert cli_main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SNR 1e+200 too large") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,code", [
         (["--delta", "0"], 1), (["--spectrum", "beta", "--beta-a", "0"], 1),
-        (["--iters", "0"], 2)], ids=["delta_zero", "beta_a_zero", "iters_zero"])
+        (["--iters", "0"], 2), (["--theta", "1e80"], 1), (["--theta", "1e155"], 1)],
+        ids=["delta_zero", "beta_a_zero", "iters_zero", "theta_1e80", "theta_1e155"])
     def test_bad_se_args(self, capsys, argv, code):
         assert cli_main(["se", "--theta", "2", *argv]) == code
         out, err = capsys.readouterr()

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectoamp.model import (ModelError, PriorModel, _haar_columns,
+from rectoamp.model import (ModelError, _haar_columns, _sample_prior,
                             component_rng, make_instance, sample_ri_noise,
                             thin_svd)
+from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import ShiftedBeta
 
 from empirical_measures import empirical_signal_measures, measure_moments
@@ -49,19 +50,13 @@ class TestRng:
 
 class TestPriors:
     def test_rademacher_values(self):
-        x = PriorModel("rademacher").sample(1000, component_rng(0, "u"))
+        x = _sample_prior("rademacher", 1000, component_rng(0, "u"))
         assert set(np.unique(x)) == {-1.0, 1.0}
 
     def test_gaussian_moments(self):
-        x = PriorModel("gaussian").sample(200000, component_rng(0, "u"))
+        x = _sample_prior("gaussian", 200000, component_rng(0, "u"))
         assert np.mean(x) == pytest.approx(0.0, abs=0.02)
         assert np.var(x) == pytest.approx(1.0, abs=0.02)
-
-    def test_invalid(self):
-        with pytest.raises(ModelError):
-            PriorModel("poisson")
-        with pytest.raises(ModelError):
-            PriorModel("rademacher", side_info_strength=1.0)
 
 
 class TestNoise:
@@ -115,8 +110,8 @@ class TestNoise:
 
 class TestInstances:
     def test_shapes_and_side_info(self, mp05):
-        prior = PriorModel("rademacher", 0.25)
-        inst = make_instance(prior, prior, "gaussian", 400, 800, 2.0, 11)
+        side = ScalarChannel("rademacher", 0.25)
+        inst = make_instance(side, side, "gaussian", 400, 800, 2.0, 11)
         assert inst.Y.shape == (400, 800)
         assert inst.delta == 0.5
         # side channel a = sqrt(w0) u* + sqrt(1-w0) z
@@ -125,27 +120,27 @@ class TestInstances:
         assert corr == pytest.approx(0.25, abs=0.08)
 
     def test_signal_scaling(self):
-        prior = PriorModel("rademacher")
-        inst = make_instance(prior, prior, "gaussian", 400, 800, 3.0, 5)
+        side = ScalarChannel("rademacher")
+        inst = make_instance(side, side, "gaussian", 400, 800, 3.0, 5)
         # spectral norm of the spike is theta for unit-RMS factors
         spike = inst.Y - inst.W
         assert np.linalg.norm(spike, 2) == pytest.approx(3.0, rel=1e-10)
 
     def test_invalid_dimensions(self):
-        prior = PriorModel("rademacher")
+        side = ScalarChannel("rademacher")
         with pytest.raises(ModelError):
-            make_instance(prior, prior, "gaussian", 800, 400, 1.0, 0)
+            make_instance(side, side, "gaussian", 800, 400, 1.0, 0)
 
     def test_unknown_noise(self):
-        prior = PriorModel("rademacher")
+        side = ScalarChannel("rademacher")
         with pytest.raises(ModelError):
-            make_instance(prior, prior, "cauchy", 10, 20, 1.0, 0)
+            make_instance(side, side, "cauchy", 10, 20, 1.0, 0)
 
 
 class TestSvdAndMeasures:
     def test_thin_svd_reconstructs(self):
-        prior = PriorModel("rademacher")
-        inst = make_instance(prior, prior, "gaussian", 100, 200, 1.0, 2)
+        side = ScalarChannel("rademacher")
+        inst = make_instance(side, side, "gaussian", 100, 200, 1.0, 2)
         svd = thin_svd(inst.Y)
         recon = (svd.U * svd.singular_values) @ svd.V.T
         assert np.allclose(recon, inst.Y, atol=1e-10)
@@ -161,8 +156,8 @@ class TestSvdAndMeasures:
     def test_gram_path_accuracy(self, caplog, noise, M, N):
         if noise == "beta":
             noise = ShiftedBeta(1.5, 1.5, 1.0, 3.0, M / N)
-        prior = PriorModel("rademacher", 0.04)
-        inst = make_instance(prior, prior, noise, M, N, 2.0, 1)
+        side = ScalarChannel("rademacher", 0.04)
+        inst = make_instance(side, side, noise, M, N, 2.0, 1)
         with caplog.at_level("INFO", logger="rectoamp.model"):
             svd = thin_svd(inst.Y)
         assert FALLBACK_LOG not in caplog.text
@@ -192,8 +187,8 @@ class TestSvdAndMeasures:
         assert_thin_svd_invariants(Y, thin_svd(Y))
 
     def test_empirical_measure_masses(self):
-        prior = PriorModel("rademacher")
-        inst = make_instance(prior, prior, "gaussian", 200, 400, 2.0, 4)
+        side = ScalarChannel("rademacher")
+        inst = make_instance(side, side, "gaussian", 200, 400, 2.0, 4)
         svd = thin_svd(inst.Y)
         meas = empirical_signal_measures(inst, svd)
         # total nu_M1 mass = |u*|^2 / M = 1 for Rademacher

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectoamp.model import PriorModel, component_rng, make_instance, thin_svd
+from rectoamp.model import component_rng, make_instance, thin_svd
 from rectoamp.oamp import (DenoiserSet, OampError, apply_cross_left,
                            apply_cross_right, apply_left, apply_right,
                            optimal_oamp_run)
@@ -16,8 +16,8 @@ from rectoamp.state_evolution import optimal_se_run
 
 @pytest.fixture(scope="module")
 def small_instance():
-    prior = PriorModel("rademacher", 0.04)
-    inst = make_instance(prior, prior, "gaussian", 120, 240, 2.0, 1)
+    side = ScalarChannel("rademacher", 0.04)
+    inst = make_instance(side, side, "gaussian", 120, 240, 2.0, 1)
     return inst, thin_svd(inst.Y)
 
 
@@ -63,7 +63,7 @@ class TestApplySpectral:
         """Y of each factorization path: the Gram path for MP at delta = 0.5
         and 1 and Beta RI, the direct-SVD fallback for a zero row and a zero
         matrix (the inputs of test_rank_deficient_falls_back)."""
-        prior = PriorModel("rademacher", 0.04)
+        side = ScalarChannel("rademacher", 0.04)
         if case == "zero_matrix":
             return np.zeros((20, 40))
         if case == "zero_row":
@@ -75,7 +75,7 @@ class TestApplySpectral:
         noise = "gaussian"
         if case == "beta_ri":
             noise = ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5)
-        return make_instance(prior, prior, noise, M, N, 2.0, 1).Y
+        return make_instance(side, side, noise, M, N, 2.0, 1).Y
 
     @pytest.mark.parametrize("case", ["mp_delta05", "mp_delta1", "beta_ri",
                                       "zero_row", "zero_matrix"])
@@ -211,8 +211,8 @@ class TestDenoiserSet:
 
     def test_empirical_trace_free(self, shrink_mp2):
         # |trace F*(YY^T)| / M stays small on simulated eigenvalues
-        prior = PriorModel("rademacher", 0.04)
-        inst = make_instance(prior, prior, "gaussian", 1000, 2000, 2.0, 0)
+        side = ScalarChannel("rademacher", 0.04)
+        inst = make_instance(side, side, "gaussian", 1000, 2000, 2.0, 0)
         svd = thin_svd(inst.Y)
         den = DenoiserSet(shrink_mp2, 2.0, 2.0)
         f = den.evaluate(svd.eigenvalues)[0]
@@ -256,10 +256,9 @@ class TestOptimalRun:
         assert calls == [inst.M]
 
     def test_theta_zero_stays_at_side_info_floor(self, mp05):
-        prior = PriorModel("rademacher", 0.3)
-        inst = make_instance(prior, prior, "gaussian", 400, 800, 0.0, 3)
-        sh = ShrinkageSet(mp05, 0.0)
         ch = ScalarChannel("rademacher", 0.3)
+        inst = make_instance(ch, ch, "gaussian", 400, 800, 0.0, 3)
+        sh = ShrinkageSet(mp05, 0.0)
         tr = optimal_oamp_run(inst, thin_svd(inst.Y), sh, ch, ch,
                               optimal_se_run(sh, ch, ch, 3))
         floor = 1.0 - ch.mmse(0.0)
@@ -267,14 +266,13 @@ class TestOptimalRun:
             assert c == pytest.approx(floor, abs=0.05)
 
     def test_permutation_equivariance(self, mp05, shrink_mp2, channels):
-        prior = PriorModel("rademacher", 0.04)
-        inst = make_instance(prior, prior, "gaussian", 150, 300, 2.0, 7)
+        inst = make_instance(*channels, "gaussian", 150, 300, 2.0, 7)
         svd = thin_svd(inst.Y)
         schedule = optimal_se_run(shrink_mp2, *channels, 2)
         tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule,
                               keep_iterates=(2,))
         perm = np.random.default_rng(0).permutation(inst.M)
-        inst_p = make_instance(prior, prior, "gaussian", 150, 300, 2.0, 7)
+        inst_p = make_instance(*channels, "gaussian", 150, 300, 2.0, 7)
         inst_p.Y = inst.Y[perm]
         inst_p.u_star = inst.u_star[perm]
         inst_p.a = inst.a[perm]

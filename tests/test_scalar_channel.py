@@ -1,11 +1,12 @@
-"""Scalar channel calculus: posterior means, DMMSE, mmse, channel stats."""
+"""Scalar channel calculus: posterior means, DMMSE, mmse, and their channel
+expectations against dense quadrature."""
 
 import numpy as np
 import pytest
 
 from rectoamp.scalar_channel import ChannelError, ScalarChannel
 
-from conftest import dense_dmmse_divergence
+from conftest import dense_channel_mean, dense_dmmse_divergence
 
 
 def dense_mmse(w, w0):
@@ -86,16 +87,6 @@ class TestMmse:
         assert ScalarChannel("rademacher", w0).mmse(w) == pytest.approx(
             dense_mmse(w, w0), abs=1e-12)
 
-    def test_no_hermite_rule_needed(self, monkeypatch):
-        # the channel builds its Gauss-Hermite rule only for channel_stats
-        def unavailable(n):
-            raise AssertionError("hermgauss called")
-        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", unavailable)
-        for kind in ("rademacher", "gaussian"):
-            ch = ScalarChannel(kind, 0.04)
-            assert 0.0 < ch.mmse(0.5) < 1.0
-            ch.dmmse_coefficients(0.5)
-
     def test_gaussian_closed_form(self):
         ch = ScalarChannel("gaussian", 0.2)
         w = 0.3
@@ -106,19 +97,18 @@ class TestMmse:
 class TestDmmse:
     @pytest.mark.parametrize("w", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_divergence_free_stein(self, w):
-        # E[phi_bar'] = E[Z phi_bar] / sqrt(1-w) = 0 by construction
+        # E[phi_bar'] = E[Z phi_bar] / sqrt(1-w) = 0 by construction, averaged
+        # over both signs of X* rather than read off the X* = 1 half
         for w0 in (0.0, 0.04):
             ch = ScalarChannel("rademacher", w0)
-            xstar, x, c, wt = ch._channel_samples(w)
-            z = (x - np.sqrt(w) * xstar) / np.sqrt(1 - w)
-            stein = np.sum(wt * z * ch.dmmse(x, c, w)) / np.sqrt(1 - w)
-            assert abs(stein) <= 1e-6
+            stein = dense_channel_mean(
+                ch, w, lambda xs, z, x, c: z * ch.dmmse(x, c, w)) / np.sqrt(1 - w)
+            assert abs(stein) <= 1e-12
 
     @pytest.mark.parametrize("w0", [0.0, 0.04])
     @pytest.mark.parametrize("w", [0.3, 0.9])
     def test_divergence_free_dense_oracle(self, w, w0):
-        # the denoiser itself, not the 201-node rule of _channel_samples
-        # (off by 2.3e-8 at w = 0.9), has zero divergence to rounding
+        # the X* = 1 half alone: dmmse is odd in (X, C), so it is zero too
         ch = ScalarChannel("rademacher", w0)
         assert abs(dense_dmmse_divergence(ch, w)) <= 1e-12
 
@@ -157,8 +147,7 @@ class TestDmmse:
 
     @pytest.mark.parametrize("w", [0.1, 0.5, 0.9])
     def test_kappa_against_dense_oracle(self, w):
-        # E[Z tanh(...)] by dense trapezoid, as in test_kappa_against_oracle;
-        # the 201-node Gauss-Hermite rule is off by 2.3e-8 at w = 0.9
+        # E[Z tanh(...)] by dense trapezoid, as in test_kappa_against_oracle
         snr = w / (1 - w)
         z = np.linspace(-12, 12, 100001)
         pdf = np.exp(-z ** 2 / 2) / np.sqrt(2 * np.pi)
@@ -172,7 +161,8 @@ class TestDmmse:
         ch = ScalarChannel("rademacher", 0.04)
         for w in (0.2, 0.6):
             alpha, sigma2, rho = ch.dmmse_stats(w)
-            aq, second = ch.channel_stats(lambda x, c: ch.dmmse(x, c, w), w)
+            aq = dense_channel_mean(ch, w, lambda xs, z, x, c: xs * ch.dmmse(x, c, w))
+            second = dense_channel_mean(ch, w, lambda xs, z, x, c: ch.dmmse(x, c, w) ** 2)
             assert alpha == pytest.approx(aq, abs=1e-8)
             assert sigma2 == pytest.approx(second - aq ** 2, abs=1e-8)
             assert rho == pytest.approx(alpha ** 2 / sigma2, rel=1e-6)
@@ -190,21 +180,12 @@ class TestChannelStats:
         # E[X* phi] = E[phi^2] = 1 - mmse
         ch = ScalarChannel("rademacher", 0.04)
         w = 0.4
-        alpha, second = ch.channel_stats(
-            lambda x, c: ch.posterior_mean(x, c, w), w)
+        alpha = dense_channel_mean(
+            ch, w, lambda xs, z, x, c: xs * ch.posterior_mean(x, c, w))
+        second = dense_channel_mean(
+            ch, w, lambda xs, z, x, c: ch.posterior_mean(x, c, w) ** 2)
         assert alpha == pytest.approx(second, abs=1e-10)
         assert alpha == pytest.approx(1 - ch.mmse(w), abs=1e-10)
-
-    def test_identity_function(self):
-        ch = ScalarChannel("rademacher")
-        w = 0.3
-        alpha, second = ch.channel_stats(lambda x, c: x, w)
-        assert alpha == pytest.approx(np.sqrt(w), abs=1e-10)
-        assert second == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_function(self):
-        ch = ScalarChannel("gaussian", 0.1)
-        assert ch.channel_stats(lambda x, c: 0.0 * x, 0.5) == (0.0, 0.0)
 
 
 def test_invalid_construction():

@@ -189,3 +189,7 @@ class TestGaussianFixedPoint:
     def test_invalid_parameters(self, channels):
         with pytest.raises(StateEvolutionError):
             gaussian_fixed_point(2.0, 1.5, *channels)
+        # rejected up front, not after the iteration budget
+        for theta in (np.nan, np.inf):
+            with pytest.raises(StateEvolutionError, match="invalid parameters"):
+                gaussian_fixed_point(theta, 0.5, *channels)
