@@ -105,14 +105,19 @@ class DenoiserSet:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         d, r1, r2 = self.delta, self.rho1, self.rho2
         n1, n2, n3, den = numerators
-        a2 = r2 * n2 + d * den
-        a1 = r1 * n1 + den
-        e = d * r1 * r2 + d * r1 * n1 + a2
         zero = lam == 0.0
+        with np.errstate(over="ignore"):
+            a2 = r2 * n2 + d * den
+            a1 = r1 * n1 + den
+            e = d * r1 * r2 + d * r1 * n1 + a2
+            lam_e = np.where(zero, 1.0, lam) * e
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(lam_e))):
+            raise OampError("denoiser denominator E(lambda) or lambda E is not "
+                            "finite on the evaluation grid")
         if not np.all(e[~zero] > 0):
             raise OampError("denoiser denominator E(lambda) is not positive "
                             "on the evaluation grid")
-        cross = np.sqrt(d) * n3 / (np.where(zero, 1.0, lam) * e)
+        cross = np.sqrt(d) * n3 / lam_e
         p = np.where(zero, 0.0, a2 / e)
         q = np.where(zero, self.q_zero, d * a1 / e)
         return p, np.where(zero, 0.0, r2 * cross), q, np.where(zero, 0.0, r1 * cross)

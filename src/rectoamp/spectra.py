@@ -9,6 +9,7 @@ measures (densities plus point masses at outlier locations).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -18,9 +19,12 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 DEFAULT_QUAD_NODES = 2000
+# SpectrumModel.hilbert evaluates this many points at a time, so its
+# (rows x nodes) temporaries stay near 2 MB however many points it is given
+_HILBERT_BLOCK_ROWS = 128
 # Each side of the support holds at most one outlier root, so each is
 # bisected in one bracket: [eps, lo - eps] below the lower edge and
-# [hi + eps, hi + ROOT_MARGIN_FACTOR (1 + theta^2)] above the upper one
+# [hi, hi + ROOT_MARGIN_FACTOR (1 + theta^2)] above the upper one
 # (ShrinkageSet.find_spectral_atoms says why).
 ROOT_MARGIN_FACTOR = 10.0
 # No search reads this any more: the benchmark's spectra.scan_mb metric
@@ -74,30 +78,52 @@ class Measure:
 
 
 def _legendre(n: int, x: np.ndarray):
-    """(P_n(x), P_n'(x)) by the three-term recurrence, entrywise."""
-    p_prev, p = np.ones_like(x), x.copy()
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    """(P_n(x), P_n'(x)) by the three-term recurrence, entrywise.
+
+    The recurrence P_j = a_j x P_{j-1} - b_j P_{j-2} runs in place, with
+    a_j = (2j - 1)/j and b_j = (j - 1)/j precomputed.
+    """
+    j = np.arange(2, n + 1)
+    a, b = ((2 * j - 1) / j).tolist(), ((j - 1) / j).tolist()
+    mul, sub = np.multiply, np.subtract     # positional out: less call overhead
+    p_prev, p, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
+    for aj, bj in zip(a, b):
+        mul(x, p, nxt)
+        mul(nxt, aj, nxt)
+        mul(p_prev, bj, p_prev)
+        sub(nxt, p_prev, nxt)
+        p_prev, p, nxt = p, nxt, p_prev
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
-def _gauss_legendre(lo: float, hi: float, n: int):
-    """n-point Gauss-Legendre rule on [lo, hi], nodes ascending.
+@functools.lru_cache(maxsize=4)
+def _reference_rule(n: int):
+    """n-point Gauss-Legendre rule on [-1, 1], nodes ascending, as read-only
+    arrays computed once per n and process.
 
     Newton's method on the three-term recurrence from Tricomi's initial
     guesses (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013), vectorized
     over the positive nodes; the negative ones are their mirror images, so
-    the rule is exactly symmetric, and odd n adds the node 0.
+    the rule is exactly symmetric, and odd n adds the node 0.  A node leaves
+    the iteration once its next correction, about |x| / (1 - x^2) dx^2 by
+    P_n'' / P_n' = 2x / (1 - x^2) at a root, is below eps / 4 (at n = 2000
+    all but the two outermost nodes after one step); the weights then take
+    one more recurrence pass at the converged nodes.
     """
     k = np.arange(1, n // 2 + 1)
     t = np.pi * (4 * k - 1) / (4 * n + 2)
     x = (1.0 - (n - 1) / (8.0 * n ** 3)
          - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
+    active = np.arange(x.size)
     for _ in range(10):
-        p, dp = _legendre(n, x)
+        xa = x[active]
+        p, dp = _legendre(n, xa)
         dx = p / dp
-        x -= dx
-        if np.all(np.abs(dx) <= np.finfo(float).eps):
+        xa -= dx
+        x[active] = xa
+        active = active[np.abs(xa) / ((1.0 - xa) * (1.0 + xa)) * dx ** 2
+                        >= 0.25 * np.finfo(float).eps]
+        if active.size == 0:
             break
     else:
         raise SpectraError(f"Gauss-Legendre Newton iteration did not converge (n = {n})")
@@ -105,6 +131,14 @@ def _gauss_legendre(lo: float, hi: float, n: int):
     w = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre(n, x)[1] ** 2)
     x = np.concatenate((-x[n % 2:][::-1], x))
     w = np.concatenate((w[n % 2:][::-1], w))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(lo: float, hi: float, n: int):
+    """n-point Gauss-Legendre rule on [lo, hi], nodes ascending, in fresh
+    arrays: the cached reference rule shifted and scaled."""
+    x, w = _reference_rule(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -192,17 +226,25 @@ class SpectrumModel:
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         lo, hi = self.support
-        mux = self.density(x)
-        mux = np.atleast_1d(mux)
-        integrand = self._density_at_nodes - mux[:, None]
-        # where x is a quadrature node (every ShrinkageSet's node numerators,
-        # computed once in SpectrumModel.__init__) that node's term is 0/0 and
-        # is set to 0, which drops w_i (-mu'(x_i)) / pi from the sum; so is
-        # every term at an x where the density is infinite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand /= x[:, None] - self.nodes
-        integrand[~np.isfinite(integrand)] = 0.0
-        out = integrand @ self.quad_weights
+        mux = np.atleast_1d(self.density(x))
+        out = np.empty_like(x)
+        buf = np.empty((min(x.size, _HILBERT_BLOCK_ROWS), self.nodes.size))
+        for start in range(0, x.size, _HILBERT_BLOCK_ROWS):
+            rows = slice(start, start + _HILBERT_BLOCK_ROWS)
+            xb = x[rows]
+            integrand = np.subtract(self._density_at_nodes, mux[rows, None],
+                                    out=buf[:xb.size])
+            # where x is a quadrature node (every ShrinkageSet's node
+            # numerators, computed once in SpectrumModel.__init__) that node's
+            # term is 0/0 and is set to 0, which drops w_i (-mu'(x_i)) / pi
+            # from the sum; so is every term at an x where the density is
+            # infinite
+            with np.errstate(divide="ignore", invalid="ignore"):
+                integrand /= xb[:, None] - self.nodes
+            integrand[~np.isfinite(integrand)] = 0.0
+            # einsum reduces each row alike whatever the block's row count,
+            # where a gemv's per-row bits depend on it
+            out[rows] = np.einsum("ij,j->i", integrand, self.quad_weights)
         inside = (x > lo) & (x < hi)
         out[inside] += mux[inside] * np.log((x[inside] - lo) / (hi - x[inside]))
         out /= np.pi
@@ -403,6 +445,9 @@ class ShrinkageSet:
         # read by the induced measures and by every DenoiserSet's means
         self.node_numerators = self._numerators(
             spectrum.nodes, spectrum._density_at_nodes, spectrum._hilbert_at_nodes)
+        if not all(np.all(np.isfinite(v)) for v in self.node_numerators):
+            raise SpectraError(f"SNR {theta:g} too large: the shrinkage numerators "
+                               "overflow at the quadrature nodes")
 
     # -- raw pieces ---------------------------------------------------------
 
@@ -419,17 +464,21 @@ class ShrinkageSet:
         return self._numerators(lam, self.spectrum.density(lam), self.spectrum.hilbert(lam))
 
     def _numerators(self, lam, mu, h):
-        """numerators(lam) from the density mu and Hilbert transform h at lam."""
+        """numerators(lam) from the density mu and Hilbert transform h at lam.
+
+        Near the largest SNRs they overflow to inf without a warning; the
+        callers reject what is not finite.
+        """
         th2 = self.theta ** 2
         d = self.delta
-        den = (1.0 - th2 * ((1.0 - d) * np.pi * h
-                            - d * np.pi ** 2 * lam * (mu ** 2 - h ** 2))) ** 2 \
-            + (np.pi * th2 * mu * (1.0 - d + 2.0 * d * np.pi * lam * h)) ** 2
-        n1 = 1.0 + d * th2 * np.pi ** 2 * lam * (h ** 2 + mu ** 2)
-        n3 = self.theta * (1.0 - d + 2.0 * d * np.pi * lam * h)
         zero = lam == 0.0
-        n3 = np.where(zero, 0.0, n3)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
+            den = (1.0 - th2 * ((1.0 - d) * np.pi * h
+                                - d * np.pi ** 2 * lam * (mu ** 2 - h ** 2))) ** 2 \
+                + (np.pi * th2 * mu * (1.0 - d + 2.0 * d * np.pi * lam * h)) ** 2
+            n1 = 1.0 + d * th2 * np.pi ** 2 * lam * (h ** 2 + mu ** 2)
+            n3 = np.where(zero, 0.0, self.theta * (1.0 - d + 2.0 * d * np.pi * lam * h))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             n2 = d * n1 + self.theta * (1.0 - d) / lam * n3
         # lambda = 0 branch: phi2(0) = delta / (1 - theta^2 (1-delta) pi H(0))
         n2 = np.where(zero, d * self._phi2_zero_denom, n2)
@@ -493,14 +542,20 @@ class ShrinkageSet:
         spec, th = self.spectrum, self.theta
         g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
         lo, hi = spec.support
-        eps_lo, eps_hi = 1e-9 * max(1.0, lo), 1e-9 * max(1.0, hi)
-        brackets = [(hi + eps_hi, hi + ROOT_MARGIN_FACTOR * (1.0 + th ** 2))]
+        eps_lo = 1e-9 * max(1.0, lo)
+        # the upper bracket starts at the edge, where C is finite and
+        # maximal, so a root exists exactly above detection_threshold
+        brackets = [(hi, hi + ROOT_MARGIN_FACTOR * (1.0 + th ** 2))]
         if lo - eps_lo > eps_lo:
             brackets.append((eps_lo, lo - eps_lo))
         atoms = []
         for a, b in brackets:
             if np.signbit(g(a)) != np.signbit(g(b)):
-                atoms.append(self._atom_at(_bisect(g, a, b)))
+                root = _bisect(g, a, b)
+                # a root that rounds to the edge is no outlier: at a
+                # square-root edge C' is infinite there and the masses vanish
+                if root != hi:
+                    atoms.append(self._atom_at(root))
         return atoms
 
     def _atom_at(self, lam_star):
@@ -571,10 +626,10 @@ def detection_threshold(spectrum: SpectrumModel) -> float:
 
     The root equation 1 = theta^2 C(lambda) has a solution above the edge iff
     theta^2 sup C > 1; C is maximal at the edge, so the threshold is
-    1 / sqrt(C(lambda_max+)).
+    1 / sqrt(C(lambda_max)).  C is evaluated at the edge itself: a step
+    eps above it would cost about sqrt(eps) at a square-root edge.
     """
-    hi = spectrum.support[1]
-    edge = np.real(spectrum.c_transform(hi + 1e-9 * max(1.0, hi)))
+    edge = np.real(spectrum.c_transform(spectrum.support[1]))
     if edge <= 0:
         return np.inf
     return float(1.0 / np.sqrt(edge))

@@ -274,8 +274,10 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,code", [
         (["--delta", "0"], 1), (["--spectrum", "beta", "--beta-a", "0"], 1),
-        (["--iters", "0"], 2), (["--theta", "1e80"], 1), (["--theta", "1e155"], 1)],
-        ids=["delta_zero", "beta_a_zero", "iters_zero", "theta_1e80", "theta_1e155"])
+        (["--iters", "0"], 2), (["--theta", "1e80"], 1), (["--theta", "1e155"], 1),
+        (["--theta", "9e76"], 1), (["--theta", "9.9e76"], 1)],
+        ids=["delta_zero", "beta_a_zero", "iters_zero", "theta_1e80", "theta_1e155",
+             "theta_9e76", "theta_9.9e76"])
     def test_bad_se_args(self, capsys, argv, code):
         assert cli_main(["se", "--theta", "2", *argv]) == code
         out, err = capsys.readouterr()

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,38 @@ def mp_or_beta(kind, delta):
     return ShiftedBeta(1.5, 1.5, 1.0, 3.0, delta)
 
 
+def legendre_reference(n, x):
+    """spectra._legendre as it was before the rule was cached: the
+    three-term recurrence with (2j - 1) x p - (j - 1) p_prev divided by j."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def gauss_legendre_reference(n):
+    """The n-point rule on [-1, 1] as it was computed before it was cached:
+    Newton on every positive node until all corrections are below eps,
+    then the weights."""
+    k = np.arange(1, n // 2 + 1)
+    t = np.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
+    for _ in range(10):
+        p, dp = legendre_reference(n, x)
+        dx = p / dp
+        x -= dx
+        if np.all(np.abs(dx) <= np.finfo(float).eps):
+            break
+    else:
+        raise AssertionError("reference Newton iteration did not converge")
+    x = np.concatenate((np.zeros(n % 2), x[::-1]))
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * legendre_reference(n, x)[1] ** 2)
+    x = np.concatenate((-x[n % 2:][::-1], x))
+    w = np.concatenate((w[n % 2:][::-1], w))
+    return x, w
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [7, 8, 2000])
     def test_rule(self, n):
@@ -91,6 +124,44 @@ class TestGaussLegendre:
         assert np.max(np.abs(x - x_ref)) <= 1e-15
         assert np.max(np.abs(w / w_ref - 1)) <= 1e-7
         assert abs(w.sum() - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [7, 8, 2000])
+    def test_matches_full_newton(self, n):
+        # per-node stopping, the in-place recurrence and one weight pass
+        # against the former rule (at n = 2000: 1.1e-16 and 4.4e-12)
+        x, w = spectra._gauss_legendre(-1.0, 1.0, n)
+        x_ref, w_ref = gauss_legendre_reference(n)
+        assert np.max(np.abs(x - x_ref)) <= 2.2e-16
+        assert np.max(np.abs(w / w_ref - 1)) <= 1e-11
+
+    def test_rule_built_once_per_size(self, monkeypatch):
+        calls = []
+        legendre = spectra._legendre
+
+        def counted(n, x):
+            calls.append(n)
+            return legendre(n, x)
+
+        spectra._reference_rule.cache_clear()
+        monkeypatch.setattr(spectra, "_legendre", counted)
+        MarchenkoPastur(DELTA)
+        assert calls
+        calls.clear()
+        MarchenkoPastur(1.0)
+        ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA)
+        assert calls == []
+
+    def test_cached_rule_is_read_only_and_unshared(self):
+        x, w = spectra._reference_rule(spectra.DEFAULT_QUAD_NODES)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        rules = [(sp.nodes, sp.quad_weights) for sp in
+                 (MarchenkoPastur(DELTA), ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA))]
+        rules.append(spectra._gauss_legendre(-1.0, 1.0, spectra.DEFAULT_QUAD_NODES))
+        for owned in (a for rule in rules for a in rule):
+            assert owned.flags.writeable
+            assert not np.shares_memory(owned, x) and not np.shares_memory(owned, w)
 
     def test_high_degree_monomial(self):
         # leggauss(2000) is off by 1.2e-10 here
@@ -213,7 +284,9 @@ class TestShiftedBeta:
 
 
 def hilbert_reference(spectrum, x):
-    """SpectrumModel.hilbert as it was computed with full-size temporaries."""
+    """SpectrumModel.hilbert as it was computed with full-size temporaries,
+    each row reduced by the same einsum (a gemv's per-row bits depend on
+    the total row count)."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -223,7 +296,7 @@ def hilbert_reference(spectrum, x):
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = (spectrum._density_at_nodes - mux[:, None]) / diff
     integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-    out = integrand @ spectrum.quad_weights
+    out = np.einsum("ij,j->i", integrand, spectrum.quad_weights)
     inside = (x > lo) & (x < hi)
     out[inside] += mux[inside] * np.log((x[inside] - lo) / (hi - x[inside]))
     out /= np.pi
@@ -244,9 +317,31 @@ def test_hilbert_matches_reference_bitwise(make):
     outside = np.array([0.0, 0.5 * lo, hi + 1e-9, 2.0 * hi])
     for x in (sp.nodes, off_nodes, outside, np.concatenate((off_nodes, sp.nodes))):
         assert np.array_equal(sp.hilbert(x), hilbert_reference(sp, x))
+    # lengths around the row block, mixing nodes, off-node and outside points
+    mixed = np.concatenate((outside, off_nodes, sp.nodes))[::3]
+    block = spectra._HILBERT_BLOCK_ROWS
+    for size in (0, 1, block - 1, block, block + 1, 2 * block + 37):
+        x = mixed[:size]
+        assert x.size == size
+        assert np.array_equal(sp.hilbert(x), hilbert_reference(sp, x))
     for x in (sp.nodes[17], 0.5 * (lo + hi) + 0.1, lo, hi + 0.5):
         h = sp.hilbert(x)
         assert isinstance(h, float) and h == hilbert_reference(sp, x)
+
+
+@pytest.mark.parametrize("points", ["nodes", "linspace_1000"])
+def test_hilbert_memory_is_bounded(points):
+    # the row blocks keep the traced peak near 4 MB (64 MB at the 2000
+    # nodes and 32 MB at 1000 points with full-size temporaries)
+    sp = ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA)
+    x = sp.nodes if points == "nodes" else np.linspace(0.5, 3.5, 1000)
+    tracemalloc.start()
+    try:
+        sp.hilbert(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 class TestTabulated:
@@ -361,8 +456,11 @@ class TestAtoms:
         sh = ShrinkageSet(mp05, 0.5)   # below the detection threshold
         assert sh.find_spectral_atoms() == []
 
-    def test_detection_threshold(self, mp05):
-        assert detection_threshold(mp05) == pytest.approx(DELTA ** 0.25, abs=1e-3)
+    def test_detection_threshold(self):
+        # C at the edge itself: MP's threshold is delta^(1/4) to rounding
+        for delta in (0.25, 0.5, 1.0):
+            assert detection_threshold(MarchenkoPastur(delta)) == pytest.approx(
+                delta ** 0.25, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0])
     def test_beta_atom_just_above_threshold(self, delta):
@@ -387,7 +485,8 @@ class TestAtoms:
         sh = ShrinkageSet(sp, min(theta_c * (1.0 + 10.0 ** log_excess), 5.0))
         hi = sp.support[1]
         upper = [a for a in sh.find_spectral_atoms() if a.location > hi]
-        old = scan_brentq_roots(sh, hi + 1e-9 * max(1.0, hi),
+        # scanned from the edge, where the bracket and the threshold start
+        old = scan_brentq_roots(sh, hi,
                                 hi + spectra.ROOT_MARGIN_FACTOR * (1 + sh.theta ** 2))
         assert len(upper) == len(old) == 1
         new = upper[0]
@@ -397,6 +496,23 @@ class TestAtoms:
         for got, want in ((new.nu1_mass, ref.nu1_mass), (new.nu2_mass, ref.nu2_mass),
                           (new.nu3_mass_pos, ref.nu3_mass_pos)):
             assert got == pytest.approx(want, rel=tol, abs=0)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["mp", "beta"])
+    def test_upper_atom_from_the_threshold_on(self, kind, delta):
+        # the upper bracket starts at the edge, as the threshold does: 1e-6
+        # above theta_c the root sits 3e-12 (mp) or 5e-10 (beta) above the
+        # edge, below where a bracket from hi + 1e-9 hi would start
+        sp = mp_or_beta(kind, delta)
+        hi, theta_c = sp.support[1], detection_threshold(sp)
+        upper = [a for a in ShrinkageSet(sp, theta_c * (1 + 1e-6)).find_spectral_atoms()
+                 if a.location > hi]
+        assert len(upper) == 1 and upper[0].nu1_mass > 0 and upper[0].nu2_mass > 0
+        # closer still the MP root rounds to the edge, where C' is infinite:
+        # that root is no atom, and no division by zero is attempted
+        upper = [a for a in ShrinkageSet(sp, theta_c * (1 + 1e-12)).find_spectral_atoms()
+                 if a.location > hi]
+        assert len(upper) == (kind == "beta")
 
     @pytest.mark.parametrize("excess", [1e-3, 1e-6])
     @pytest.mark.parametrize("delta", [0.5, 1.0])
