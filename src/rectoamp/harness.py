@@ -290,12 +290,16 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
                 f"{len(failures)}/{len(cfg.seeds)} seeds failed: {failures}")
 
     rows = _aggregate(per_seed, predictions, cfg) if per_seed else []
+    from . import __version__  # the package imports this module first
     meta = {
         "config": vars(cfg).copy(),
         "n_seeds_requested": len(cfg.seeds),
         "n_seeds_used": len(per_seed),
         "failures": failures,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "workers": workers,
+        "cpu_count": os.cpu_count(),
+        "versions": {"rectoamp": __version__, "numpy": np.__version__},
     }
     meta["config"]["seeds"] = list(cfg.seeds)
     meta["config"]["methods"] = list(cfg.methods)

@@ -3,7 +3,9 @@
 Instances follow Y = (theta / sqrt(M N)) u* v*^T + W with either rotationally
 invariant noise (Haar factors, singular values drawn from the target
 spectrum) or i.i.d. Gaussian entries of variance 1/N.  Reproducibility uses a
-counter-based generator with one substream per (seed, component).
+counter-based generator with one substream per (seed, component).  A seed
+holds one M x N array: Y is formed in the noise's buffer, and
+``ProblemInstance.W`` is derived from Y on access.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ def _sample_prior(kind: str, n: int, rng) -> np.ndarray:
 
 @dataclass
 class ProblemInstance:
+    """One draw of Y = c u* v*^T + W, c = theta / sqrt(M N), with the side
+    information a, b.  The noise is not stored: ``W`` is derived from Y."""
+
     M: int
     N: int
     theta: float
     Y: np.ndarray
-    W: np.ndarray
     u_star: np.ndarray
     v_star: np.ndarray
     a: np.ndarray
@@ -55,6 +59,16 @@ class ProblemInstance:
     @property
     def delta(self) -> float:
         return self.M / self.N
+
+    @property
+    def W(self) -> np.ndarray:
+        """The noise, Y - c u* v*^T: equal to the drawn W to rounding, and a
+        new M x N array on every access.  Only the benchmark's byte counter
+        reads it; it goes once that stops."""
+        W = np.outer(self.u_star, self.v_star)
+        W *= -self.theta / np.sqrt(self.M * self.N)
+        W += self.Y
+        return W
 
 
 @dataclass
@@ -178,10 +192,25 @@ def make_instance(channel_u: ScalarChannel, channel_v: ScalarChannel, noise,
         raise ModelError(f"unknown noise model {noise!r}")
     a = _side_info(u_star, channel_u.w0, component_rng(seed, "side_u"))
     b = _side_info(v_star, channel_v.w0, component_rng(seed, "side_v"))
-    Y = np.outer(u_star, v_star)
-    Y *= theta / np.sqrt(M * N)
-    Y += W
-    return ProblemInstance(M, N, theta, Y, W, u_star, v_star, a, b, seed)
+    Y = W  # the spike is added in the noise's buffer
+    _add_spike(Y, u_star, v_star, theta / np.sqrt(M * N))
+    return ProblemInstance(M, N, theta, Y, u_star, v_star, a, b, seed)
+
+
+# rows of the spike formed at a time: 128 x N float64 is 2 MB at N = 2000
+_SPIKE_BLOCK_ROWS = 128
+
+
+def _add_spike(Y: np.ndarray, u_star, v_star, scale: float) -> None:
+    """Y += scale * outer(u*, v*) in place, one row block at a time in one
+    reused buffer.  Each entry is fl(Y + fl(fl(u_i v_j) scale)), the bits of
+    forming the whole spike first."""
+    block = np.empty((min(_SPIKE_BLOCK_ROWS, len(u_star)), len(v_star)))
+    for i in range(0, len(u_star), _SPIKE_BLOCK_ROWS):
+        rows = u_star[i:i + _SPIKE_BLOCK_ROWS]
+        spike = np.outer(rows, v_star, out=block[:len(rows)])
+        spike *= scale
+        Y[i:i + len(rows)] += spike
 
 
 def _side_info(x_star, w0, rng):

@@ -225,6 +225,17 @@ class TestEmission:
         meta = json.loads(open(meta_path).read())
         assert "timestamp" in meta
         assert meta["n_seeds_used"] == 3
+        assert meta["workers"] == 1
+        assert meta["cpu_count"] == os.cpu_count()
+        assert meta["versions"] == {"rectoamp": rectoamp.__version__,
+                                    "numpy": np.__version__}
+
+    def test_metadata_records_resolved_workers(self):
+        cfg = parse_config(SMALL.replace("workers = 1\n", ""), {"methods": "se-only"})
+        assert cfg.workers is None
+        meta = run_experiment(cfg).metadata
+        assert meta["workers"] == min(3, os.cpu_count() or 1)
+        assert meta["config"]["workers"] is None
 
     def test_bad_path(self, small_report):
         with pytest.raises(HarnessError, match="cannot write"):

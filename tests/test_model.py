@@ -1,13 +1,15 @@
 """Instance generation, RNG streams, SVD cache, and empirical measures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectoamp.model import (ModelError, _haar_columns, _sample_prior,
-                            component_rng, make_instance, sample_ri_noise,
-                            thin_svd)
+                            component_rng, make_instance, sample_gaussian_noise,
+                            sample_ri_noise, thin_svd)
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import ShiftedBeta
 
@@ -123,8 +125,62 @@ class TestInstances:
         side = ScalarChannel("rademacher")
         inst = make_instance(side, side, "gaussian", 400, 800, 3.0, 5)
         # spectral norm of the spike is theta for unit-RMS factors
-        spike = inst.Y - inst.W
+        spike = inst.Y - sample_gaussian_noise(400, 800, component_rng(5, "noise"))
         assert np.linalg.norm(spike, 2) == pytest.approx(3.0, rel=1e-10)
+
+    @staticmethod
+    def noise_model(kind):
+        return "gaussian" if kind == "gaussian" else ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5)
+
+    @staticmethod
+    def draw_noise(noise, M, N, rng):
+        """W as make_instance draws it from the noise stream ``rng``."""
+        if noise == "gaussian":
+            return sample_gaussian_noise(M, N, rng)
+        return sample_ri_noise(noise, M, N, rng)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "beta_ri"])
+    def test_observation_bits(self, kind):
+        """Y has the bits of c outer(u*, v*) + W formed whole, and the derived
+        W is the drawn noise to rounding."""
+        M, N, theta, seed = 400, 800, 2.0, 3
+        noise = self.noise_model(kind)
+        side = ScalarChannel("rademacher", 0.04)
+        inst = make_instance(side, side, noise, M, N, theta, seed)
+        W = self.draw_noise(noise, M, N, component_rng(seed, "noise"))
+        assert np.array_equal(
+            inst.Y, np.outer(inst.u_star, inst.v_star) * (theta / np.sqrt(M * N)) + W)
+        assert np.max(np.abs(inst.W - W)) <= 1e-15
+
+    @staticmethod
+    def traced(fn, *args):
+        """(fn(*args), bytes still traced after it returns, traced peak)."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, retained - before, peak - before
+
+    @pytest.mark.parametrize("kind", ["gaussian", "beta_ri"])
+    def test_one_array_per_instance(self, kind):
+        """make_instance keeps one M x N array, and forming Y raises the
+        traced peak of the noise draw by less than half an array (one
+        128-row block of the spike at M = 400 is 0.32)."""
+        M, N, seed = 400, 800, 1
+        noise = self.noise_model(kind)
+        side = ScalarChannel("rademacher", 0.04)
+        make_instance(side, side, noise, M, N, 2.0, 0)  # warm any lazy state
+        array = M * N * 8
+        _, _, draw_peak = self.traced(self.draw_noise, noise, M, N,
+                                      component_rng(seed, "noise"))
+        inst, retained, peak = self.traced(make_instance, side, side, noise,
+                                           M, N, 2.0, seed)
+        assert inst.Y.nbytes == array
+        assert retained / array <= 1.1
+        assert (peak - draw_peak) / array < 0.5
 
     def test_invalid_dimensions(self):
         side = ScalarChannel("rademacher")

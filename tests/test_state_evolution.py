@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rectoamp.oamp import DenoiserSet
 from rectoamp.scalar_channel import ScalarChannel
-from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
+from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, Tabulated
 from rectoamp.state_evolution import (StateEvolutionError, amp_se_trajectory,
                                       gaussian_fixed_point, optimal_se_run,
                                       se_step_general)
@@ -111,15 +111,17 @@ class TestGeneralSeTrajectory:
     # evolution collapses to the scalar schedule.  MP at delta = 0.5 has
     # closed-form transforms and a regular quadrature; the other tolerances
     # cover the quadrature's defects at singular edges and in the on-node
-    # Hilbert transform (gaps 8.9e-12, 1.4e-5, 3.0e-5, 9.2e-6, 3.4e-5)
+    # Hilbert transform (gaps 8.9e-12, 1.4e-5, 3.0e-5, 9.2e-6, 3.4e-5, 8.6e-5)
     @pytest.mark.parametrize("make,tol", [
         (lambda: MarchenkoPastur(0.5), 1e-10),
         (lambda: MarchenkoPastur(1.0), 1e-4),
         (lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5), 1e-4),
         (lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, 1.0), 1e-4),
-        (lambda: ShiftedBeta(0.5, 2.0, 1.0, 3.0, 0.5), 1e-4)],
+        (lambda: ShiftedBeta(0.5, 2.0, 1.0, 3.0, 0.5), 1e-4),
+        (lambda: Tabulated(np.linspace(1.0, 3.0, 201),
+                           np.sin(np.linspace(0.0, np.pi, 201)), 0.5), 1e-4)],
         ids=["mp_delta05", "mp_delta1", "beta_delta05", "beta_delta1",
-             "beta_a05_b2"])
+             "beta_a05_b2", "tabulated_sine_delta05"])
     def test_collapses_to_schedule(self, channels, make, tol):
         gaps = general_se_gaps(ShrinkageSet(make(), 2.0), *channels, 8)
         assert len(gaps) == 8
