@@ -28,6 +28,9 @@ CSV_FIELDS = ("method", "t", "mean_cos2_u", "se_cos2_u", "mean_cos2_v",
               "se_cos2_v", "pred_cos2_u", "pred_cos2_v", "mean_mse_u",
               "mean_mse_v")
 MAX_FAILURE_FRACTION = 0.2
+# what the metadata JSON records of each strength schedule
+SCHEDULE_FIELDS = {"oamp": ("w1", "w2", "rho1", "rho2", "converged_at"),
+                   "amp": ("w1", "w2")}
 # a seed that raises one of these has failed; anything else is a bug
 DOMAIN_ERRORS = (ChannelError, SpectraError, ModelError, StateEvolutionError,
                  OampError, BaselineError)
@@ -300,6 +303,8 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "versions": {"rectoamp": __version__, "numpy": np.__version__},
+        "schedules": {m: {k: getattr(tr, k) for k in SCHEDULE_FIELDS[m]}
+                      for m, tr in schedules.items()},
     }
     meta["config"]["seeds"] = list(cfg.seeds)
     meta["config"]["methods"] = list(cfg.methods)

@@ -4,8 +4,9 @@ Instances follow Y = (theta / sqrt(M N)) u* v*^T + W with either rotationally
 invariant noise (Haar factors, singular values drawn from the target
 spectrum) or i.i.d. Gaussian entries of variance 1/N.  Reproducibility uses a
 counter-based generator with one substream per (seed, component).  A seed
-holds one M x N array: Y is formed in the noise's buffer, and
-``ProblemInstance.W`` is derived from Y on access.
+holds one M x N array: an RI draw forms W^T in its Gaussian factor's buffer,
+Y is formed in the noise's buffer, and ``ProblemInstance.W`` is derived from
+Y on access.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ def _sample_prior(kind: str, n: int, rng) -> np.ndarray:
 @dataclass
 class ProblemInstance:
     """One draw of Y = c u* v*^T + W, c = theta / sqrt(M N), with the side
-    information a, b.  The noise is not stored: ``W`` is derived from Y."""
+    information a, b.  The noise is not stored: ``W`` is derived from Y.
+    ``Y`` may be Fortran-ordered (RI noise with N >= CHOLESKY_ASPECT * M);
+    every reader is layout-agnostic."""
 
     M: int
     N: int
@@ -121,16 +124,20 @@ class SvdCache:
         return self._right_factor()[1]
 
 
-def _haar_columns(n: int, k: int, rng) -> np.ndarray:
+def _haar_columns(n: int, k: int, rng, scratch=None) -> np.ndarray:
     """First k columns of a Haar orthogonal n x n matrix (all of it for
-    k = n), via sign-corrected QR."""
-    q, r = np.linalg.qr(rng.standard_normal((n, k)))
+    k = n), via sign-corrected QR.  The Gaussian is drawn into ``scratch``,
+    an n x k buffer, when one is given."""
+    q, r = np.linalg.qr(rng.standard_normal((n, k), out=scratch))
     return q * np.sign(np.diag(r))
 
 
 # sample_ri_noise reaches V through a Cholesky factor only when N >= this * M:
 # nearer square, its kappa(G)^2 eps error has no bound
 CHOLESKY_ASPECT = 2
+# rows of W^T that sample_ri_noise forms at a time in one reused buffer: each
+# product packs all of Z, so few blocks (512 x 1000 float64 is 4 MB)
+_GEMM_BLOCK_ROWS = 512
 
 
 def sample_ri_noise(spectrum: SpectrumModel, M: int, N: int, rng) -> np.ndarray:
@@ -140,25 +147,38 @@ def sample_ri_noise(spectrum: SpectrumModel, M: int, N: int, rng) -> np.ndarray:
     the N x M Gaussian G behind V, in that order.  V is the Q of G = V R with
     a positive-diagonal R.  When N >= CHOLESKY_ASPECT * M, R is L^T from the
     Cholesky factor L of G^T G, and W = (U diag(sigma) L^-1) G^T is formed
-    without V.  Its loss of orthogonality is about kappa(G)^2 eps; with
-    M / N <= 1/2, Bai-Yin puts kappa(G) near (1 + sqrt(1/2)) / (1 - sqrt(1/2))
-    = 5.8, so V agrees with the Householder factor to a few eps (3.3e-16 at
-    1000 x 2000).  Near-square G makes kappa(G)^2 unbounded, so those
+    without V: W^T = G Z^T, Z = U diag(sigma) L^-1, overwrites G's rows in
+    blocks, so the draw holds one M x N array and returns W as a
+    Fortran-ordered view.  Its loss of orthogonality is about kappa(G)^2
+    eps; with M / N <= 1/2, Bai-Yin puts kappa(G) near
+    (1 + sqrt(1/2)) / (1 - sqrt(1/2)) = 5.8, so V agrees with the
+    Householder factor to a few eps (3.3e-16 at 1000 x 2000).  Near-square G makes kappa(G)^2 unbounded, so those
     instances keep the sign-corrected Householder QR of ``_haar_columns``.
     """
     if M > N:
         raise ModelError("aspect ratios above 1 are unsupported (need M <= N)")
+    # G's buffer, which becomes W^T, is allocated before U's QR, so that it
+    # can take the hole the previous seed's Y left; U's Gaussian is drawn
+    # into its head, which the draw of G then overwrites
+    G = np.empty((N, M)) if N >= CHOLESKY_ASPECT * M else None
+    head = None if G is None else G.reshape(-1)[:M * M].reshape(M, M)
     sigma = np.sqrt(spectrum.sample_eigenvalues(M, rng))
-    U_sigma = _haar_columns(M, M, rng)
+    U_sigma = _haar_columns(M, M, rng, head)
     U_sigma *= sigma
-    if N < CHOLESKY_ASPECT * M:
+    if G is None:
         return U_sigma @ _haar_columns(N, M, rng).T
-    G = rng.standard_normal((N, M))
+    rng.standard_normal(out=G)
     try:
         L = np.linalg.cholesky(G.T @ G)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"Cholesky of the Haar Gram matrix failed: {exc}") from exc
-    return np.linalg.solve(L.T, U_sigma.T).T @ G.T
+    Z = np.linalg.solve(L.T, U_sigma.T).T
+    del U_sigma, L
+    block = np.empty((min(_GEMM_BLOCK_ROWS, N), M))
+    for i in range(0, N, _GEMM_BLOCK_ROWS):
+        rows = G[i:i + _GEMM_BLOCK_ROWS]
+        rows[...] = np.matmul(rows, Z.T, out=block[:len(rows)])
+    return G.T
 
 
 def sample_gaussian_noise(M: int, N: int, rng) -> np.ndarray:
@@ -204,7 +224,11 @@ _SPIKE_BLOCK_ROWS = 128
 def _add_spike(Y: np.ndarray, u_star, v_star, scale: float) -> None:
     """Y += scale * outer(u*, v*) in place, one row block at a time in one
     reused buffer.  Each entry is fl(Y + fl(fl(u_i v_j) scale)), the bits of
-    forming the whole spike first."""
+    forming the whole spike first.  A Y that is not C-ordered (the RI draw's
+    W is Fortran-ordered) takes the spike through Y^T in blocks of v*, with
+    the same bits, since u_i v_j = v_j u_i."""
+    if not Y.flags.c_contiguous:
+        Y, u_star, v_star = Y.T, v_star, u_star
     block = np.empty((min(_SPIKE_BLOCK_ROWS, len(u_star)), len(v_star)))
     for i in range(0, len(u_star), _SPIKE_BLOCK_ROWS):
         rows = u_star[i:i + _SPIKE_BLOCK_ROWS]

@@ -97,7 +97,8 @@ def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
     the side information folded into the scalar channels.  A zero strength
     means the matrix step carries no signal.  Once successive strengths
     move less than SE_CONVERGENCE_TOL the trace is padded with the fixed
-    point.
+    point: the final strengths and overlaps, and the output SNRs that the
+    final strengths give.
     """
     trace = SeTrace()
     w1 = w2 = 0.0
@@ -120,9 +121,13 @@ def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
         _append_overlaps(trace, channel_u.mmse(w1), channel_v.mmse(w2))
         if moved < SE_CONVERGENCE_TOL:
             trace.converged_at = t
-            for lst in (trace.w1, trace.w2, trace.rho1, trace.rho2,
-                        trace.mmse_u, trace.mmse_v, trace.cos2_u, trace.cos2_v):
-                lst.extend([lst[-1]] * (n_iter - t))
+            pad = n_iter - t
+            # a later step would take its rho from the final strengths
+            trace.rho1.extend([channel_u.dmmse_stats(w1)[2]] * pad)
+            trace.rho2.extend([channel_v.dmmse_stats(w2)[2]] * pad)
+            for lst in (trace.w1, trace.w2, trace.mmse_u, trace.mmse_v,
+                        trace.cos2_u, trace.cos2_v):
+                lst.extend([lst[-1]] * pad)
             break
     return trace
 

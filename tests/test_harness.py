@@ -13,9 +13,10 @@ import rectoamp
 from rectoamp import cli, harness
 from rectoamp.cli import main as cli_main
 from rectoamp.harness import (ConfigError, ExperimentConfig, HarnessError,
-                              emit_csv, parse_config, run_experiment,
-                              write_report)
+                              build_spectrum, emit_csv, parse_config,
+                              run_experiment, se_predictions, write_report)
 from rectoamp.model import ModelError
+from rectoamp.spectra import ShrinkageSet
 
 SMALL = """
 spectrum = mp
@@ -229,6 +230,14 @@ class TestEmission:
         assert meta["cpu_count"] == os.cpu_count()
         assert meta["versions"] == {"rectoamp": rectoamp.__version__,
                                     "numpy": np.__version__}
+        cfg = parse_config(SMALL)
+        _, schedules = se_predictions(
+            cfg, ShrinkageSet(build_spectrum(cfg), cfg.theta))
+        assert meta["schedules"] == {
+            "oamp": {k: getattr(schedules["oamp"], k)
+                     for k in ("w1", "w2", "rho1", "rho2", "converged_at")},
+            "amp": {"w1": schedules["amp"].w1, "w2": schedules["amp"].w2}}
+        assert len(meta["schedules"]["oamp"]["rho1"]) == cfg.iters
 
     def test_metadata_records_resolved_workers(self):
         cfg = parse_config(SMALL.replace("workers = 1\n", ""), {"methods": "se-only"})

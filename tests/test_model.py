@@ -7,15 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectoamp.model import (ModelError, _haar_columns, _sample_prior,
-                            component_rng, make_instance, sample_gaussian_noise,
-                            sample_ri_noise, thin_svd)
+from rectoamp.model import (ModelError, _add_spike, _haar_columns,
+                            _sample_prior, component_rng, make_instance,
+                            sample_gaussian_noise, sample_ri_noise, thin_svd)
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import ShiftedBeta
 
 from empirical_measures import empirical_signal_measures, measure_moments
 
 FALLBACK_LOG = "direct SVD"
+
+
+def traced(fn, *args):
+    """(fn(*args), bytes still traced after it returns, traced peak)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, retained - before, peak - before
 
 
 def assert_thin_svd_invariants(Y, svd):
@@ -93,6 +105,40 @@ class TestNoise:
         lam = np.linalg.eigvalsh(w @ w.T)
         assert np.max(np.abs(lam - sigma2)) <= 1e-12 * sigma2[-1]
 
+    @pytest.mark.parametrize("M,N,ulps", [(400, 800, 0), (333, 1001, 8)])
+    def test_cholesky_draw_matches_whole_product(self, M, N, ulps):
+        """W^T formed in G's buffer by row blocks against the whole product
+        solve(L^T, (U sigma)^T)^T @ G^T from the same substream: the same
+        bits at 400 x 800, and within a few eps * max|W| where the BLAS
+        takes other kernels for the blocks."""
+        spectrum = ShiftedBeta(1.5, 1.5, 1.0, 3.0, M / N)
+        w = sample_ri_noise(spectrum, M, N, component_rng(5, "noise"))
+        rng = component_rng(5, "noise")
+        sigma = np.sqrt(spectrum.sample_eigenvalues(M, rng))
+        U_sigma = _haar_columns(M, M, rng) * sigma
+        G = rng.standard_normal((N, M))
+        L = np.linalg.cholesky(G.T @ G)
+        ref = np.linalg.solve(L.T, U_sigma.T).T @ G.T
+        assert w.flags.f_contiguous
+        if ulps == 0:
+            assert np.array_equal(w, ref)
+        else:
+            eps = np.finfo(float).eps
+            assert np.max(np.abs(w - ref)) <= ulps * eps * np.max(np.abs(ref))
+
+    def test_cholesky_draw_holds_one_array(self, beta_spectrum):
+        """The draw's traced peak stays under 2.75 M x N arrays (forming
+        Z G^T as a second array next to U sigma, L, G and Z took 3.5), only
+        W is kept, and W is the transpose of G's N x M buffer."""
+        M, N = 400, 800
+        sample_ri_noise(beta_spectrum, M, N, component_rng(0, "noise"))  # warm up
+        w, retained, peak = traced(sample_ri_noise, beta_spectrum, M, N,
+                                   component_rng(1, "noise"))
+        array = M * N * 8
+        assert peak / array < 2.75
+        assert retained / array <= 1.1
+        assert w.base is not None and w.base.shape == (N, M)
+
     def test_square_draw_unchanged(self, beta_spectrum):
         w = sample_ri_noise(beta_spectrum, 120, 120, component_rng(4, "noise"))
         U_sigma, V = self.householder_draw(beta_spectrum, 120, 120, 4)
@@ -152,18 +198,6 @@ class TestInstances:
             inst.Y, np.outer(inst.u_star, inst.v_star) * (theta / np.sqrt(M * N)) + W)
         assert np.max(np.abs(inst.W - W)) <= 1e-15
 
-    @staticmethod
-    def traced(fn, *args):
-        """(fn(*args), bytes still traced after it returns, traced peak)."""
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = fn(*args)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return out, retained - before, peak - before
-
     @pytest.mark.parametrize("kind", ["gaussian", "beta_ri"])
     def test_one_array_per_instance(self, kind):
         """make_instance keeps one M x N array, and forming Y raises the
@@ -174,13 +208,25 @@ class TestInstances:
         side = ScalarChannel("rademacher", 0.04)
         make_instance(side, side, noise, M, N, 2.0, 0)  # warm any lazy state
         array = M * N * 8
-        _, _, draw_peak = self.traced(self.draw_noise, noise, M, N,
-                                      component_rng(seed, "noise"))
-        inst, retained, peak = self.traced(make_instance, side, side, noise,
-                                           M, N, 2.0, seed)
+        _, _, draw_peak = traced(self.draw_noise, noise, M, N,
+                                 component_rng(seed, "noise"))
+        inst, retained, peak = traced(make_instance, side, side, noise,
+                                      M, N, 2.0, seed)
         assert inst.Y.nbytes == array
         assert retained / array <= 1.1
         assert (peak - draw_peak) / array < 0.5
+
+    def test_spike_on_fortran_order(self):
+        """A Fortran-ordered Y takes the spike through Y^T with the bits of
+        its C-ordered copy."""
+        rng = component_rng(2, "noise")
+        u, v = rng.standard_normal(300), rng.standard_normal(700)
+        Y_f = np.asfortranarray(rng.standard_normal((300, 700)))
+        Y_c = np.ascontiguousarray(Y_f)
+        _add_spike(Y_f, u, v, 0.37)
+        _add_spike(Y_c, u, v, 0.37)
+        assert Y_f.flags.f_contiguous
+        assert np.array_equal(Y_f, Y_c)
 
     def test_invalid_dimensions(self):
         side = ScalarChannel("rademacher")

@@ -80,7 +80,7 @@ def optimal_steps(shrinkage, ch_u, ch_v, n_iter):
     for t in range(n_iter):
         a, sf2, rho1 = ch_u.dmmse_stats(w1p)
         b, sg2, rho2 = ch_v.dmmse_stats(w2p)
-        # past convergence the schedule repeats the rho of its last step
+        # past convergence the schedule holds the rho of its final strengths
         assert rho1 == pytest.approx(se.rho1[t], rel=1e-9)
         assert rho2 == pytest.approx(se.rho2[t], rel=1e-9)
         den = DenoiserSet(shrinkage, rho1, rho2)
@@ -111,7 +111,8 @@ class TestGeneralSeTrajectory:
     # evolution collapses to the scalar schedule.  MP at delta = 0.5 has
     # closed-form transforms and a regular quadrature; the other tolerances
     # cover the quadrature's defects at singular edges and in the on-node
-    # Hilbert transform (gaps 8.9e-12, 1.4e-5, 3.0e-5, 9.2e-6, 3.4e-5, 8.6e-5)
+    # Hilbert transform (gaps 8.9e-12, 1.4e-5, 3.0e-5, 9.2e-6, 3.4e-5, 8.6e-5,
+    # 1.4e-5)
     @pytest.mark.parametrize("make,tol", [
         (lambda: MarchenkoPastur(0.5), 1e-10),
         (lambda: MarchenkoPastur(1.0), 1e-4),
@@ -119,9 +120,13 @@ class TestGeneralSeTrajectory:
         (lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, 1.0), 1e-4),
         (lambda: ShiftedBeta(0.5, 2.0, 1.0, 3.0, 0.5), 1e-4),
         (lambda: Tabulated(np.linspace(1.0, 3.0, 201),
-                           np.sin(np.linspace(0.0, np.pi, 201)), 0.5), 1e-4)],
+                           np.sin(np.linspace(0.0, np.pi, 201)), 0.5), 1e-4),
+        # converges at t = 3 where rho is steep in w (d ln rho / dw ~ 1.6e3)
+        (lambda: Tabulated(np.linspace(1.0, 3.0, 201),
+                           np.sin(np.linspace(0.0, np.pi, 201)) ** 1.5
+                           * np.linspace(1.0, 2.0, 201) ** 0.5, 1.0), 1e-4)],
         ids=["mp_delta05", "mp_delta1", "beta_delta05", "beta_delta1",
-             "beta_a05_b2", "tabulated_sine_delta05"])
+             "beta_a05_b2", "tabulated_sine_delta05", "tabulated_steep_delta1"])
     def test_collapses_to_schedule(self, channels, make, tol):
         gaps = general_se_gaps(ShrinkageSet(make(), 2.0), *channels, 8)
         assert len(gaps) == 8
