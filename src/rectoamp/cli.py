@@ -1,17 +1,22 @@
 """Command-line interface: experiment runs, state-evolution predictions,
 spectral-measure self-checks, and the Gaussian fixed-point solver.
+
+Each subcommand checks its inputs as one ``ExperimentConfig`` (a flag sets
+the key it names); the exit code is 0 on success, 2 for invalid input
+(before any work) and 1 when the computation fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-from .harness import (DOMAIN_ERRORS, ConfigError, HarnessError, build_spectrum,
-                      load_config, run_experiment, write_report)
-from .scalar_channel import ScalarChannel
+from .harness import (DOMAIN_ERRORS, ConfigError, HarnessError, build_channels,
+                      build_spectrum, load_config, parse_config, run_experiment,
+                      write_report)
 from .spectra import ShrinkageSet, detection_threshold
 from .state_evolution import gaussian_fixed_point, optimal_se_run
 
@@ -19,29 +24,34 @@ USAGE_EXIT = 2
 
 
 def _spectrum_args(parser):
-    parser.add_argument("--spectrum", choices=["mp", "beta"], default="mp")
-    parser.add_argument("--delta", type=float, default=0.5)
-    parser.add_argument("--beta-a", type=float, default=1.5)
-    parser.add_argument("--beta-b", type=float, default=1.5)
-    parser.add_argument("--beta-lo", type=float, default=1.0)
-    parser.add_argument("--beta-hi", type=float, default=3.0)
+    parser.add_argument("--spectrum", choices=["mp", "beta"])
+    parser.add_argument("--delta", type=float, help="aspect ratio M/N in (0, 1]")
+    for key in ("beta_a", "beta_b", "beta_lo", "beta_hi"):
+        parser.add_argument("--" + key.replace("_", "-"), type=float)
+    # the state evolution of rotationally invariant noise with this spectrum
+    parser.set_defaults(noise="ri")
 
 
-def _cmd_run(args) -> int:
-    overrides = {}
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.methods is not None:
-        overrides["methods"] = args.methods
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+def _config(args: dict):
+    """The subcommand's inputs as one checked config."""
+    path = args.pop("config", None)
+    if "delta" in args:
+        delta = args.pop("delta")
+        if not 0.0 < delta <= 1.0:
+            raise ConfigError(f"--delta must be in (0, 1], got {delta}")
+        # the float's exact ratio, so that M / N is delta bit for bit
+        args["M"], args["N"] = delta.as_integer_ratio()
+    for flag in ("prior", "w0"):    # sets both sides, flag_u and flag_v
+        if flag in args:
+            args.update(dict.fromkeys((flag + "_u", flag + "_v"), args.pop(flag)))
+    return parse_config("", args) if path is None else load_config(path, args)
+
+
+def _cmd_run(cfg) -> int:
     try:
-        cfg = load_config(args.config, overrides)
-    except (OSError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        os.makedirs(os.path.dirname(cfg.out) or os.curdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}") from exc
     report = run_experiment(cfg)
     csv_path, meta_path = write_report(report, cfg.out)
     print(f"wrote {csv_path} and {meta_path} "
@@ -49,40 +59,35 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_se(args) -> int:
-    if args.iters < 1:
-        raise ConfigError(f"iters must be >= 1, got {args.iters}")
-    spectrum = build_spectrum(args)
-    shrink = ShrinkageSet(spectrum, args.theta)
-    channel = ScalarChannel(args.prior, args.w0)
-    trace = optimal_se_run(shrink, channel, channel, args.iters)
-    w1, w2, m_u, m_v = gaussian_fixed_point(args.theta, args.delta,
-                                            channel, channel)
+def _cmd_se(cfg) -> int:
+    shrink = ShrinkageSet(build_spectrum(cfg), cfg.theta)
+    channel_u, channel_v = build_channels(cfg)
+    trace = optimal_se_run(shrink, channel_u, channel_v, cfg.iters)
+    w1, w2, m_u, m_v = gaussian_fixed_point(cfg.theta, cfg.delta,
+                                            channel_u, channel_v)
     print(f"# gaussian fixed point: w1={w1:.10f} w2={w2:.10f} "
           f"mmse_u={m_u:.6g} mmse_v={m_v:.6g}")
     print("t w1 w2 cos2_u cos2_v mmse_u mmse_v")
-    for t in range(args.iters):
+    for t in range(cfg.iters):
         print(f"{t + 1} {trace.w1[t]:.10f} {trace.w2[t]:.10f} "
               f"{trace.cos2_u[t]:.6f} {trace.cos2_v[t]:.6f} "
               f"{trace.mmse_u[t]:.6g} {trace.mmse_v[t]:.6g}")
     return 0
 
 
-def _cmd_fixed_point(args) -> int:
-    channel = ScalarChannel(args.prior, args.w0)
-    w1, w2, m_u, m_v = gaussian_fixed_point(args.theta, args.delta,
-                                            channel, channel)
+def _cmd_fixed_point(cfg) -> int:
+    w1, w2, m_u, m_v = gaussian_fixed_point(cfg.theta, cfg.delta,
+                                            *build_channels(cfg))
     print(f"w1={w1:.12f}\nw2={w2:.12f}\nmmse_u={m_u:.10g}\nmmse_v={m_v:.10g}")
     print(f"cos2_u={1 - m_u:.10f}\ncos2_v={1 - m_v:.10f}")
     return 0
 
 
-def _cmd_spectra_check(args) -> int:
-    spectrum = build_spectrum(args)
-    shrink = ShrinkageSet(spectrum, args.theta)
+def _cmd_spectra_check(cfg) -> int:
+    spectrum = build_spectrum(cfg)
+    shrink = ShrinkageSet(spectrum, cfg.theta)
     measures = shrink.build_induced_measures()
     checks = []
-
     one = lambda _: 1.0
     checks.append(("nu1 total mass = 1",
                    abs(measures.nu1.integrate(one) - 1.0), 2e-3))
@@ -90,7 +95,7 @@ def _cmd_spectra_check(args) -> int:
                    abs(measures.nu2.integrate(one) - 1.0), 2e-3))
     checks.append(("nu3 total mass = 0",
                    abs(measures.nu3.integrate(one)), 2e-3))
-    d, th = spectrum.delta, args.theta
+    d, th = spectrum.delta, cfg.theta
     checks.append(("<sigma>_nu3 = theta sqrt(delta)/(1+delta)",
                    abs(measures.nu3.integrate(lambda s: s)
                        - th * np.sqrt(d) / (1.0 + d)), 2e-3))
@@ -119,7 +124,9 @@ def _cmd_spectra_check(args) -> int:
         failed += not ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: residual {err:.3g} "
               f"(tol {tol})")
-    return 1 if failed else 0
+    if failed:
+        raise HarnessError(f"{failed} of {len(checks)} spectral checks failed")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -127,45 +134,45 @@ def main(argv=None) -> int:
         prog="rectoamp",
         description="Rank-one estimation in rectangular spiked matrix models "
                     "with rotationally invariant noise")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers()
+    # a flag left out stays out of the namespace: the config's default holds
+    flags = {"argument_default": argparse.SUPPRESS}
 
-    p_run = sub.add_parser("run", help="run a configured experiment")
+    p_run = sub.add_parser("run", help="run a configured experiment", **flags)
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--seeds", help="seed count or comma-separated list")
     p_run.add_argument("--out", help="output path prefix")
     p_run.add_argument("--methods", help="comma-separated method subset")
     p_run.add_argument("--workers", type=int, help="parallel worker count")
+    p_run.set_defaults(handler=_cmd_run)
 
-    p_se = sub.add_parser("se", help="print state-evolution predictions")
+    p_se = sub.add_parser("se", help="print state-evolution predictions", **flags)
     _spectrum_args(p_se)
-    p_se.add_argument("--theta", type=float, required=True)
-    p_se.add_argument("--prior", choices=["rademacher", "gaussian"],
-                      default="rademacher")
-    p_se.add_argument("--w0", type=float, default=0.04)
-    p_se.add_argument("--iters", type=int, default=10)
+    p_se.add_argument("--iters", type=int)
+    p_se.set_defaults(handler=_cmd_se)
 
     p_fp = sub.add_parser("fixed-point", help="solve the Gaussian-noise "
-                                              "fixed-point system")
-    p_fp.add_argument("--theta", type=float, required=True)
-    p_fp.add_argument("--delta", type=float, default=0.5)
-    p_fp.add_argument("--prior", choices=["rademacher", "gaussian"],
-                      default="rademacher")
-    p_fp.add_argument("--w0", type=float, default=0.04)
+                                              "fixed-point system", **flags)
+    p_fp.add_argument("--delta", type=float, help="aspect ratio M/N in (0, 1]")
+    p_fp.set_defaults(handler=_cmd_fixed_point)
+    for parser_ in (p_se, p_fp):
+        parser_.add_argument("--theta", type=float, required=True)
+        parser_.add_argument("--prior", choices=["rademacher", "gaussian"])
+        parser_.add_argument("--w0", type=float, help="side-information strength")
 
     p_sc = sub.add_parser("spectra-check", help="validate the induced "
-                                                "spectral measures")
+                                                "spectral measures", **flags)
     _spectrum_args(p_sc)
-    p_sc.add_argument("--theta", type=float, default=2.0)
+    p_sc.add_argument("--theta", type=float)
+    p_sc.set_defaults(handler=_cmd_spectra_check)
 
-    args = parser.parse_args(argv)
-    if args.command is None:
+    args = vars(parser.parse_args(argv))
+    handler = args.pop("handler", None)
+    if handler is None:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
-    handlers = {"run": _cmd_run, "se": _cmd_se,
-                "fixed-point": _cmd_fixed_point,
-                "spectra-check": _cmd_spectra_check}
     try:
-        return handlers[args.command](args)
+        return handler(_config(args))
     except (ConfigError, HarnessError, *DOMAIN_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT if isinstance(exc, ConfigError) else 1

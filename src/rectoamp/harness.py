@@ -9,7 +9,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -95,18 +95,40 @@ class ExperimentConfig:
             build_channels(self)
         except ChannelError as exc:
             raise ConfigError(str(exc)) from exc
+        if 0.0 in (self.w0_u, self.w0_v):
+            raise ConfigError("w0_u, w0_v must be positive: without side information "
+                              "the OAMP schedule fails at t = 1 and AMP's alignment vanishes")
         beta = (self.beta_a, self.beta_b, self.beta_lo, self.beta_hi)
         if not (0.0 < self.beta_a < np.inf and 0.0 < self.beta_b < np.inf
                 and 0.0 <= self.beta_lo < self.beta_hi < np.inf):
             raise ConfigError("need finite beta_a, beta_b > 0 and 0 <= beta_lo < beta_hi, "
                               f"got (a, b, lo, hi) = {beta}")
+        if self.spectrum == "beta" and self.noise == "gaussian":
+            raise ConfigError("spectrum = beta needs noise = ri: Gaussian noise has the "
+                              "Marchenko-Pastur spectrum, not the Beta law of the denoisers")
+        if (self.spectrum == "beta" and self.beta_lo == 0.0 and self.beta_a <= 1.0
+                and self.M < self.N):
+            raise ConfigError("beta_lo = 0 with M < N needs beta_a > 1: the Hilbert transform "
+                              "at 0, which the lambda = 0 branch of phi2 reads, diverges")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         return self
 
 
-_INT_KEYS = {"M", "N", "iters", "workers"}
-_FLOAT_KEYS = {"theta", "beta_a", "beta_b", "beta_lo", "beta_hi", "w0_u", "w0_v"}
+def _parse_seeds(val: str) -> tuple:
+    parts = [p.strip() for p in val.split(",") if p.strip()]
+    if len(parts) == 1 and int(parts[0]) >= 0 and "," not in val:
+        return tuple(range(int(parts[0])))
+    return tuple(int(p) for p in parts)
+
+
+_KEYS = {f.name for f in fields(ExperimentConfig)}
+# how a text value becomes its key's type; the other keys keep the text
+_PARSERS = {**dict.fromkeys(("M", "N", "iters", "workers"), int),
+            **dict.fromkeys(("theta", "beta_a", "beta_b", "beta_lo", "beta_hi",
+                             "w0_u", "w0_v"), float),
+            "seeds": _parse_seeds,
+            "methods": lambda val: tuple(m.strip() for m in val.split(",") if m.strip())}
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -124,38 +146,29 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
     for key, val in values.items():
-        if not hasattr(cfg, key):
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(val, str):
-            if key in _INT_KEYS:
-                val = int(val)
-            elif key in _FLOAT_KEYS:
-                val = float(val)
-            elif key == "seeds":
-                val = _parse_seeds(val)
-            elif key == "methods":
-                val = tuple(m.strip() for m in val.split(",") if m.strip())
+        if isinstance(val, str) and key in _PARSERS:
+            try:
+                val = _PARSERS[key](val)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         setattr(cfg, key, val)
     return cfg.validate()
 
 
-def _parse_seeds(val: str) -> tuple:
-    parts = [p.strip() for p in val.split(",") if p.strip()]
-    if len(parts) == 1 and int(parts[0]) >= 0 and "," not in val:
-        return tuple(range(int(parts[0])))
-    return tuple(int(p) for p in parts)
-
-
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    return parse_config(text, overrides)
 
 
 # -- assembly -------------------------------------------------------------------
 
 def build_spectrum(cfg: ExperimentConfig):
-    """The noise spectrum of a config, or of the ``se`` and ``spectra-check``
-    arguments, which carry the same six attributes."""
     if cfg.spectrum == "mp":
         return MarchenkoPastur(cfg.delta)
     return ShiftedBeta(cfg.beta_a, cfg.beta_b, cfg.beta_lo, cfg.beta_hi, cfg.delta)
@@ -251,9 +264,8 @@ def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:
-    """The ``workers`` key, else the smaller of the seed count and the CPU
-    count."""
-    return cfg.workers or min(len(cfg.seeds), os.cpu_count() or 1)
+    """The ``workers`` key, else the CPU count, at most one per seed."""
+    return min(cfg.workers or os.cpu_count() or 1, len(cfg.seeds))
 
 
 def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
@@ -335,11 +347,8 @@ def emit_metadata(report: AggregateReport, path) -> None:
 
 
 def write_report(report: AggregateReport, out_prefix: str) -> tuple:
-    out_dir = os.path.dirname(out_prefix)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    csv_path = out_prefix + ".csv"
-    meta_path = out_prefix + ".meta.json"
+    """Write ``PREFIX.csv`` and ``PREFIX.meta.json``; the directory must exist."""
+    csv_path, meta_path = out_prefix + ".csv", out_prefix + ".meta.json"
     emit_csv(report, csv_path)
     emit_metadata(report, meta_path)
     return csv_path, meta_path

@@ -96,9 +96,11 @@ class DenoiserSet:
         self.mean_q = (self.delta * float(np.sum(mu.weights * q))
                        + (1.0 - self.delta) * self.q_zero)
         if not 0.0 < self.mean_p < 1.0 or not 0.0 < self.mean_q < 1.0:
-            raise OampError(
-                f"spectral means out of range: <P*> = {self.mean_p:.6g}, "
-                f"<Q*> = {self.mean_q:.6g}")
+            # both lie in (0, 1); they round to 1 once den (~ theta^4) swamps rho
+            cause = (f"SNR {shrinkage.theta:g} too large: "
+                     if max(self.mean_p, self.mean_q) >= 1.0 else "")
+            raise OampError(f"{cause}spectral means out of range: <P*> = {self.mean_p:.6g}, "
+                            f"<Q*> = {self.mean_q:.6g}")
 
     def _pq(self, lam, numerators):
         """(P*, Ptil*, Q*, Qtil*) at ``lam`` from the numerators there."""

@@ -72,10 +72,6 @@ class Measure:
         total = complex(total)
         return total.real if total.imag == 0 else total
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights)) + sum(m for _, m in self.atoms)
-
 
 def _legendre(n: int, x: np.ndarray):
     """(P_n(x), P_n'(x)) by the three-term recurrence, entrywise.
@@ -350,8 +346,11 @@ class ShiftedBeta(SpectrumModel):
         if not (0.0 < a < np.inf and 0.0 < b < np.inf):
             raise SpectraError(f"Beta shapes must be finite and positive, got ({a}, {b})")
         self.a, self.b = float(a), float(b)
-        self._norm = math.exp(math.lgamma(a) + math.lgamma(b)
-                              - math.lgamma(a + b)) * (hi - lo)
+        try:
+            self._norm = math.exp(math.lgamma(a) + math.lgamma(b)
+                                  - math.lgamma(a + b)) * (hi - lo)
+        except OverflowError:
+            raise SpectraError(f"Beta shapes ({a}, {b}) too small: B(a, b) overflows") from None
         super().__init__(delta, (lo, hi))
 
     def _density(self, lam):
@@ -395,11 +394,7 @@ class SpectralAtom:
     location: float          # root lambda* of 1 - theta^2 C(lambda) = 0
     nu1_mass: float
     nu2_mass: float
-    nu3_mass_pos: float      # signed mass of nu3 at +sqrt(lambda*)
-
-    @property
-    def nu3_mass_neg(self) -> float:
-        return -self.nu3_mass_pos
+    nu3_mass_pos: float      # signed mass of nu3 at +sqrt(lambda*), negated at -sqrt
 
 
 @dataclass(frozen=True)
@@ -483,20 +478,6 @@ class ShrinkageSet:
         # lambda = 0 branch: phi2(0) = delta / (1 - theta^2 (1-delta) pi H(0))
         n2 = np.where(zero, d * self._phi2_zero_denom, n2)
         return n1, n2, n3, den
-
-    def plemelj_denominator(self, lam):
-        """Two-square expansion of lim |1 - theta^2 C(lambda - i eps)|^2."""
-        out = self.numerators(lam)[3]
-        return float(out[0]) if np.asarray(lam).ndim == 0 else out
-
-    def phi(self, lam):
-        """(phi1, phi2, phi3) evaluated entrywise."""
-        scalar = np.asarray(lam).ndim == 0
-        n1, n2, n3, den = self.numerators(lam)
-        phi1, phi2, phi3 = n1 / den, n2 / den, n3 / den
-        if scalar:
-            return float(phi1[0]), float(phi2[0]), float(phi3[0])
-        return phi1, phi2, phi3
 
     def phi2_zero(self) -> float:
         return self.delta / self._phi2_zero_denom
@@ -610,7 +591,7 @@ class ShrinkageSet:
         nu3_atoms = []
         for a in atoms:
             s_star = np.sqrt(a.location)
-            nu3_atoms += [(s_star, a.nu3_mass_pos), (-s_star, a.nu3_mass_neg)]
+            nu3_atoms += [(s_star, a.nu3_mass_pos), (-s_star, -a.nu3_mass_pos)]
 
         return InducedMeasures(
             nu1=Measure(lam, w1, nu1_atoms),

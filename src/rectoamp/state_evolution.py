@@ -176,7 +176,7 @@ def gaussian_fixed_point(theta: float, delta: float, channel_u: ScalarChannel,
     information in the channels makes the first step informative and the
     map climbs to the stable solution.
     """
-    if not (0.0 <= theta < np.inf and 0.0 < delta <= 1.0):
+    if not (0.0 < delta <= 1.0 and 0.0 <= theta <= np.sqrt(np.finfo(float).max * delta)):
         raise StateEvolutionError(f"invalid parameters theta={theta}, delta={delta}")
     w1 = w2 = 0.0
     damping = FIXED_POINT_DAMPING

@@ -188,7 +188,7 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
             s = complex(pv, np.pi * dens(lam))
             c = lam * s * (spec.delta * s + (1 - spec.delta) / lam)
             oracle = abs(1 - THETA ** 2 * c) ** 2
-            rel = abs(sh.plemelj_denominator(lam) - oracle) / abs(oracle)
+            rel = abs(sh.numerators(lam)[3][0] - oracle) / abs(oracle)
             worst_plemelj = max(worst_plemelj, rel)
     ok &= worst_plemelj <= 1e-3
     details.append(f"boundary-value rel dev = {worst_plemelj:.2e} (tol 1e-3)")

@@ -239,6 +239,12 @@ class TestEmission:
             "amp": {"w1": schedules["amp"].w1, "w2": schedules["amp"].w2}}
         assert len(meta["schedules"]["oamp"]["rho1"]) == cfg.iters
 
+    def test_workers_capped_at_seed_count(self):
+        # se-only starts no pool, so the large value is never used
+        cfg = parse_config(SMALL.replace("workers = 1", "workers = 64"),
+                           {"methods": "se-only"})
+        assert run_experiment(cfg).metadata["workers"] == 3
+
     def test_metadata_records_resolved_workers(self):
         cfg = parse_config(SMALL.replace("workers = 1\n", ""), {"methods": "se-only"})
         assert cfg.workers is None
@@ -264,11 +270,12 @@ class TestCli:
         "theta = inf\n", "spectrum = beta\nbeta_lo = -1\n",
         "spectrum = beta\nbeta_lo = 3\n", "spectrum = beta\nbeta_a = 0\n",
         "workers = 0\n", "seeds = 1, 1\n", "seeds = 0, -1\n",
-        "methods = pca,pca\n", "methods =\n", "prior_u = bernoulli\n"],
+        "methods = pca,pca\n", "methods =\n", "prior_u = bernoulli\n",
+        "M = ten\n", "delta = 0.5\n", "validate = 1\n"],
         ids=["M_above_N", "w0_u", "w0_v", "theta_nan", "theta_inf", "beta_lo",
              "beta_empty_support", "beta_a", "workers_zero", "seeds_repeated",
              "seeds_negative", "methods_repeated", "methods_empty",
-             "prior_unknown"])
+             "prior_unknown", "M_unparsable", "delta_key", "method_name_key"])
     def test_bad_config(self, tmp_path, capsys, text):
         p = tmp_path / "bad.cfg"
         p.write_text("M = 20\nN = 40\nseeds = 2\n" + text)
@@ -276,10 +283,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text,reason", [
+        ("spectrum = beta\nnoise = gaussian\n", "needs noise = ri"),
+        ("w0_u = 0\n", "without side information"),
+        ("w0_v = 0.0\n", "without side information"),
+        ("spectrum = beta\nnoise = ri\nbeta_lo = 0\nbeta_a = 0.5\n", "beta_a > 1")],
+        ids=["beta_gaussian_noise", "w0_u_zero", "w0_v_zero", "beta_zero_edge"])
+    def test_ill_posed_config(self, tmp_path, capsys, text, reason):
+        p = tmp_path / "bad.cfg"
+        p.write_text("M = 20\nN = 40\nseeds = 2\n" + text)
+        assert cli_main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert reason in err
+
     def test_domain_error_in_setup(self, tmp_path, capsys):
         # a valid config whose spectrum the quadrature cannot normalize
         p = tmp_path / "beta.cfg"
-        p.write_text("M = 20\nN = 40\nseeds = 2\nspectrum = beta\nbeta_a = 0.2\n")
+        p.write_text("M = 20\nN = 40\nseeds = 2\nspectrum = beta\nnoise = ri\n"
+                     "beta_a = 0.2\n")
         assert cli_main(["run", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -293,16 +315,69 @@ class TestCli:
         assert err.startswith("error: SNR 1e+200 too large") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,code", [
-        (["--delta", "0"], 1), (["--spectrum", "beta", "--beta-a", "0"], 1),
+        (["--delta", "0"], 2), (["--spectrum", "beta", "--beta-a", "0"], 2),
         (["--iters", "0"], 2), (["--theta", "1e80"], 1), (["--theta", "1e155"], 1),
-        (["--theta", "9e76"], 1), (["--theta", "9.9e76"], 1)],
+        (["--theta", "9e76"], 1), (["--theta", "9.9e76"], 1), (["--theta", "1e30"], 1)],
         ids=["delta_zero", "beta_a_zero", "iters_zero", "theta_1e80", "theta_1e155",
-             "theta_9e76", "theta_9.9e76"])
+             "theta_9e76", "theta_9.9e76", "theta_1e30"])
     def test_bad_se_args(self, capsys, argv, code):
         assert cli_main(["se", "--theta", "2", *argv]) == code
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
+        if argv == ["--theta", "1e30"]:
+            assert "SNR 1e+30 too large" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["se", "--theta", "2", "--delta", "2"], ["se", "--theta", "2", "--delta", "0"],
+        ["se", "--theta", "2", "--w0", "1"], ["se", "--theta", "2", "--w0", "0"],
+        ["se", "--theta", "nan"], ["se", "--theta", "2", "--spectrum", "beta",
+                                   "--beta-a", "0"],
+        ["se", "--theta", "2", "--iters", "0"],
+        ["fixed-point", "--theta", "2", "--delta", "0"],
+        ["fixed-point", "--theta", "2", "--w0", "0"],
+        ["spectra-check", "--spectrum", "beta", "--beta-lo", "3", "--beta-hi", "1"]],
+        ids=["se_delta_2", "se_delta_0", "se_w0_1", "se_w0_0", "se_theta_nan",
+             "se_beta_a_0", "se_iters_0", "fp_delta_0", "fp_w0_0", "sc_beta_support"])
+    def test_invalid_args_exit_before_work(self, capsys, monkeypatch, argv):
+        def unreachable(*_):
+            raise AssertionError("work started on invalid input")
+        monkeypatch.setattr(cli, "build_spectrum", unreachable)
+        monkeypatch.setattr(cli, "gaussian_fixed_point", unreachable)
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "M=" not in err and "N=" not in err
+
+    def test_out_under_regular_file(self, tmp_path, capsys, monkeypatch):
+        seeds = []
+        real = harness.run_single_seed
+
+        def counted(cfg, seed, *args):
+            seeds.append(seed)
+            return real(cfg, seed, *args)
+
+        monkeypatch.setattr(harness, "run_single_seed", counted)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL + f"out = {blocker}/x\n")
+        assert cli_main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert seeds == []
+
+    def test_late_write_failure(self, tmp_path, capsys):
+        # the directory exists, but the CSV path is taken by a directory
+        (tmp_path / "r.csv").mkdir()
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL)
+        assert cli_main(["run", str(cfg), "--methods", "se-only",
+                         "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write CSV") and err.count("\n") == 1
 
     def test_se_spectrum_at_given_delta(self, capsys, monkeypatch):
         deltas = []

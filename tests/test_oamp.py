@@ -153,7 +153,8 @@ class TestDenoiserSet:
         rho1, rho2 = 1.0, 1.0
         den = DenoiserSet(sh, rho1, rho2)
         lam = np.linspace(0.2, 2.8, 40)
-        p1, p2, p3 = sh.phi(lam)
+        n1, n2, n3, den_lam = sh.numerators(lam)
+        p1, p2, p3 = n1 / den_lam, n2 / den_lam, n3 / den_lam
         d = sh.delta
         D = (rho1 * p1 + 1) * (rho2 * p2 + d) * lam - rho1 * rho2 * p3 ** 2
         p_star = lam * (rho2 * p2 + d) / D

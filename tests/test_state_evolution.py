@@ -271,7 +271,8 @@ class TestGaussianFixedPoint:
     def test_invalid_parameters(self, channels):
         with pytest.raises(StateEvolutionError):
             gaussian_fixed_point(2.0, 1.5, *channels)
-        # rejected up front, not after the iteration budget
-        for theta in (np.nan, np.inf):
+        # rejected up front, not after the iteration budget; past about
+        # 1e154, theta^2 / delta is no float
+        for theta in (np.nan, np.inf, 1e154, 1e300):
             with pytest.raises(StateEvolutionError, match="invalid parameters"):
                 gaussian_fixed_point(theta, 0.5, *channels)
