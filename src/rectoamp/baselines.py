@@ -73,10 +73,5 @@ def gaussian_amp_run(inst: ProblemInstance, channel_u: ScalarChannel,
         _check_finite(f, "u")
         _check_finite(g, "v")
 
-        trace.cos2_u.append(_cos2(f, inst.u_star))
-        trace.cos2_v.append(_cos2(g, inst.v_star))
-        trace.mse_u.append(float(np.mean((f - inst.u_star) ** 2)))
-        trace.mse_v.append(float(np.mean((g - inst.v_star) ** 2)))
-        trace.w1.append(w1)
-        trace.w2.append(w2)
+        trace.record(f, g, inst)
     return trace

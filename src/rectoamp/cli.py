@@ -44,7 +44,9 @@ def _config(args: dict):
     for flag in ("prior", "w0"):    # sets both sides, flag_u and flag_v
         if flag in args:
             args.update(dict.fromkeys((flag + "_u", flag + "_v"), args.pop(flag)))
-    return parse_config("", args) if path is None else load_config(path, args)
+    if path is None:    # se, fixed-point and spectra-check draw no instance
+        return parse_config("", {**args, "methods": "se-only"})
+    return load_config(path, args)
 
 
 def _cmd_run(cfg) -> int:
@@ -54,8 +56,8 @@ def _cmd_run(cfg) -> int:
         raise ConfigError(f"cannot create the output directory: {exc}") from exc
     report = run_experiment(cfg)
     csv_path, meta_path = write_report(report, cfg.out)
-    print(f"wrote {csv_path} and {meta_path} "
-          f"({report.n_seeds} seeds, {len(report.failures)} failures)")
+    print(f"wrote {csv_path} and {meta_path} ({report.metadata['n_seeds_used']} seeds, "
+          f"{len(report.metadata['failures'])} failures)")
     return 0
 
 
@@ -87,29 +89,22 @@ def _cmd_spectra_check(cfg) -> int:
     spectrum = build_spectrum(cfg)
     shrink = ShrinkageSet(spectrum, cfg.theta)
     measures = shrink.build_induced_measures()
-    checks = []
     one = lambda _: 1.0
-    checks.append(("nu1 total mass = 1",
-                   abs(measures.nu1.integrate(one) - 1.0), 2e-3))
-    checks.append(("nu2 total mass = 1",
-                   abs(measures.nu2.integrate(one) - 1.0), 2e-3))
-    checks.append(("nu3 total mass = 0",
-                   abs(measures.nu3.integrate(one)), 2e-3))
     d, th = spectrum.delta, cfg.theta
-    checks.append(("<sigma>_nu3 = theta sqrt(delta)/(1+delta)",
-                   abs(measures.nu3.integrate(lambda s: s)
-                       - th * np.sqrt(d) / (1.0 + d)), 2e-3))
     # Stieltjes identities at a complex off-support point
     z = complex(spectrum.support[1] + 1.0, 0.7)
-    s_mu = spectrum.stieltjes(z)
-    c = spectrum.c_transform(z)
+    s_mu, c = spectrum.stieltjes(z), spectrum.c_transform(z)
     s1 = measures.nu1.integrate(lambda l: 1.0 / (z - l))
     s2 = measures.nu2.integrate(lambda l: 1.0 / (z - l))
-    checks.append(("S_nu1 identity",
-                   abs(s1 - s_mu / (1.0 - th ** 2 * c)), 5e-3))
-    checks.append(("S_nu2 identity",
-                   abs(s2 - (d * s_mu + (1.0 - d) / z) / (1.0 - th ** 2 * c)),
-                   5e-3))
+    checks = [
+        ("nu1 total mass = 1", abs(measures.nu1.integrate(one) - 1.0), 2e-3),
+        ("nu2 total mass = 1", abs(measures.nu2.integrate(one) - 1.0), 2e-3),
+        ("nu3 total mass = 0", abs(measures.nu3.integrate(one)), 2e-3),
+        ("<sigma>_nu3 = theta sqrt(delta)/(1+delta)",
+         abs(measures.nu3.integrate(lambda s: s) - th * np.sqrt(d) / (1.0 + d)), 2e-3),
+        ("S_nu1 identity", abs(s1 - s_mu / (1.0 - th ** 2 * c)), 5e-3),
+        ("S_nu2 identity", abs(s2 - (d * s_mu + (1.0 - d) / z) / (1.0 - th ** 2 * c)),
+         5e-3)]
 
     threshold = detection_threshold(spectrum)
     print(f"# detection threshold: theta_c = {threshold:.6f}")

@@ -5,20 +5,21 @@ aggregation, and CSV/JSON emission of empirical-vs-predicted curves.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .baselines import BaselineError, gaussian_amp_run, pca_estimate
 from .model import ModelError, make_instance, thin_svd
-from .oamp import OampError, optimal_oamp_run
+from .oamp import IterationTrace, OampError, optimal_oamp_run
 from .scalar_channel import ChannelError, ScalarChannel
 from .spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, SpectraError
-from .state_evolution import (StateEvolutionError, amp_se_trajectory,
+from .state_evolution import (SeTrace, StateEvolutionError, amp_se_trajectory,
                               optimal_se_run)
 
 logger = logging.getLogger(__name__)
@@ -89,6 +90,10 @@ class ExperimentConfig:
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"methods must be non-empty and distinct, got "
                               f"{list(self.methods)}")
+        memory, observation = _physical_memory(), 8 * self.M * self.N
+        if set(self.methods) != {"se-only"} and 0 < memory < observation:
+            raise ConfigError(f"the {self.M} x {self.N} observation ({observation / 2**30:.3g} "
+                              f"GiB) exceeds the {memory / 2**30:.3g} GiB of physical memory")
         if not 0.0 <= self.theta < np.inf:
             raise ConfigError(f"theta must be finite and nonnegative, got {self.theta}")
         try:
@@ -113,6 +118,14 @@ class ExperimentConfig:
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         return self
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where ``os.sysconf`` cannot tell."""
+    try:
+        return max(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 0)
+    except (AttributeError, ValueError, OSError):
+        return 0
 
 
 def _parse_seeds(val: str) -> tuple:
@@ -151,8 +164,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         if isinstance(val, str) and key in _PARSERS:
             try:
                 val = _PARSERS[key](val)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
+            except MemoryError:
+                raise ConfigError(f"{key}: {val} does not fit in memory") from None
         setattr(cfg, key, val)
     return cfg.validate()
 
@@ -179,74 +194,73 @@ def build_channels(cfg: ExperimentConfig):
             ScalarChannel(cfg.prior_v, cfg.w0_v))
 
 
-def se_predictions(cfg: ExperimentConfig,
-                   shrinkage: ShrinkageSet) -> tuple[dict, dict]:
-    """Predicted cos^2 curves per method (length-iters lists, or length 1
-    for the one-shot PCA baseline), and the strength schedules they come
-    from."""
+def se_predictions(cfg: ExperimentConfig, shrinkage: ShrinkageSet) -> dict:
+    """Each method's prediction, the ``SeTrace`` its seeds run along: the OAMP
+    and AMP strength schedules with their cos^2 curves, and for PCA one step
+    whose overlaps are the masses of the atom above the support, if any."""
     channel_u, channel_v = build_channels(cfg)
-    schedules = {}
+    predictions = {}
     if "oamp" in cfg.methods or "se-only" in cfg.methods:
-        schedules["oamp"] = optimal_se_run(shrinkage, channel_u, channel_v, cfg.iters)
+        predictions["oamp"] = optimal_se_run(shrinkage, channel_u, channel_v,
+                                             cfg.iters)
     if "amp" in cfg.methods:
-        schedules["amp"] = amp_se_trajectory(cfg.theta, cfg.delta, channel_u,
-                                             channel_v, cfg.iters)
-    preds = {m: (tr.cos2_u, tr.cos2_v) for m, tr in schedules.items()}
+        predictions["amp"] = amp_se_trajectory(cfg.theta, cfg.delta, channel_u,
+                                               channel_v, cfg.iters)
     if "pca" in cfg.methods:
         # PCA takes the top eigenvector: the atom above the support, if any
         hi = shrinkage.spectrum.support[1]
         above = [a for a in shrinkage.find_spectral_atoms() if a.location > hi]
-        preds["pca"] = (([above[0].nu1_mass], [above[0].nu2_mass]) if above
-                        else ([0.0], [0.0]))
-    return preds, schedules
+        nu1, nu2 = (above[0].nu1_mass, above[0].nu2_mass) if above else (0.0, 0.0)
+        predictions["pca"] = SeTrace(cos2_u=[nu1], cos2_v=[nu2])
+    return predictions
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
-                    schedules: dict) -> dict:
+                    predictions: dict) -> dict:
     """Run every simulated method on one instance with the run's shrinkage
-    set, along the strength schedules of ``se_predictions``; returns curves."""
+    set, along the schedules of ``se_predictions``; returns one
+    ``IterationTrace`` per method."""
     channel_u, channel_v = build_channels(cfg)
     noise = "gaussian" if cfg.noise == "gaussian" else shrinkage.spectrum
     inst = make_instance(channel_u, channel_v, noise, cfg.M, cfg.N, cfg.theta, seed)
     svd = thin_svd(inst.Y)
     out = {}
     if "oamp" in cfg.methods:
-        tr = optimal_oamp_run(inst, svd, shrinkage, channel_u, channel_v,
-                              schedules["oamp"])
-        out["oamp"] = (tr.cos2_u, tr.cos2_v, tr.mse_u, tr.mse_v)
+        out["oamp"] = optimal_oamp_run(inst, svd, shrinkage, channel_u, channel_v,
+                                       predictions["oamp"])
     if "amp" in cfg.methods:
-        tr = gaussian_amp_run(inst, channel_u, channel_v, schedules["amp"])
-        out["amp"] = (tr.cos2_u, tr.cos2_v, tr.mse_u, tr.mse_v)
+        out["amp"] = gaussian_amp_run(inst, channel_u, channel_v, predictions["amp"])
     if "pca" in cfg.methods:
-        u_hat, v_hat, c2u, c2v = pca_estimate(inst, svd)
-        out["pca"] = ([c2u], [c2v],
-                      [float(np.mean((u_hat - inst.u_star) ** 2))],
-                      [float(np.mean((v_hat - inst.v_star) ** 2))])
+        out["pca"] = IterationTrace()
+        out["pca"].record(*pca_estimate(inst, svd)[:2], inst)
     return out
+
+
+def _seed_outcome(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
+                  predictions: dict):
+    """``run_single_seed``'s traces, or the message of the domain error that
+    failed the seed; any other exception propagates."""
+    try:
+        return run_single_seed(cfg, seed, shrinkage, predictions)
+    except DOMAIN_ERRORS as exc:
+        return str(exc)
 
 
 @dataclass
 class AggregateReport:
-    config: dict
-    rows: list                    # dicts matching CSV_FIELDS, deterministic order
-    predictions: dict
-    n_seeds: int
-    failures: dict = field(default_factory=dict)   # seed -> message
-    metadata: dict = field(default_factory=dict)
+    rows: list        # dicts matching CSV_FIELDS, deterministic order
+    metadata: dict
 
 
 def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list:
     rows = []
-    methods = [m for m in cfg.methods if m != "se-only"]
-    for method in methods:
-        curves = [per_seed[s][method] for s in sorted(per_seed)]
-        cu = np.array([c[0] for c in curves])
-        cv = np.array([c[1] for c in curves])
-        mu = np.array([c[2] for c in curves])
-        mv = np.array([c[3] for c in curves])
+    for method in (m for m in cfg.methods if m != "se-only"):
+        traces = [per_seed[s][method] for s in sorted(per_seed)]
+        cu, cv, mu, mv = (np.array([getattr(tr, key) for tr in traces])
+                          for key in ("cos2_u", "cos2_v", "mse_u", "mse_v"))
         n = cu.shape[0]
         sem = 1.0 / np.sqrt(n) if n > 1 else 0.0
-        pred_u, pred_v = predictions.get(method, ([], []))
+        pred = predictions[method]
         for t in range(cu.shape[1]):
             rows.append({
                 "method": method,
@@ -255,48 +269,37 @@ def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list
                 "se_cos2_u": float(np.std(cu[:, t], ddof=1) * sem) if n > 1 else 0.0,
                 "mean_cos2_v": float(np.mean(cv[:, t])),
                 "se_cos2_v": float(np.std(cv[:, t], ddof=1) * sem) if n > 1 else 0.0,
-                "pred_cos2_u": float(pred_u[t]) if t < len(pred_u) else "",
-                "pred_cos2_v": float(pred_v[t]) if t < len(pred_v) else "",
+                "pred_cos2_u": float(pred.cos2_u[t]),
+                "pred_cos2_v": float(pred.cos2_v[t]),
                 "mean_mse_u": float(np.mean(mu[:, t])),
                 "mean_mse_v": float(np.mean(mv[:, t])),
             })
     return rows
 
 
-def _worker_count(cfg: ExperimentConfig) -> int:
-    """The ``workers`` key, else the CPU count, at most one per seed."""
-    return min(cfg.workers or os.cpu_count() or 1, len(cfg.seeds))
-
-
 def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     cfg.validate()
-    workers = _worker_count(cfg)
+    # the workers key, else the CPU count, at most one per seed
+    workers = min(cfg.workers or os.cpu_count() or 1, len(cfg.seeds))
     shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
-    predictions, schedules = se_predictions(cfg, shrinkage)
+    predictions = se_predictions(cfg, shrinkage)
     simulated = [m for m in cfg.methods if m != "se-only"]
     per_seed, failures = {}, {}
 
     if "amp" in simulated and cfg.noise != "gaussian":
         logger.warning("running Gaussian AMP on non-Gaussian noise")
     if simulated:
+        run = functools.partial(_seed_outcome, cfg, shrinkage=shrinkage,
+                                predictions=predictions)
         if workers > 1:
             # imported here: concurrent.futures.process costs every run ~20 ms
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {seed: pool.submit(run_single_seed, cfg, seed,
-                                             shrinkage, schedules)
-                           for seed in cfg.seeds}
-                for seed, fut in futures.items():
-                    try:
-                        per_seed[seed] = fut.result()
-                    except DOMAIN_ERRORS as exc:
-                        failures[seed] = str(exc)
+                outcomes = dict(zip(cfg.seeds, pool.map(run, cfg.seeds)))
         else:
-            for seed in cfg.seeds:
-                try:
-                    per_seed[seed] = run_single_seed(cfg, seed, shrinkage, schedules)
-                except DOMAIN_ERRORS as exc:
-                    failures[seed] = str(exc)
+            outcomes = {seed: run(seed) for seed in cfg.seeds}
+        failures = {s: out for s, out in outcomes.items() if isinstance(out, str)}
+        per_seed = {s: out for s, out in outcomes.items() if s not in failures}
         if failures:
             logger.warning("%d/%d seeds failed: %s", len(failures),
                            len(cfg.seeds), failures)
@@ -307,7 +310,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     rows = _aggregate(per_seed, predictions, cfg) if per_seed else []
     from . import __version__  # the package imports this module first
     meta = {
-        "config": vars(cfg).copy(),
+        "config": {**vars(cfg), "seeds": list(cfg.seeds), "methods": list(cfg.methods)},
         "n_seeds_requested": len(cfg.seeds),
         "n_seeds_used": len(per_seed),
         "failures": failures,
@@ -316,13 +319,9 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         "cpu_count": os.cpu_count(),
         "versions": {"rectoamp": __version__, "numpy": np.__version__},
         "schedules": {m: {k: getattr(tr, k) for k in SCHEDULE_FIELDS[m]}
-                      for m, tr in schedules.items()},
+                      for m, tr in predictions.items() if m in SCHEDULE_FIELDS},
     }
-    meta["config"]["seeds"] = list(cfg.seeds)
-    meta["config"]["methods"] = list(cfg.methods)
-    return AggregateReport(config=meta["config"], rows=rows,
-                           predictions=predictions, n_seeds=len(per_seed),
-                           failures=failures, metadata=meta)
+    return AggregateReport(rows=rows, metadata=meta)
 
 
 def emit_csv(report: AggregateReport, path) -> None:
@@ -337,18 +336,14 @@ def emit_csv(report: AggregateReport, path) -> None:
         raise HarnessError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def emit_metadata(report: AggregateReport, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.metadata, fh, indent=2, default=str)
-            fh.write("\n")
-    except OSError as exc:
-        raise HarnessError(f"cannot write metadata to {path}: {exc}") from exc
-
-
 def write_report(report: AggregateReport, out_prefix: str) -> tuple:
     """Write ``PREFIX.csv`` and ``PREFIX.meta.json``; the directory must exist."""
     csv_path, meta_path = out_prefix + ".csv", out_prefix + ".meta.json"
     emit_csv(report, csv_path)
-    emit_metadata(report, meta_path)
+    try:
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(report.metadata, fh, indent=2, default=str)
+            fh.write("\n")
+    except OSError as exc:
+        raise HarnessError(f"cannot write metadata to {meta_path}: {exc}") from exc
     return csv_path, meta_path

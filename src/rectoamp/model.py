@@ -34,14 +34,6 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, _STREAMS[component]]))
 
 
-def _sample_prior(kind: str, n: int, rng) -> np.ndarray:
-    """n i.i.d. draws of the unit-variance prior ``kind`` ("rademacher" or
-    "gaussian", as a ScalarChannel has already checked)."""
-    if kind == "rademacher":
-        return rng.choice([-1.0, 1.0], size=n)
-    return rng.standard_normal(n)
-
-
 @dataclass
 class ProblemInstance:
     """One draw of Y = c u* v*^T + W, c = theta / sqrt(M N), with the side
@@ -193,16 +185,16 @@ def make_instance(channel_u: ScalarChannel, channel_v: ScalarChannel, noise,
                   M: int, N: int, theta: float, seed: int) -> ProblemInstance:
     """Assemble a problem instance.
 
-    Each signal side is drawn from its channel's prior, and its side
-    information is the channel's Gaussian observation
-    a = sqrt(w0) u* + sqrt(1 - w0) z with i.i.d. standard normal z.
+    Each signal side and its side information are drawn by the side's
+    channel (``ScalarChannel.sample_prior`` and ``side_info``), each from
+    its own substream.
     ``noise`` is either a SpectrumModel (rotationally invariant noise) or the
     string "gaussian".
     """
     if M <= 0 or N <= 0 or M > N:
         raise ModelError(f"invalid dimensions M={M}, N={N}")
-    u_star = _sample_prior(channel_u.prior, M, component_rng(seed, "u"))
-    v_star = _sample_prior(channel_v.prior, N, component_rng(seed, "v"))
+    u_star = channel_u.sample_prior(M, component_rng(seed, "u"))
+    v_star = channel_v.sample_prior(N, component_rng(seed, "v"))
     noise_rng = component_rng(seed, "noise")
     if isinstance(noise, SpectrumModel):
         W = sample_ri_noise(noise, M, N, noise_rng)
@@ -210,8 +202,8 @@ def make_instance(channel_u: ScalarChannel, channel_v: ScalarChannel, noise,
         W = sample_gaussian_noise(M, N, noise_rng)
     else:
         raise ModelError(f"unknown noise model {noise!r}")
-    a = _side_info(u_star, channel_u.w0, component_rng(seed, "side_u"))
-    b = _side_info(v_star, channel_v.w0, component_rng(seed, "side_v"))
+    a = channel_u.side_info(u_star, component_rng(seed, "side_u"))
+    b = channel_v.side_info(v_star, component_rng(seed, "side_v"))
     Y = W  # the spike is added in the noise's buffer
     _add_spike(Y, u_star, v_star, theta / np.sqrt(M * N))
     return ProblemInstance(M, N, theta, Y, u_star, v_star, a, b, seed)
@@ -235,10 +227,6 @@ def _add_spike(Y: np.ndarray, u_star, v_star, scale: float) -> None:
         spike = np.outer(rows, v_star, out=block[:len(rows)])
         spike *= scale
         Y[i:i + len(rows)] += spike
-
-
-def _side_info(x_star, w0, rng):
-    return np.sqrt(w0) * x_star + np.sqrt(1.0 - w0) * rng.standard_normal(len(x_star))
 
 
 # eigh(Y Y^T) squares the condition number of Y: below this ratio of the

@@ -183,16 +183,22 @@ def apply_cross_right(svd: SvdCache, hvals, proj):
 
 @dataclass
 class IterationTrace:
-    """Per-iteration overlap diagnostics of one run."""
+    """Per-iteration overlaps and mean squared errors of one run's
+    estimates: what a seed returns for each method."""
 
     cos2_u: list = field(default_factory=list)
     cos2_v: list = field(default_factory=list)
     mse_u: list = field(default_factory=list)
     mse_v: list = field(default_factory=list)
-    w1: list = field(default_factory=list)
-    w2: list = field(default_factory=list)
     # raw normalized iterates for the last iteration requested via keep_iterates
     iterates: dict = field(default_factory=dict)
+
+    def record(self, u_hat, v_hat, inst: ProblemInstance) -> None:
+        """Append one step's estimates, measured against the truth."""
+        self.cos2_u.append(_cos2(u_hat, inst.u_star))
+        self.cos2_v.append(_cos2(v_hat, inst.v_star))
+        self.mse_u.append(float(np.mean((u_hat - inst.u_star) ** 2)))
+        self.mse_v.append(float(np.mean((v_hat - inst.v_star) ** 2)))
 
 
 def _cos2(estimate, truth):
@@ -247,14 +253,8 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageS
         _check_finite(v_it, "v")
         w1, w2 = w1_next, w2_next
 
-        u_hat = channel_u.posterior_mean(u_it, inst.a, w1)
-        v_hat = channel_v.posterior_mean(v_it, inst.b, w2)
-        trace.cos2_u.append(_cos2(u_hat, inst.u_star))
-        trace.cos2_v.append(_cos2(v_hat, inst.v_star))
-        trace.mse_u.append(float(np.mean((u_hat - inst.u_star) ** 2)))
-        trace.mse_v.append(float(np.mean((v_hat - inst.v_star) ** 2)))
-        trace.w1.append(w1)
-        trace.w2.append(w2)
+        trace.record(channel_u.posterior_mean(u_it, inst.a, w1),
+                     channel_v.posterior_mean(v_it, inst.b, w2), inst)
         if t in keep_iterates:
             trace.iterates[t] = (u_it.copy(), v_it.copy())
     return trace

@@ -15,9 +15,9 @@ taken by a trapezoid rule in Z (spectrally accurate for this smooth Gaussian
 integrand).  By Stein's lemma the Gaussian sensitivity of the posterior mean
 is kappa = E[Z phi(X, C)] = sqrt(snr(w)) mmse(w), for either prior.
 
-A ScalarChannel is the whole description of one signal side: instances draw
-the signal from its prior and the side information at its strength w0
-(``model.make_instance``), and the denoisers condition on the same pair.
+A ScalarChannel is the whole description of one signal side: it draws the
+signal from its prior and the side information at its strength w0 (for
+``model.make_instance``), and the denoisers condition on the same pair.
 """
 
 from __future__ import annotations
@@ -59,6 +59,19 @@ class ScalarChannel:
             raise ChannelError(f"side-info strength must be in [0, 1), got {w0}")
         self.prior = prior_kind
         self.w0 = float(w0)
+
+    # -- sampling ---------------------------------------------------------------
+
+    def sample_prior(self, n: int, rng) -> np.ndarray:
+        """n i.i.d. draws of the unit-variance prior."""
+        if self.prior == "rademacher":
+            return rng.choice([-1.0, 1.0], size=n)
+        return rng.standard_normal(n)
+
+    def side_info(self, x_star, rng) -> np.ndarray:
+        """C = sqrt(w0) x* + sqrt(1 - w0) Z with i.i.d. standard normal Z."""
+        return (np.sqrt(self.w0) * x_star
+                + np.sqrt(1.0 - self.w0) * rng.standard_normal(len(x_star)))
 
     # -- posterior mean -------------------------------------------------------
 

@@ -158,15 +158,22 @@ class SpectrumModel:
         self.delta = float(delta)
         self.support = (lo, hi)
         self.nodes, self.quad_weights = _gauss_legendre(lo, hi, DEFAULT_QUAD_NODES)
-        self._density_at_nodes = np.asarray(self._density(self.nodes), dtype=float)
+        with np.errstate(all="ignore"):     # nan on a degenerate support
+            self._density_at_nodes = np.asarray(self._density(self.nodes), dtype=float)
         mass = float(np.dot(self.quad_weights, self._density_at_nodes))
         # tolerance accommodates square-root edge behavior (e.g. MP at
         # delta = 1); weights are then renormalized so <1> = 1 exactly
-        if abs(mass - 1.0) > 5e-3:
-            raise SpectraError(f"density does not integrate to 1 (got {mass:.8f})")
+        if not abs(mass - 1.0) <= 5e-3:
+            raise SpectraError(f"density on the support [{lo}, {hi}] does not integrate "
+                               f"to 1 (got {mass:.8f})")
         self.quad_weights = self.quad_weights / mass
         # read by every ShrinkageSet's node numerators, whatever its SNR
         self._hilbert_at_nodes = self.hilbert(self.nodes)
+        with np.errstate(over="ignore"):    # the shrinkage numerators square both
+            squares = np.square([self._density_at_nodes, self._hilbert_at_nodes])
+        if not np.isfinite(squares).all():
+            raise SpectraError(f"the density or its Hilbert transform on the support "
+                               f"[{lo}, {hi}] has no finite square at the quadrature nodes")
 
     # -- basic evaluators ---------------------------------------------------
 
@@ -234,9 +241,14 @@ class SpectrumModel:
             # numerators, computed once in SpectrumModel.__init__) that node's
             # term is 0/0 and is set to 0, which drops w_i (-mu'(x_i)) / pi
             # from the sum; so is every term at an x where the density is
-            # infinite
-            with np.errstate(divide="ignore", invalid="ignore"):
-                integrand /= xb[:, None] - self.nodes
+            # infinite.  A quotient that overflows (a very narrow support)
+            # has no such meaning, and fails the spectrum
+            try:
+                with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+                    integrand /= xb[:, None] - self.nodes
+            except FloatingPointError:
+                raise SpectraError(f"the Hilbert transform on the support "
+                                   f"[{lo}, {hi}] overflows") from None
             integrand[~np.isfinite(integrand)] = 0.0
             # einsum reduces each row alike whatever the block's row count,
             # where a gemv's per-row bits depend on it

@@ -26,8 +26,8 @@ class StateEvolutionError(Exception):
 @dataclass
 class SeTrace:
     """Strength schedule: per-iteration channel strengths w_t, denoiser
-    output SNRs rho_t, and the predicted overlaps.  Holds only numbers, so it
-    pickles."""
+    output SNRs rho_t, and the predicted overlaps; a method's prediction
+    (``harness.se_predictions``).  Holds only numbers, so it pickles."""
 
     w1: list = field(default_factory=list)
     w2: list = field(default_factory=list)
@@ -82,10 +82,10 @@ def se_step_general(measures: InducedMeasures, spectrum: SpectrumModel,
 
 
 def _append_overlaps(trace: SeTrace, m_u: float, m_v: float) -> None:
-    trace.mmse_u.append(m_u)
-    trace.mmse_v.append(m_v)
-    trace.cos2_u.append(1.0 - m_u)
-    trace.cos2_v.append(1.0 - m_v)
+    for mmse, cos2, m in ((trace.mmse_u, trace.cos2_u, m_u),
+                          (trace.mmse_v, trace.cos2_v, m_v)):
+        mmse.append(m)
+        cos2.append(1.0 - m)
 
 
 def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,

@@ -16,6 +16,7 @@ from rectoamp.harness import (ConfigError, ExperimentConfig, HarnessError,
                               build_spectrum, emit_csv, parse_config,
                               run_experiment, se_predictions, write_report)
 from rectoamp.model import ModelError
+from rectoamp.oamp import IterationTrace
 from rectoamp.spectra import ShrinkageSet
 
 SMALL = """
@@ -96,23 +97,23 @@ class TestRunExperiment:
     def test_row_cardinality(self, small_report):
         # oamp and amp contribute iters rows each, pca one row
         assert len(small_report.rows) == 3 + 3 + 1
-        assert small_report.n_seeds == 3
+        assert small_report.metadata["n_seeds_used"] == 3
 
     def test_se_only(self):
         cfg = parse_config(SMALL, {"methods": "se-only"})
         report = run_experiment(cfg)
         assert report.rows == []
-        assert len(report.predictions["oamp"][0]) == cfg.iters
+        assert len(report.metadata["schedules"]["oamp"]["w1"]) == cfg.iters
 
     def test_aggregation_independent_recompute(self, small_report):
         cfg = parse_config(SMALL)
         shrinkage = harness.ShrinkageSet(harness.build_spectrum(cfg), cfg.theta)
-        _, schedules = harness.se_predictions(cfg, shrinkage)
-        per_seed = {s: harness.run_single_seed(cfg, s, shrinkage, schedules)
+        predictions = harness.se_predictions(cfg, shrinkage)
+        per_seed = {s: harness.run_single_seed(cfg, s, shrinkage, predictions)
                     for s in cfg.seeds}
         oamp_rows = [r for r in small_report.rows if r["method"] == "oamp"]
         for t, row in enumerate(oamp_rows):
-            vals = [per_seed[s]["oamp"][0][t] for s in cfg.seeds]
+            vals = [per_seed[s]["oamp"].cos2_u[t] for s in cfg.seeds]
             assert row["mean_cos2_u"] == pytest.approx(np.mean(vals), abs=1e-12)
             assert row["se_cos2_u"] == pytest.approx(
                 np.std(vals, ddof=1) / np.sqrt(3), abs=1e-12)
@@ -128,9 +129,11 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "thin_svd", kept)
         cfg = parse_config(SMALL, {"seeds": "1"})
         shrinkage = harness.ShrinkageSet(harness.build_spectrum(cfg), cfg.theta)
-        _, schedules = harness.se_predictions(cfg, shrinkage)
-        out = harness.run_single_seed(cfg, 1, shrinkage, schedules)
+        predictions = harness.se_predictions(cfg, shrinkage)
+        out = harness.run_single_seed(cfg, 1, shrinkage, predictions)
         assert set(out) == {"oamp", "amp", "pca"}
+        assert all(isinstance(tr, IterationTrace) for tr in out.values())
+        assert len(out["pca"].mse_v) == 1
         assert len(caches) == 1 and caches[0]._right is None
 
     @pytest.mark.parametrize("text", [SMALL, SMALL_BETA], ids=["mp", "beta_ri"])
@@ -147,7 +150,7 @@ class TestRunExperiment:
                 return _real(*args)
             monkeypatch.setattr(harness, name, counted)
         report = run_experiment(parse_config(SMALL))
-        assert report.n_seeds == 3
+        assert report.metadata["n_seeds_used"] == 3
         assert calls == {"build_spectrum": 1, "ShrinkageSet": 1}
 
     def test_amp_on_ri_noise_logged_once(self, caplog):
@@ -181,8 +184,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "run_single_seed", flaky)
         report = run_experiment(cfg)
-        assert report.failures == {4: "synthetic failure"}
-        assert report.n_seeds == 4
+        assert report.metadata["failures"] == {4: "synthetic failure"}
+        assert report.metadata["n_seeds_used"] == 4
 
     def test_programming_error_propagates(self, monkeypatch):
         # only domain errors count as seed failures
@@ -231,12 +234,12 @@ class TestEmission:
         assert meta["versions"] == {"rectoamp": rectoamp.__version__,
                                     "numpy": np.__version__}
         cfg = parse_config(SMALL)
-        _, schedules = se_predictions(
+        predictions = se_predictions(
             cfg, ShrinkageSet(build_spectrum(cfg), cfg.theta))
         assert meta["schedules"] == {
-            "oamp": {k: getattr(schedules["oamp"], k)
+            "oamp": {k: getattr(predictions["oamp"], k)
                      for k in ("w1", "w2", "rho1", "rho2", "converged_at")},
-            "amp": {"w1": schedules["amp"].w1, "w2": schedules["amp"].w2}}
+            "amp": {"w1": predictions["amp"].w1, "w2": predictions["amp"].w2}}
         assert len(meta["schedules"]["oamp"]["rho1"]) == cfg.iters
 
     def test_workers_capped_at_seed_count(self):
@@ -317,16 +320,29 @@ class TestCli:
     @pytest.mark.parametrize("argv,code", [
         (["--delta", "0"], 2), (["--spectrum", "beta", "--beta-a", "0"], 2),
         (["--iters", "0"], 2), (["--theta", "1e80"], 1), (["--theta", "1e155"], 1),
-        (["--theta", "9e76"], 1), (["--theta", "9.9e76"], 1), (["--theta", "1e30"], 1)],
+        (["--theta", "9e76"], 1), (["--theta", "9.9e76"], 1), (["--theta", "1e30"], 1),
+        # supports too narrow for the density or its Hilbert transform (or
+        # their squares) to be finite at the nodes; the uniform law's
+        # transform does not overflow, only its square does
+        *[(["--spectrum", "beta", "--beta-lo", "0", "--beta-hi", hi, *law,
+            "--iters", "1"], 1)
+          for hi, law in [("5e-324", ["--beta-a", "2"]), ("1e-160", ["--beta-a", "2"]),
+                          ("1e-200", ["--beta-a", "2"]),
+                          ("1e-200", ["--beta-a", "1", "--beta-b", "1", "--delta", "1"])]]],
         ids=["delta_zero", "beta_a_zero", "iters_zero", "theta_1e80", "theta_1e155",
-             "theta_9e76", "theta_9.9e76", "theta_1e30"])
-    def test_bad_se_args(self, capsys, argv, code):
+             "theta_9e76", "theta_9.9e76", "theta_1e30", "beta_width_5e-324",
+             "beta_width_1e-160", "beta_width_1e-200", "uniform_width_1e-200"])
+    def test_bad_se_args(self, capsys, recwarn, argv, code):
         assert cli_main(["se", "--theta", "2", *argv]) == code
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not recwarn.list
         if argv == ["--theta", "1e30"]:
             assert "SNR 1e+30 too large" in err
+        if "--beta-hi" in argv:
+            hi = argv[argv.index("--beta-hi") + 1]
+            assert f"support [0.0, {hi}]" in err
 
     @pytest.mark.parametrize("argv", [
         ["se", "--theta", "2", "--delta", "2"], ["se", "--theta", "2", "--delta", "0"],
@@ -349,6 +365,24 @@ class TestCli:
         assert out == "" and "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "M=" not in err and "N=" not in err
+
+    @pytest.mark.parametrize("text", [
+        "M = 100000000\nN = 100000000\nmethods = pca\n",
+        # past what CPython will try to allocate for the seed tuple, so the
+        # MemoryError comes without an allocation
+        "seeds = 2000000000000000000\n",
+        "seeds = 100000000000000000000\n"],
+        ids=["observation_above_memory", "seeds_above_memory", "seeds_above_ssize_t"])
+    def test_oversized_config(self, tmp_path, capsys, monkeypatch, text):
+        def unreachable(*_):
+            raise AssertionError("an instance was drawn")
+        monkeypatch.setattr(harness, "make_instance", unreachable)
+        p = tmp_path / "big.cfg"
+        p.write_text("M = 20\nN = 40\nseeds = 1\n" + text)
+        assert cli_main(["run", str(p), "--out", str(tmp_path / "r")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_out_under_regular_file(self, tmp_path, capsys, monkeypatch):
         seeds = []

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectoamp.model import (ModelError, _add_spike, _haar_columns,
-                            _sample_prior, component_rng, make_instance,
-                            sample_gaussian_noise, sample_ri_noise, thin_svd)
+                            component_rng, make_instance, sample_gaussian_noise,
+                            sample_ri_noise, thin_svd)
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import ShiftedBeta
 
@@ -64,11 +64,11 @@ class TestRng:
 
 class TestPriors:
     def test_rademacher_values(self):
-        x = _sample_prior("rademacher", 1000, component_rng(0, "u"))
+        x = ScalarChannel("rademacher").sample_prior(1000, component_rng(0, "u"))
         assert set(np.unique(x)) == {-1.0, 1.0}
 
     def test_gaussian_moments(self):
-        x = _sample_prior("gaussian", 200000, component_rng(0, "u"))
+        x = ScalarChannel("gaussian").sample_prior(200000, component_rng(0, "u"))
         assert np.mean(x) == pytest.approx(0.0, abs=0.02)
         assert np.var(x) == pytest.approx(1.0, abs=0.02)
 

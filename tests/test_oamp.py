@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectoamp import oamp
 from rectoamp.model import component_rng, make_instance, thin_svd
 from rectoamp.oamp import (DenoiserSet, OampError, apply_cross_left,
                            apply_cross_right, apply_left, apply_right,
@@ -228,11 +229,22 @@ class TestOptimalRun:
         assert set(tr.iterates) == {1, 3}
 
     def test_strengths_read_from_schedule(self, small_instance, shrink_mp2,
-                                          channels):
+                                          channels, monkeypatch):
+        # each step builds its denoisers at the schedule's output SNRs
         inst, svd = small_instance
         schedule = optimal_se_run(shrink_mp2, *channels, 4)
+        built = []
+        real = oamp.DenoiserSet
+
+        def recording(shrinkage, rho1, rho2):
+            built.append((shrinkage, rho1, rho2))
+            return real(shrinkage, rho1, rho2)
+
+        monkeypatch.setattr(oamp, "DenoiserSet", recording)
         tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule)
-        assert tr.w1 == schedule.w1 and tr.w2 == schedule.w2
+        assert built == [(shrink_mp2, r1, r2)
+                         for r1, r2 in zip(schedule.rho1, schedule.rho2)]
+        assert len(tr.cos2_u) == 4
 
     def test_numerators_evaluated_once(self, small_instance, shrink_mp2,
                                        shrink_beta2, channels, monkeypatch):
