@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ProblemInstance, SvdCache
-from .oamp import IterationTrace, _check_finite, _cos2
+from .oamp import IterationTrace, _check_finite
 from .scalar_channel import ScalarChannel
 
 
@@ -16,7 +16,7 @@ class BaselineError(Exception):
 def pca_estimate(inst: ProblemInstance, svd: SvdCache):
     """Rescaled top singular vector pair, sign-aligned with the truth.
 
-    Returns (u_hat, v_hat, cos2_u, cos2_v) with unit-RMS normalization.
+    Returns (u_hat, v_hat) with unit-RMS normalization.
     """
     u = svd.U[:, 0] * np.sqrt(inst.M)
     v = svd.Y.T @ svd.U[:, 0]         # sigma_0 v_0, column 0 of Y^T U
@@ -25,7 +25,7 @@ def pca_estimate(inst: ProblemInstance, svd: SvdCache):
         u = -u
     if v @ inst.v_star < 0:
         v = -v
-    return u, v, _cos2(u, inst.u_star), _cos2(v, inst.v_star)
+    return u, v
 
 
 def gaussian_amp_run(inst: ProblemInstance, channel_u: ScalarChannel,

@@ -65,10 +65,11 @@ def _cmd_se(cfg) -> int:
     shrink = ShrinkageSet(build_spectrum(cfg), cfg.theta)
     channel_u, channel_v = build_channels(cfg)
     trace = optimal_se_run(shrink, channel_u, channel_v, cfg.iters)
-    w1, w2, m_u, m_v = gaussian_fixed_point(cfg.theta, cfg.delta,
-                                            channel_u, channel_v)
-    print(f"# gaussian fixed point: w1={w1:.10f} w2={w2:.10f} "
-          f"mmse_u={m_u:.6g} mmse_v={m_v:.6g}")
+    if cfg.spectrum == "mp":    # on MP noise it is the OAMP limit
+        w1, w2, m_u, m_v = gaussian_fixed_point(cfg.theta, cfg.delta,
+                                                channel_u, channel_v)
+        print(f"# gaussian fixed point: w1={w1:.10f} w2={w2:.10f} "
+              f"mmse_u={m_u:.6g} mmse_v={m_v:.6g}")
     print("t w1 w2 cos2_u cos2_v mmse_u mmse_v")
     for t in range(cfg.iters):
         print(f"{t + 1} {trace.w1[t]:.10f} {trace.w2[t]:.10f} "

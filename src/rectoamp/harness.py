@@ -232,7 +232,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
         out["amp"] = gaussian_amp_run(inst, channel_u, channel_v, predictions["amp"])
     if "pca" in cfg.methods:
         out["pca"] = IterationTrace()
-        out["pca"].record(*pca_estimate(inst, svd)[:2], inst)
+        out["pca"].record(*pca_estimate(inst, svd), inst)
     return out
 
 

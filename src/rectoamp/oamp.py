@@ -15,8 +15,8 @@ eigenpairs (lambda, U) of YY^T and Y itself, since h(Y^T Y) Y^T =
 Y^T h(YY^T) and h(Y^T Y) = h(0) I + Y^T U diag((h - h(0)) / lambda) U^T Y;
 each step projects its two inputs, U^T f and U^T (Y g), once.  That
 the general state evolution collapses to the scalar schedule under these
-denoisers is checked by driving ``state_evolution.se_step_general`` with
-them, not by a second iteration.
+denoisers is checked by the tests' general-SE oracle, not by a second
+iteration.
 """
 
 from __future__ import annotations
@@ -124,10 +124,9 @@ class DenoiserSet:
         q = np.where(zero, self.q_zero, d * a1 / e)
         return p, np.where(zero, 0.0, r2 * cross), q, np.where(zero, 0.0, r1 * cross)
 
-    def evaluate(self, lam, numerators=None):
-        """(F*, Ftil*, G*, Gtil*) entrywise at eigenvalues of YY^T."""
-        if numerators is None:
-            numerators = self.shrinkage.numerators(lam)
+    def evaluate(self, lam, numerators):
+        """(F*, Ftil*, G*, Gtil*) entrywise at eigenvalues of YY^T, from the
+        shrinkage numerators there (``ShrinkageSet.numerators(lam)``)."""
         p, ptil, q, qtil = self._pq(lam, numerators)
         c1 = 1.0 + 1.0 / self.rho1
         c2 = 1.0 + 1.0 / self.rho2
@@ -190,7 +189,7 @@ class IterationTrace:
     cos2_v: list = field(default_factory=list)
     mse_u: list = field(default_factory=list)
     mse_v: list = field(default_factory=list)
-    # raw normalized iterates for the last iteration requested via keep_iterates
+    # {t: (u_t, v_t)}: the raw normalized iterates of the steps in keep_iterates
     iterates: dict = field(default_factory=dict)
 
     def record(self, u_hat, v_hat, inst: ProblemInstance) -> None:
@@ -221,6 +220,12 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageS
     The side channel is handled inside the scalar denoisers, so the iterate
     strengths start at w = 0 and the first update draws its signal content
     from the side information alone.
+
+    ``keep_iterates`` names the steps t whose raw iterates (u_t, v_t) go to
+    ``trace.iterates``.  No run reads them, but they are the only view of
+    the iterate itself: the Gaussianity check of the acceptance suite
+    (criterion 7) tests them, and no test re-implements the OAMP step to
+    get them.
     """
     lam = svd.eigenvalues
     numerators = shrinkage.numerators(lam)

@@ -52,7 +52,7 @@ class ScalarChannel:
     (Rademacher prior).
     """
 
-    def __init__(self, prior_kind: str, w0: float = 0.0):
+    def __init__(self, prior_kind: str, w0: float):
         if prior_kind not in ("rademacher", "gaussian"):
             raise ChannelError(f"unknown prior {prior_kind!r}")
         if not 0.0 <= w0 < 1.0:
@@ -75,7 +75,7 @@ class ScalarChannel:
 
     # -- posterior mean -------------------------------------------------------
 
-    def posterior_mean(self, x, c=None, w: float = 0.0):
+    def posterior_mean(self, x, c, w: float):
         """E[X* | X = x, C = c] for iterate strength w.
 
         At w = 1 the channel is noiseless; by convention the estimate passes
@@ -85,15 +85,14 @@ class ScalarChannel:
         if w >= 1.0:
             return x.copy()
         eta = _snr(w) / np.sqrt(w) * x if w > 0 else np.zeros_like(x)
-        if c is not None and self.w0 > 0:
+        if self.w0 > 0:
             eta = eta + _snr(self.w0) / np.sqrt(self.w0) * np.asarray(c, dtype=float)
         if self.prior == "rademacher":
             return np.tanh(eta)
         # Gaussian prior: linear estimator with total precision 1 + snr
-        gamma = _snr(w) + (_snr(self.w0) if c is not None else 0.0)
-        return eta / (1.0 + gamma)
+        return eta / (1.0 + (_snr(w) + _snr(self.w0)))
 
-    def posterior_mean_derivative(self, x, c=None, w: float = 0.0):
+    def posterior_mean_derivative(self, x, c, w: float):
         """d/dx of posterior_mean (used for empirical Onsager terms)."""
         x = np.asarray(x, dtype=float)
         if w >= 1.0:
@@ -102,8 +101,7 @@ class ScalarChannel:
         if self.prior == "rademacher":
             phi = self.posterior_mean(x, c, w)
             return scale * (1.0 - phi ** 2)
-        gamma = _snr(w) + (_snr(self.w0) if c is not None else 0.0)
-        return np.full_like(x, scale / (1.0 + gamma))
+        return np.full_like(x, scale / (1.0 + (_snr(w) + _snr(self.w0))))
 
     def mmse(self, w: float) -> float:
         """E[(X* - E[X*|X, C])^2], clamped to [0, 1]."""
@@ -138,7 +136,7 @@ class ScalarChannel:
                 "has vanishing normalizer (prior is effectively Gaussian)")
         return kappa, denom
 
-    def dmmse(self, x, c=None, w: float = 0.0):
+    def dmmse(self, x, c, w: float):
         """Divergence-free posterior mean: E[d/dx] = 0 by construction.
 
         Extended by continuity to w = 0, where the estimator uses side

@@ -143,10 +143,9 @@ class SpectrumModel:
     """Limiting spectral law of the noise Gram matrix, with aspect ratio.
 
     The measure must be a probability measure with a Hölder-continuous
-    density on a compact subset of the positive half-line.  The companion
-    law of the transposed Gram matrix is delta * mu + (1 - delta) * atom
-    at zero and is exposed through :meth:`measure_tilde`.  Subclasses define
-    ``_density(lam)`` on the support from their own attributes, so spectra pickle.
+    density on a compact subset of the positive half-line.  Subclasses
+    define ``_density(lam)`` on the support from their own attributes, so
+    spectra pickle.
     """
 
     def __init__(self, delta: float, support):
@@ -278,12 +277,6 @@ class SpectrumModel:
     def measure(self) -> Measure:
         return Measure(self.nodes, self.quad_weights * self._density_at_nodes)
 
-    def measure_tilde(self) -> Measure:
-        """delta * mu + (1 - delta) * atom at 0 (law of the co-Gram matrix)."""
-        atoms = ((0.0, 1.0 - self.delta),) if self.delta < 1.0 else ()
-        return Measure(self.nodes, self.delta * self.quad_weights * self._density_at_nodes,
-                       atoms)
-
     def sample_eigenvalues(self, n: int, rng) -> np.ndarray:
         """Draw n i.i.d. samples by inverting the quadrature CDF."""
         cdf = np.cumsum(self.quad_weights * self._density_at_nodes)
@@ -375,24 +368,6 @@ class ShiftedBeta(SpectrumModel):
         return lo + (hi - lo) * rng.beta(self.a, self.b, size=n)
 
 
-class Tabulated(SpectrumModel):
-    """Density linearly interpolated between grid nodes, renormalized to mass 1."""
-
-    kind = "tabulated"
-
-    def __init__(self, grid, values, delta: float):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if np.any(values < 0):
-            raise SpectraError("tabulated density must be nonnegative")
-        mass = np.trapezoid(values, grid)
-        self._grid, self._values = grid, values / mass
-        super().__init__(delta, (grid[0], grid[-1]))
-
-    def _density(self, lam):
-        return np.interp(lam, self._grid, self._values, left=0.0, right=0.0)
-
-
 @dataclass(frozen=True)
 class SpectralAtom:
     """Point mass shared by the induced measures at an outlier location.
@@ -416,7 +391,6 @@ class InducedMeasures:
     nu1: Measure
     nu2: Measure
     nu3: Measure
-    nu2_zero_mass: float
     atoms: tuple = ()
 
 
@@ -576,15 +550,16 @@ class ShrinkageSet:
         atoms = self.find_spectral_atoms()
 
         nu1_atoms = tuple((a.location, a.nu1_mass) for a in atoms)
-        nu2_zero = 0.0
         nu2_atoms = tuple((a.location, a.nu2_mass) for a in atoms)
-        if d < 1.0:
-            nu2_zero = (1.0 - d) / self._phi2_zero_denom
-            nu2_atoms = nu2_atoms + ((0.0, nu2_zero),)
+        if d < 1.0:    # the null space of Y^T Y
+            nu2_atoms = nu2_atoms + ((0.0, (1.0 - d) / self._phi2_zero_denom),)
 
         # enforce the exact sum rules nu1(R) = nu2(R) = 1 on the quadrature
         # weights of the continuous parts; for spectra without closed-form
-        # transforms the grid Hilbert transform leaves an O(1e-4) mass defect
+        # transforms the grid Hilbert transform leaves a mass defect of up
+        # to about 1e-4, and where phi1 peaks at an edge (theta at the
+        # lower-edge threshold) the quadrature rule itself leaves about as
+        # much (ROADMAP direction 1)
         w1 = base * phi1
         w2 = base * phi2
         target1 = 1.0 - sum(m for _, m in nu1_atoms)
@@ -609,7 +584,6 @@ class ShrinkageSet:
             nu1=Measure(lam, w1, nu1_atoms),
             nu2=Measure(lam, w2, nu2_atoms),
             nu3=Measure(nu3_nodes, nu3_weights, tuple(nu3_atoms)),
-            nu2_zero_mass=nu2_zero,
             atoms=tuple(atoms),
         )
 

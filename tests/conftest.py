@@ -5,7 +5,7 @@ import pytest
 
 from rectoamp.baselines import gaussian_amp_run, pca_estimate
 from rectoamp.model import make_instance, thin_svd
-from rectoamp.oamp import optimal_oamp_run
+from rectoamp.oamp import IterationTrace, optimal_oamp_run
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
 from rectoamp.state_evolution import amp_se_trajectory, optimal_se_run
@@ -79,6 +79,8 @@ def run_seed(spectrum, noise, theta, M, N, seed, shrinkage=None, channels=None,
     meas = empirical_signal_measures(inst, svd)
     u_min = svd.U[:, -1]
     v_min = inst.Y.T @ u_min
+    pca = IterationTrace()
+    pca.record(*pca_estimate(inst, svd), inst)
     out = {
         "top_eig": float(svd.eigenvalues[0]),
         # the bottom eigenpair, for the outlier below the support
@@ -88,7 +90,7 @@ def run_seed(spectrum, noise, theta, M, N, seed, shrinkage=None, channels=None,
         "mom_nu1": measure_moments(*meas.nu_M1),
         "mom_nu2": measure_moments(*meas.nu_N2),
         "nu2_zero_mass": float(meas.nu_N2[1][-1]),
-        "pca": pca_estimate(inst, svd)[2:],
+        "pca": (pca.cos2_u[0], pca.cos2_v[0]),
     }
     if with_oamp and shrinkage is not None:
         tr = optimal_oamp_run(inst, svd, shrinkage, channels[0], channels[1],

@@ -115,7 +115,7 @@ def test_criterion_4_induced_measure_moments(ens_measures_only, ens_beta2,
             ok &= z.max() <= 1.0
         zero = np.array([seed["nu2_zero_mass"] for seed in ensemble])
         sem = zero.std(ddof=1) / np.sqrt(n)
-        z0 = abs(zero.mean() - meas.nu2_zero_mass) / (3.0 * sem + 1e-9)
+        z0 = abs(zero.mean() - dict(meas.nu2.atoms)[0.0]) / (3.0 * sem + 1e-9)
         if z0 > worst:
             worst, worst_label = z0, f"{label} nu2({{0}})"
         ok &= z0 <= 1.0
@@ -154,8 +154,9 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     for sh, se in ((shrink_mp2, se_mp), (shrink_beta2, se_beta)):
         den = DenoiserSet(sh, se.rho1[-1], se.rho2[-1])
         mu, d = sh.spectrum.measure(), sh.delta
-        mean_f = mu.integrate(lambda l: den.evaluate(l)[0])
-        mean_g = (d * mu.integrate(lambda l: den.evaluate(l)[2])
+        values = lambda l: den.evaluate(l, sh.numerators(l))
+        mean_f = mu.integrate(lambda l: values(l)[0])
+        mean_g = (d * mu.integrate(lambda l: values(l)[2])
                   + (1 - d) * den.g_zero())
         worst_mean = max(worst_mean, abs(mean_f), abs(mean_g))
     ok &= worst_mean <= 1e-10
@@ -165,7 +166,8 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     inst = make_instance(*channels, "gaussian", M_DESK, 2 * M_DESK, THETA, 0)
     svd = thin_svd(inst.Y)
     den = DenoiserSet(shrink_mp2, se_mp.rho1[-1], se_mp.rho2[-1])
-    emp = abs(np.sum(den.evaluate(svd.eigenvalues)[0])) / M_DESK
+    lam = svd.eigenvalues
+    emp = abs(np.sum(den.evaluate(lam, shrink_mp2.numerators(lam))[0])) / M_DESK
     ok &= emp <= 0.01
     details.append(f"|tr F|/M = {emp:.4f} (tol 0.01)")
 

@@ -5,15 +5,18 @@ import pytest
 
 from rectoamp.baselines import gaussian_amp_run, pca_estimate
 from rectoamp.model import make_instance, thin_svd
+from rectoamp.oamp import IterationTrace
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import ShrinkageSet, detection_threshold
 from rectoamp.state_evolution import amp_se_trajectory, gaussian_fixed_point
 
 
 def _pca_cos2(theta, M=800, seed=0):
-    side = ScalarChannel("rademacher")
+    side = ScalarChannel("rademacher", 0.0)
     inst = make_instance(side, side, "gaussian", M, 2 * M, theta, seed)
-    return pca_estimate(inst, thin_svd(inst.Y))[2]
+    trace = IterationTrace()
+    trace.record(*pca_estimate(inst, thin_svd(inst.Y)), inst)
+    return trace.cos2_u[0]
 
 
 class TestPca:
@@ -34,9 +37,9 @@ class TestPca:
         assert above == sorted(above)
 
     def test_sign_alignment(self, mp05):
-        side = ScalarChannel("rademacher")
+        side = ScalarChannel("rademacher", 0.0)
         inst = make_instance(side, side, "gaussian", 300, 600, 2.0, 1)
-        u_hat, v_hat, _, _ = pca_estimate(inst, thin_svd(inst.Y))
+        u_hat, v_hat = pca_estimate(inst, thin_svd(inst.Y))
         assert u_hat @ inst.u_star > 0
         assert v_hat @ inst.v_star > 0
 

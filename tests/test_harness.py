@@ -439,6 +439,28 @@ class TestCli:
         assert len([l for l in out.splitlines()
                     if l and not l.startswith(("#", "t "))]) == 3
 
+    @pytest.mark.parametrize("argv", [["fixed-point"], ["se", "--iters", "3"]],
+                             ids=["fixed_point", "se"])
+    def test_fixed_point_at_the_threshold(self, capsys, argv):
+        # theta 4e-12 below delta^(1/4) with side information 1e-6: the AMP
+        # schedule takes about 4500 steps to settle
+        assert cli_main([*argv, "--theta", "0.84089641525", "--w0", "0.000001"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("# gaussian fixed point: w1=" if "se" in argv else "w1=")
+
+    def test_se_beta_prints_no_gaussian_fixed_point(self, capsys):
+        # the Gaussian-noise fixed point is the OAMP limit on MP noise only,
+        # so a Beta run neither prints it nor fails where it does not settle
+        # (theta 1.5e-8 below MP's threshold delta^(1/4), w0 = 1e-8)
+        assert cli_main(["se", "--spectrum", "beta", "--theta", "0.8408964",
+                         "--iters", "3", "--w0", "0.00000001"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "# gaussian fixed point" not in out
+        assert out.splitlines()[0] == "t w1 w2 cos2_u cos2_v mmse_u mmse_v"
+        assert len(out.splitlines()) == 4
+
     def test_spectra_check_passes(self, capsys):
         assert cli_main(["spectra-check", "--theta", "2"]) == 0
         assert "FAIL" not in capsys.readouterr().out

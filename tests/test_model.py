@@ -64,11 +64,11 @@ class TestRng:
 
 class TestPriors:
     def test_rademacher_values(self):
-        x = ScalarChannel("rademacher").sample_prior(1000, component_rng(0, "u"))
+        x = ScalarChannel("rademacher", 0.0).sample_prior(1000, component_rng(0, "u"))
         assert set(np.unique(x)) == {-1.0, 1.0}
 
     def test_gaussian_moments(self):
-        x = ScalarChannel("gaussian").sample_prior(200000, component_rng(0, "u"))
+        x = ScalarChannel("gaussian", 0.0).sample_prior(200000, component_rng(0, "u"))
         assert np.mean(x) == pytest.approx(0.0, abs=0.02)
         assert np.var(x) == pytest.approx(1.0, abs=0.02)
 
@@ -168,7 +168,7 @@ class TestInstances:
         assert corr == pytest.approx(0.25, abs=0.08)
 
     def test_signal_scaling(self):
-        side = ScalarChannel("rademacher")
+        side = ScalarChannel("rademacher", 0.0)
         inst = make_instance(side, side, "gaussian", 400, 800, 3.0, 5)
         # spectral norm of the spike is theta for unit-RMS factors
         spike = inst.Y - sample_gaussian_noise(400, 800, component_rng(5, "noise"))
@@ -229,19 +229,19 @@ class TestInstances:
         assert np.array_equal(Y_f, Y_c)
 
     def test_invalid_dimensions(self):
-        side = ScalarChannel("rademacher")
+        side = ScalarChannel("rademacher", 0.0)
         with pytest.raises(ModelError):
             make_instance(side, side, "gaussian", 800, 400, 1.0, 0)
 
     def test_unknown_noise(self):
-        side = ScalarChannel("rademacher")
+        side = ScalarChannel("rademacher", 0.0)
         with pytest.raises(ModelError):
             make_instance(side, side, "cauchy", 10, 20, 1.0, 0)
 
 
 class TestSvdAndMeasures:
     def test_thin_svd_reconstructs(self):
-        side = ScalarChannel("rademacher")
+        side = ScalarChannel("rademacher", 0.0)
         inst = make_instance(side, side, "gaussian", 100, 200, 1.0, 2)
         svd = thin_svd(inst.Y)
         recon = (svd.U * svd.singular_values) @ svd.V.T
@@ -289,7 +289,7 @@ class TestSvdAndMeasures:
         assert_thin_svd_invariants(Y, thin_svd(Y))
 
     def test_empirical_measure_masses(self):
-        side = ScalarChannel("rademacher")
+        side = ScalarChannel("rademacher", 0.0)
         inst = make_instance(side, side, "gaussian", 200, 400, 2.0, 4)
         svd = thin_svd(inst.Y)
         meas = empirical_signal_measures(inst, svd)

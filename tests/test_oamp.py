@@ -120,7 +120,8 @@ def assert_continuous_at_atoms(den):
     assert atoms
     for atom in atoms:
         lam = atom.location + np.array([0.0, -1e-4, 1e-4])
-        at, below, above = np.array(den.evaluate(lam)).T
+        values = den.evaluate(lam, den.shrinkage.numerators(lam))
+        at, below, above = np.array(values).T
         assert np.all(np.isfinite(at))
         for side in (below, above):
             assert np.all(np.abs(at - side) <= 1e-3 * np.abs(side))
@@ -132,8 +133,9 @@ class TestDenoiserSet:
             den = DenoiserSet(sh, 1.3, 0.8)
             mu = sh.spectrum.measure()
             d = sh.delta
-            mean_f = mu.integrate(lambda l: den.evaluate(l)[0])
-            mean_g = (d * mu.integrate(lambda l: den.evaluate(l)[2])
+            values = lambda l: den.evaluate(l, sh.numerators(l))
+            mean_f = mu.integrate(lambda l: values(l)[0])
+            mean_g = (d * mu.integrate(lambda l: values(l)[2])
                       + (1 - d) * den.g_zero())
             assert abs(mean_f) <= 1e-10
             assert abs(mean_g) <= 1e-10
@@ -142,7 +144,7 @@ class TestDenoiserSet:
         sh = ShrinkageSet(mp05, 0.0)
         den = DenoiserSet(sh, 1.0, 1.0)
         lam = np.linspace(*mp05.support, 50)
-        f, ftil, g, gtil = den.evaluate(lam)
+        f, ftil, g, gtil = den.evaluate(lam, sh.numerators(lam))
         assert np.allclose(f, 0.0, atol=1e-12)
         assert np.allclose(ftil, 0.0, atol=1e-12)
         assert np.allclose(g, 0.0, atol=1e-12)
@@ -161,7 +163,7 @@ class TestDenoiserSet:
         p_star = lam * (rho2 * p2 + d) / D
         ptil_star = np.sqrt(d) * rho2 * p3 / D
         q_star = d * lam * (rho1 * p1 + 1) / D
-        f, ftil, g, _ = den.evaluate(lam)
+        f, ftil, g, _ = den.evaluate(lam, sh.numerators(lam))
         assert np.allclose(f, (1 + 1 / rho1) * (1 - p_star / den.mean_p),
                            atol=1e-10)
         assert np.allclose(ftil, (1 + 1 / rho2) * ptil_star / den.mean_p,
@@ -217,7 +219,8 @@ class TestDenoiserSet:
         inst = make_instance(side, side, "gaussian", 1000, 2000, 2.0, 0)
         svd = thin_svd(inst.Y)
         den = DenoiserSet(shrink_mp2, 2.0, 2.0)
-        f = den.evaluate(svd.eigenvalues)[0]
+        lam = svd.eigenvalues
+        f = den.evaluate(lam, shrink_mp2.numerators(lam))[0]
         assert abs(np.sum(f)) / inst.M <= 0.01
 
 

@@ -24,19 +24,19 @@ def dense_mmse(w, w0):
 
 class TestPosteriorMean:
     def test_rademacher_closed_form(self):
-        ch = ScalarChannel("rademacher")
-        assert ch.posterior_mean(np.array([0.0]), w=0.3)[0] == 0.0
-        assert ch.posterior_mean(np.array([1.0]), w=0.5)[0] == pytest.approx(
+        ch, c = ScalarChannel("rademacher", 0.0), np.zeros(1)
+        assert ch.posterior_mean(np.array([0.0]), c, 0.3)[0] == 0.0
+        assert ch.posterior_mean(np.array([1.0]), c, 0.5)[0] == pytest.approx(
             np.tanh(np.sqrt(2.0)))
 
     def test_gaussian_linear(self):
-        ch = ScalarChannel("gaussian")
-        assert ch.posterior_mean(np.array([2.0]), w=0.25)[0] == pytest.approx(1.0)
+        ch = ScalarChannel("gaussian", 0.0)
+        assert ch.posterior_mean(np.array([2.0]), np.zeros(1), 0.25)[0] == pytest.approx(1.0)
 
     def test_perfect_channel_passthrough(self):
-        ch = ScalarChannel("rademacher")
+        ch = ScalarChannel("rademacher", 0.0)
         x = np.array([0.7, -1.0])
-        assert np.array_equal(ch.posterior_mean(x, w=1.0), x)
+        assert np.array_equal(ch.posterior_mean(x, np.zeros(2), 1.0), x)
 
     def test_side_info_only(self):
         ch = ScalarChannel("rademacher", 0.04)
@@ -59,7 +59,7 @@ class TestPosteriorMean:
 
 class TestMmse:
     def test_boundaries(self):
-        ch = ScalarChannel("rademacher")
+        ch = ScalarChannel("rademacher", 0.0)
         assert ch.mmse(0.0) == pytest.approx(1.0)
         assert ch.mmse(1.0) == 0.0
 
@@ -71,7 +71,7 @@ class TestMmse:
 
     def test_rademacher_against_oracle(self):
         # 1 - E[tanh^2(snr + sqrt(snr) Z)] by dense trapezoid
-        ch = ScalarChannel("rademacher")
+        ch = ScalarChannel("rademacher", 0.0)
         w = 0.5
         snr = w / (1 - w)
         z = np.linspace(-12, 12, 100001)
@@ -115,15 +115,15 @@ class TestDmmse:
     def test_gaussian_prior_degenerate(self):
         # with no side information the linear posterior mean projects to zero,
         # so the divergence-free output carries no signal
-        ch = ScalarChannel("gaussian")
-        assert np.allclose(ch.dmmse(np.array([1.0, -2.0]), w=0.5), 0.0,
+        ch = ScalarChannel("gaussian", 0.0)
+        assert np.allclose(ch.dmmse(np.array([1.0, -2.0]), np.zeros(2), 0.5), 0.0,
                            atol=1e-12)
         with pytest.raises(ChannelError):
             ch.dmmse_stats(0.5)
 
     def test_kappa_against_oracle(self):
         # E[Z tanh(...)] by dense trapezoid over (X*, Z)
-        ch = ScalarChannel("rademacher")
+        ch = ScalarChannel("rademacher", 0.0)
         w = 0.5
         snr = w / (1 - w)
         z = np.linspace(-12, 12, 100001)
@@ -154,7 +154,7 @@ class TestDmmse:
         oracle = sum(0.5 * np.trapezoid(
             z * np.tanh(snr / np.sqrt(w) * (np.sqrt(w) * xs + np.sqrt(1 - w) * z)) * pdf, z)
             for xs in (1.0, -1.0))
-        kappa, _ = ScalarChannel("rademacher").dmmse_coefficients(w)
+        kappa, _ = ScalarChannel("rademacher", 0.0).dmmse_coefficients(w)
         assert kappa == pytest.approx(oracle, abs=1e-12)
 
     def test_stats_match_quadrature(self):
@@ -190,6 +190,6 @@ class TestChannelStats:
 
 def test_invalid_construction():
     with pytest.raises(ChannelError):
-        ScalarChannel("bernoulli")
+        ScalarChannel("bernoulli", 0.0)
     with pytest.raises(ChannelError):
         ScalarChannel("rademacher", w0=1.0)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from rectoamp.oamp import DenoiserSet
 from rectoamp.scalar_channel import ScalarChannel
-from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, Tabulated
+from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
 from rectoamp.state_evolution import (StateEvolutionError, amp_se_trajectory,
-                                      gaussian_fixed_point, optimal_se_run,
-                                      se_step_general)
+                                      gaussian_fixed_point, optimal_se_run)
+
+from general_se import measure_tilde, se_step_general
+from tabulated import Tabulated
 
 
 class TestGeneralStep:
@@ -50,8 +52,8 @@ class TestGeneralStep:
         meas = shrink_mp2.build_induced_measures()
         mu_u, su2, mu_v, sv2 = se_step_general(
             meas, mp05, (a, sf2), (b, sg2),
-            lambda l: den.evaluate(l)[0], lambda l: den.evaluate(l)[1],
-            lambda l: den.evaluate(l)[2], lambda l: den.evaluate(l)[3])
+            *(lambda l, i=i: den.evaluate(l, shrink_mp2.numerators(l))[i]
+              for i in range(4)))
         w1, w2 = den.next_strengths()
         assert mu_u == pytest.approx(w1, abs=1e-8)
         assert mu_u ** 2 + su2 == pytest.approx(w1, abs=1e-8)
@@ -179,9 +181,9 @@ class TestOptimality:
             return lambda l: eps * (f(l) - centre)
 
         dF, dFtil = wave(coef[:k], spectrum.measure()), wave(coef[k:2 * k])
-        dG, dGtil = wave(coef[2 * k:3 * k], spectrum.measure_tilde()), wave(coef[3 * k:])
+        dG, dGtil = wave(coef[2 * k:3 * k], measure_tilde(spectrum)), wave(coef[3 * k:])
         assert spectrum.measure().integrate(dF) == pytest.approx(0.0, abs=1e-14)
-        assert spectrum.measure_tilde().integrate(dG) == pytest.approx(0.0, abs=1e-14)
+        assert measure_tilde(spectrum).integrate(dG) == pytest.approx(0.0, abs=1e-14)
 
         def strengths(*denoisers):
             mu_u, su2, mu_v, sv2 = se_step_general(meas, spectrum, stats_f, stats_g,
@@ -248,6 +250,17 @@ class TestGaussianFixedPoint:
         assert m_u == pytest.approx(1 - w2 / (1 - w2) / theta ** 2, abs=1e-9)
         assert m_v == pytest.approx(1 - delta * w1 / (1 - w1) / theta ** 2,
                                     abs=1e-9)
+
+    def test_solves_the_system_at_the_threshold(self):
+        # theta 4e-12 below delta^(1/4), side information 1e-6: the AMP
+        # schedule takes about 4500 steps to settle, and its limit solves
+        # both equations
+        ch = ScalarChannel("rademacher", 1e-6)
+        theta, delta = 0.84089641525, 0.5
+        w1, w2, m_u, m_v = gaussian_fixed_point(theta, delta, ch, ch)
+        assert m_u == pytest.approx(1 - w2 / (1 - w2) / theta ** 2, abs=1e-10)
+        assert m_v == pytest.approx(1 - delta * w1 / (1 - w1) / theta ** 2,
+                                    abs=1e-10)
 
     def test_zero_snr_floor(self, channels):
         ch = ScalarChannel("rademacher", 0.04)
