@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
+from . import harness
 from .harness import (DOMAIN_ERRORS, ConfigError, HarnessError, build_channels,
-                      build_spectrum, load_config, parse_config, run_experiment,
-                      write_report)
+                      build_spectrum, load_config, parse_config, write_report)
 from .spectra import ShrinkageSet, detection_threshold
 from .state_evolution import gaussian_fixed_point, optimal_se_run
 
@@ -28,8 +28,6 @@ def _spectrum_args(parser):
     parser.add_argument("--delta", type=float, help="aspect ratio M/N in (0, 1]")
     for key in ("beta_a", "beta_b", "beta_lo", "beta_hi"):
         parser.add_argument("--" + key.replace("_", "-"), type=float)
-    # the state evolution of rotationally invariant noise with this spectrum
-    parser.set_defaults(noise="ri")
 
 
 def _config(args: dict):
@@ -54,7 +52,9 @@ def _cmd_run(cfg) -> int:
         os.makedirs(os.path.dirname(cfg.out) or os.curdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the output directory: {exc}") from exc
-    report = run_experiment(cfg)
+    # through the module, so that a wrapper of harness.run_experiment (the
+    # benchmark's tracer) sees the call
+    report = harness.run_experiment(cfg)
     csv_path, meta_path = write_report(report, cfg.out)
     print(f"wrote {csv_path} and {meta_path} ({report.metadata['n_seeds_used']} seeds, "
           f"{len(report.metadata['failures'])} failures)")

@@ -50,8 +50,7 @@ class ExperimentConfig:
     theta: float = 2.0
     M: int = 1000
     N: int = 2000
-    spectrum: str = "mp"          # "mp" | "beta"
-    noise: str = "gaussian"       # "gaussian" | "ri"
+    spectrum: str = "mp"          # "mp": i.i.d. Gaussian noise | "beta": RI noise
     beta_a: float = 1.5
     beta_b: float = 1.5
     beta_lo: float = 1.0
@@ -82,8 +81,6 @@ class ExperimentConfig:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if self.spectrum not in ("mp", "beta"):
             raise ConfigError(f"unknown spectrum {self.spectrum!r}")
-        if self.noise not in ("gaussian", "ri"):
-            raise ConfigError(f"unknown noise model {self.noise!r}")
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
@@ -108,9 +105,6 @@ class ExperimentConfig:
                 and 0.0 <= self.beta_lo < self.beta_hi < np.inf):
             raise ConfigError("need finite beta_a, beta_b > 0 and 0 <= beta_lo < beta_hi, "
                               f"got (a, b, lo, hi) = {beta}")
-        if self.spectrum == "beta" and self.noise == "gaussian":
-            raise ConfigError("spectrum = beta needs noise = ri: Gaussian noise has the "
-                              "Marchenko-Pastur spectrum, not the Beta law of the denoisers")
         if (self.spectrum == "beta" and self.beta_lo == 0.0 and self.beta_a <= 1.0
                 and self.M < self.N):
             raise ConfigError("beta_lo = 0 with M < N needs beta_a > 1: the Hilbert transform "
@@ -221,8 +215,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
     set, along the schedules of ``se_predictions``; returns one
     ``IterationTrace`` per method."""
     channel_u, channel_v = build_channels(cfg)
-    noise = "gaussian" if cfg.noise == "gaussian" else shrinkage.spectrum
-    inst = make_instance(channel_u, channel_v, noise, cfg.M, cfg.N, cfg.theta, seed)
+    inst = make_instance(channel_u, channel_v, shrinkage.spectrum, cfg.M, cfg.N,
+                         cfg.theta, seed)
     svd = thin_svd(inst.Y)
     out = {}
     if "oamp" in cfg.methods:
@@ -286,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     simulated = [m for m in cfg.methods if m != "se-only"]
     per_seed, failures = {}, {}
 
-    if "amp" in simulated and cfg.noise != "gaussian":
+    if "amp" in simulated and cfg.spectrum != "mp":
         logger.warning("running Gaussian AMP on non-Gaussian noise")
     if simulated:
         run = functools.partial(_seed_outcome, cfg, shrinkage=shrinkage,

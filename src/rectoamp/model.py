@@ -1,9 +1,10 @@
 """Synthetic problem instances: signals, side information, noise, observation.
 
-Instances follow Y = (theta / sqrt(M N)) u* v*^T + W with either rotationally
-invariant noise (Haar factors, singular values drawn from the target
-spectrum) or i.i.d. Gaussian entries of variance 1/N.  Reproducibility uses a
-counter-based generator with one substream per (seed, component).  A seed
+Instances follow Y = (theta / sqrt(M N)) u* v*^T + W, where the noise
+spectrum decides the draw of W: i.i.d. Gaussian entries of variance 1/N for
+the Marchenko-Pastur law, rotationally invariant (RI) noise (Haar factors,
+singular values drawn from the spectrum) for any other.  Reproducibility uses
+a counter-based generator with one substream per (seed, component).  A seed
 holds one M x N array: an RI draw forms W^T in its Gaussian factor's buffer,
 Y is formed in the noise's buffer, and ``ProblemInstance.W`` is derived from
 Y on access.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scalar_channel import ScalarChannel
-from .spectra import SpectrumModel
+from .spectra import MarchenkoPastur, SpectrumModel
 
 logger = logging.getLogger(__name__)
 
@@ -135,7 +136,8 @@ _GEMM_BLOCK_ROWS = 512
 def sample_ri_noise(spectrum: SpectrumModel, M: int, N: int, rng) -> np.ndarray:
     """W = U diag(sigma) V^T with independent Haar factors.
 
-    Squared singular values are drawn i.i.d. from the spectrum, then U, then
+    Squared singular values are drawn i.i.d. by the spectrum's
+    ``sample_eigenvalues`` (``ShiftedBeta`` has one), then U, then
     the N x M Gaussian G behind V, in that order.  V is the Q of G = V R with
     a positive-diagonal R.  When N >= CHOLESKY_ASPECT * M, R is L^T from the
     Cholesky factor L of G^T G, and W = (U diag(sigma) L^-1) G^T is formed
@@ -181,27 +183,26 @@ def sample_gaussian_noise(M: int, N: int, rng) -> np.ndarray:
     return W
 
 
-def make_instance(channel_u: ScalarChannel, channel_v: ScalarChannel, noise,
-                  M: int, N: int, theta: float, seed: int) -> ProblemInstance:
+def make_instance(channel_u: ScalarChannel, channel_v: ScalarChannel,
+                  spectrum: SpectrumModel, M: int, N: int, theta: float,
+                  seed: int) -> ProblemInstance:
     """Assemble a problem instance.
 
     Each signal side and its side information are drawn by the side's
     channel (``ScalarChannel.sample_prior`` and ``side_info``), each from
-    its own substream.
-    ``noise`` is either a SpectrumModel (rotationally invariant noise) or the
-    string "gaussian".
+    its own substream.  The noise has the law ``spectrum``: i.i.d. Gaussian
+    entries for ``MarchenkoPastur``, the rotationally invariant ensemble
+    with that spectrum, and ``sample_ri_noise`` for any other law.
     """
     if M <= 0 or N <= 0 or M > N:
         raise ModelError(f"invalid dimensions M={M}, N={N}")
     u_star = channel_u.sample_prior(M, component_rng(seed, "u"))
     v_star = channel_v.sample_prior(N, component_rng(seed, "v"))
     noise_rng = component_rng(seed, "noise")
-    if isinstance(noise, SpectrumModel):
-        W = sample_ri_noise(noise, M, N, noise_rng)
-    elif noise == "gaussian":
+    if isinstance(spectrum, MarchenkoPastur):
         W = sample_gaussian_noise(M, N, noise_rng)
     else:
-        raise ModelError(f"unknown noise model {noise!r}")
+        W = sample_ri_noise(spectrum, M, N, noise_rng)
     a = channel_u.side_info(u_star, component_rng(seed, "side_u"))
     b = channel_v.side_info(v_star, component_rng(seed, "side_v"))
     Y = W  # the spike is added in the noise's buffer

@@ -277,14 +277,6 @@ class SpectrumModel:
     def measure(self) -> Measure:
         return Measure(self.nodes, self.quad_weights * self._density_at_nodes)
 
-    def sample_eigenvalues(self, n: int, rng) -> np.ndarray:
-        """Draw n i.i.d. samples by inverting the quadrature CDF."""
-        cdf = np.cumsum(self.quad_weights * self._density_at_nodes)
-        cdf = np.concatenate(([0.0], cdf / cdf[-1], [1.0]))
-        grid = np.concatenate(([self.support[0]], self.nodes, [self.support[1]]))
-        u = rng.uniform(size=n)
-        return np.interp(u, cdf, grid)
-
 
 class MarchenkoPastur(SpectrumModel):
     """MP law with ratio delta, matching noise entries of variance 1/N.

@@ -69,12 +69,12 @@ def dense_dmmse_divergence(ch, w):
                               xstars=(1.0,)) / np.sqrt(1 - w)
 
 
-def run_seed(spectrum, noise, theta, M, N, seed, shrinkage=None, channels=None,
+def run_seed(spectrum, theta, M, N, seed, shrinkage=None, channels=None,
              schedules=None, keep_iterates=(), with_amp=False, with_oamp=True):
     """One seed's worth of everything the acceptance suite consumes; the
     runs read their strengths from ``schedules`` (see ``schedules_for``)."""
     side = ScalarChannel("rademacher", W0)
-    inst = make_instance(side, side, noise, M, N, theta, seed)
+    inst = make_instance(side, side, spectrum, M, N, theta, seed)
     svd = thin_svd(inst.Y)
     meas = empirical_signal_measures(inst, svd)
     u_min = svd.U[:, -1]
@@ -116,7 +116,7 @@ def schedules_for(shrinkage, channels):
 def ens_fig1(mp05, shrink_mp2, channels):
     """Gaussian noise, theta=2: OAMP + AMP, iterates kept at t in {1, 3}."""
     schedules = schedules_for(shrink_mp2, channels)
-    return [run_seed(mp05, "gaussian", THETA, M_DESK, N_DESK, seed,
+    return [run_seed(mp05, THETA, M_DESK, N_DESK, seed,
                      shrink_mp2, channels, schedules, keep_iterates=(1, 3),
                      with_amp=True)
             for seed in range(N_SEEDS)]
@@ -126,8 +126,8 @@ def ens_fig1(mp05, shrink_mp2, channels):
 def ens_beta2(beta_spectrum, shrink_beta2, channels):
     """RI Beta noise, theta=2: OAMP + PCA + empirical measures."""
     schedules = schedules_for(shrink_beta2, channels)
-    return [run_seed(beta_spectrum, beta_spectrum, THETA, M_DESK, N_DESK,
-                     seed, shrink_beta2, channels, schedules)
+    return [run_seed(beta_spectrum, THETA, M_DESK, N_DESK, seed, shrink_beta2,
+                     channels, schedules)
             for seed in range(N_SEEDS)]
 
 
@@ -138,7 +138,7 @@ def ens_measures_only(mp05, beta_spectrum):
     out = {}
     for key, spectrum, theta in (("mp1", mp05, 1.0), ("mp2", mp05, 2.0),
                                  ("beta1", beta_spectrum, 1.0)):
-        out[key] = [run_seed(spectrum, spectrum, theta, M_DESK, N_DESK, seed,
+        out[key] = [run_seed(spectrum, theta, M_DESK, N_DESK, seed,
                              with_oamp=False)
                     for seed in range(N_SEEDS)]
     return out
@@ -147,5 +147,5 @@ def ens_measures_only(mp05, beta_spectrum):
 @pytest.fixture(scope="session")
 def ens_outlier(mp05):
     """Larger instances for the outlier location / PCA overlap check."""
-    return [run_seed(mp05, "gaussian", THETA, 2000, 4000, seed, with_oamp=False)
+    return [run_seed(mp05, THETA, 2000, 4000, seed, with_oamp=False)
             for seed in range(10)]

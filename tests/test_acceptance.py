@@ -163,7 +163,7 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     details.append(f"|<F>|,|<G>| <= {worst_mean:.2e} (tol 1e-10)")
 
     # empirical trace on one simulated instance
-    inst = make_instance(*channels, "gaussian", M_DESK, 2 * M_DESK, THETA, 0)
+    inst = make_instance(*channels, shrink_mp2.spectrum, M_DESK, 2 * M_DESK, THETA, 0)
     svd = thin_svd(inst.Y)
     den = DenoiserSet(shrink_mp2, se_mp.rho1[-1], se_mp.rho2[-1])
     lam = svd.eigenvalues

@@ -20,7 +20,7 @@ from rectoamp import cli
 
 JUNK = ["nan", "inf", "-inf", "-1", "-0.5", "abc", "", "1e400", "1,2", "0x10",
         "/dev/null", "../x"]
-JUNK_KEYS = ["bogus", "delta", "validate", "M N", "out_dir", ""]
+JUNK_KEYS = ["bogus", "delta", "validate", "noise", "M N", "out_dir", ""]
 
 
 def _floats(lo, hi):
@@ -43,7 +43,6 @@ def _values(workdir):
     return {
         "theta": _floats(0.0, 4.0), "M": st.integers(-1, 40).map(str),
         "N": st.integers(-1, 40).map(str), "spectrum": st.sampled_from(["mp", "beta"]),
-        "noise": st.sampled_from(["gaussian", "ri"]),
         "beta_a": _floats(0.0, 3.0), "beta_b": _floats(0.0, 3.0),
         "beta_lo": _floats(-1.0, 3.0), "beta_hi": _floats(0.0, 4.0),
         "prior_u": st.sampled_from(["rademacher", "gaussian", "bernoulli"]),

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from rectoamp.spectra import ShrinkageSet
 
 SMALL = """
 spectrum = mp
-noise = gaussian
 theta = 2.0
 M = 200
 N = 400
@@ -35,7 +35,6 @@ workers = 1
 
 # rotationally invariant Beta noise: the pool ships a ShiftedBeta
 SMALL_BETA = (SMALL.replace("spectrum = mp", "spectrum = beta")
-              .replace("noise = gaussian", "noise = ri")
               .replace("methods = oamp,amp,pca", "methods = oamp,pca"))
 
 
@@ -274,24 +273,27 @@ class TestCli:
         "spectrum = beta\nbeta_lo = 3\n", "spectrum = beta\nbeta_a = 0\n",
         "workers = 0\n", "seeds = 1, 1\n", "seeds = 0, -1\n",
         "methods = pca,pca\n", "methods =\n", "prior_u = bernoulli\n",
-        "M = ten\n", "delta = 0.5\n", "validate = 1\n"],
+        "M = ten\n", "delta = 0.5\n", "validate = 1\n", "noise = ri\n"],
         ids=["M_above_N", "w0_u", "w0_v", "theta_nan", "theta_inf", "beta_lo",
              "beta_empty_support", "beta_a", "workers_zero", "seeds_repeated",
              "seeds_negative", "methods_repeated", "methods_empty",
-             "prior_unknown", "M_unparsable", "delta_key", "method_name_key"])
+             "prior_unknown", "M_unparsable", "delta_key", "method_name_key",
+             "noise_key"])
     def test_bad_config(self, tmp_path, capsys, text):
         p = tmp_path / "bad.cfg"
         p.write_text("M = 20\nN = 40\nseeds = 2\n" + text)
         assert cli_main(["run", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        key = text.partition("=")[0].strip()
+        if key not in {f.name for f in fields(ExperimentConfig)}:
+            assert repr(key) in err    # an unknown key is named
 
     @pytest.mark.parametrize("text,reason", [
-        ("spectrum = beta\nnoise = gaussian\n", "needs noise = ri"),
         ("w0_u = 0\n", "without side information"),
         ("w0_v = 0.0\n", "without side information"),
-        ("spectrum = beta\nnoise = ri\nbeta_lo = 0\nbeta_a = 0.5\n", "beta_a > 1")],
-        ids=["beta_gaussian_noise", "w0_u_zero", "w0_v_zero", "beta_zero_edge"])
+        ("spectrum = beta\nbeta_lo = 0\nbeta_a = 0.5\n", "beta_a > 1")],
+        ids=["w0_u_zero", "w0_v_zero", "beta_zero_edge"])
     def test_ill_posed_config(self, tmp_path, capsys, text, reason):
         p = tmp_path / "bad.cfg"
         p.write_text("M = 20\nN = 40\nseeds = 2\n" + text)
@@ -303,8 +305,7 @@ class TestCli:
     def test_domain_error_in_setup(self, tmp_path, capsys):
         # a valid config whose spectrum the quadrature cannot normalize
         p = tmp_path / "beta.cfg"
-        p.write_text("M = 20\nN = 40\nseeds = 2\nspectrum = beta\nnoise = ri\n"
-                     "beta_a = 0.2\n")
+        p.write_text("M = 20\nN = 40\nseeds = 2\nspectrum = beta\nbeta_a = 0.2\n")
         assert cli_main(["run", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1

@@ -11,7 +11,7 @@ from rectoamp.model import (ModelError, _add_spike, _haar_columns,
                             component_rng, make_instance, sample_gaussian_noise,
                             sample_ri_noise, thin_svd)
 from rectoamp.scalar_channel import ScalarChannel
-from rectoamp.spectra import ShiftedBeta
+from rectoamp.spectra import MarchenkoPastur, ShiftedBeta
 
 from empirical_measures import empirical_signal_measures, measure_moments
 
@@ -78,12 +78,12 @@ class TestNoise:
         q = _haar_columns(50, 50, component_rng(3, "noise"))
         assert np.allclose(q @ q.T, np.eye(50), atol=1e-12)
 
-    def test_ri_noise_spectrum(self, mp05):
-        w = sample_ri_noise(mp05, 300, 600, component_rng(1, "noise"))
+    def test_ri_noise_spectrum(self, beta_spectrum):
+        w = sample_ri_noise(beta_spectrum, 300, 600, component_rng(1, "noise"))
         lam = np.linalg.eigvalsh(w @ w.T)
-        # first two moments of the quarter-circle-squared law
-        assert np.mean(lam) == pytest.approx(1.0, abs=0.1)
-        assert np.mean(lam ** 2) == pytest.approx(1.5, abs=0.2)
+        # first two moments of Beta(1.5, 1.5) on [1, 3]: 2 and 4 + 1/4
+        assert np.mean(lam) == pytest.approx(2.0, abs=0.1)
+        assert np.mean(lam ** 2) == pytest.approx(4.25, abs=0.2)
 
     @staticmethod
     def householder_draw(spectrum, M, N, seed):
@@ -151,15 +151,15 @@ class TestNoise:
         with pytest.raises(ModelError, match="Cholesky"):
             sample_ri_noise(beta_spectrum, 20, 40, component_rng(0, "noise"))
 
-    def test_ri_noise_rejects_tall(self, mp05):
+    def test_ri_noise_rejects_tall(self, beta_spectrum):
         with pytest.raises(ModelError):
-            sample_ri_noise(mp05, 10, 5, component_rng(0, "noise"))
+            sample_ri_noise(beta_spectrum, 10, 5, component_rng(0, "noise"))
 
 
 class TestInstances:
     def test_shapes_and_side_info(self, mp05):
         side = ScalarChannel("rademacher", 0.25)
-        inst = make_instance(side, side, "gaussian", 400, 800, 2.0, 11)
+        inst = make_instance(side, side, mp05, 400, 800, 2.0, 11)
         assert inst.Y.shape == (400, 800)
         assert inst.delta == 0.5
         # side channel a = sqrt(w0) u* + sqrt(1-w0) z
@@ -167,23 +167,25 @@ class TestInstances:
             (inst.a @ inst.a) * (inst.u_star @ inst.u_star))
         assert corr == pytest.approx(0.25, abs=0.08)
 
-    def test_signal_scaling(self):
+    def test_signal_scaling(self, mp05):
         side = ScalarChannel("rademacher", 0.0)
-        inst = make_instance(side, side, "gaussian", 400, 800, 3.0, 5)
+        inst = make_instance(side, side, mp05, 400, 800, 3.0, 5)
         # spectral norm of the spike is theta for unit-RMS factors
         spike = inst.Y - sample_gaussian_noise(400, 800, component_rng(5, "noise"))
         assert np.linalg.norm(spike, 2) == pytest.approx(3.0, rel=1e-10)
 
     @staticmethod
     def noise_model(kind):
-        return "gaussian" if kind == "gaussian" else ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5)
+        if kind == "gaussian":
+            return MarchenkoPastur(0.5)
+        return ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5)
 
     @staticmethod
-    def draw_noise(noise, M, N, rng):
+    def draw_noise(spectrum, M, N, rng):
         """W as make_instance draws it from the noise stream ``rng``."""
-        if noise == "gaussian":
+        if isinstance(spectrum, MarchenkoPastur):
             return sample_gaussian_noise(M, N, rng)
-        return sample_ri_noise(noise, M, N, rng)
+        return sample_ri_noise(spectrum, M, N, rng)
 
     @pytest.mark.parametrize("kind", ["gaussian", "beta_ri"])
     def test_observation_bits(self, kind):
@@ -228,21 +230,16 @@ class TestInstances:
         assert Y_f.flags.f_contiguous
         assert np.array_equal(Y_f, Y_c)
 
-    def test_invalid_dimensions(self):
+    def test_invalid_dimensions(self, mp05):
         side = ScalarChannel("rademacher", 0.0)
         with pytest.raises(ModelError):
-            make_instance(side, side, "gaussian", 800, 400, 1.0, 0)
-
-    def test_unknown_noise(self):
-        side = ScalarChannel("rademacher", 0.0)
-        with pytest.raises(ModelError):
-            make_instance(side, side, "cauchy", 10, 20, 1.0, 0)
+            make_instance(side, side, mp05, 800, 400, 1.0, 0)
 
 
 class TestSvdAndMeasures:
-    def test_thin_svd_reconstructs(self):
+    def test_thin_svd_reconstructs(self, mp05):
         side = ScalarChannel("rademacher", 0.0)
-        inst = make_instance(side, side, "gaussian", 100, 200, 1.0, 2)
+        inst = make_instance(side, side, mp05, 100, 200, 1.0, 2)
         svd = thin_svd(inst.Y)
         recon = (svd.U * svd.singular_values) @ svd.V.T
         assert np.allclose(recon, inst.Y, atol=1e-10)
@@ -250,16 +247,16 @@ class TestSvdAndMeasures:
 
     # seed 1 at M = N = 1000 has lambda_min / lambda_max = 1.3e-8, just above
     # the fallback floor: the Gram path at its least accurate
-    @pytest.mark.parametrize("noise,M,N", [
-        ("gaussian", 400, 800), ("gaussian", 1000, 1000),
+    @pytest.mark.parametrize("kind,M,N", [
+        ("mp", 400, 800), ("mp", 1000, 1000),
         ("beta", 400, 800), ("beta", 400, 400)],
         ids=["mp_0.5", "mp_1", "beta_ri_0.5", "beta_ri_1"])
     @pytest.mark.filterwarnings("error")
-    def test_gram_path_accuracy(self, caplog, noise, M, N):
-        if noise == "beta":
-            noise = ShiftedBeta(1.5, 1.5, 1.0, 3.0, M / N)
+    def test_gram_path_accuracy(self, caplog, kind, M, N):
+        spectrum = (MarchenkoPastur(M / N) if kind == "mp"
+                    else ShiftedBeta(1.5, 1.5, 1.0, 3.0, M / N))
         side = ScalarChannel("rademacher", 0.04)
-        inst = make_instance(side, side, noise, M, N, 2.0, 1)
+        inst = make_instance(side, side, spectrum, M, N, 2.0, 1)
         with caplog.at_level("INFO", logger="rectoamp.model"):
             svd = thin_svd(inst.Y)
         assert FALLBACK_LOG not in caplog.text
@@ -288,9 +285,9 @@ class TestSvdAndMeasures:
         Y = component_rng(seed, "noise").standard_normal((M, N))
         assert_thin_svd_invariants(Y, thin_svd(Y))
 
-    def test_empirical_measure_masses(self):
+    def test_empirical_measure_masses(self, mp05):
         side = ScalarChannel("rademacher", 0.0)
-        inst = make_instance(side, side, "gaussian", 200, 400, 2.0, 4)
+        inst = make_instance(side, side, mp05, 200, 400, 2.0, 4)
         svd = thin_svd(inst.Y)
         meas = empirical_signal_measures(inst, svd)
         # total nu_M1 mass = |u*|^2 / M = 1 for Rademacher

@@ -16,9 +16,9 @@ from rectoamp.state_evolution import optimal_se_run
 
 
 @pytest.fixture(scope="module")
-def small_instance():
+def small_instance(mp05):
     side = ScalarChannel("rademacher", 0.04)
-    inst = make_instance(side, side, "gaussian", 120, 240, 2.0, 1)
+    inst = make_instance(side, side, mp05, 120, 240, 2.0, 1)
     return inst, thin_svd(inst.Y)
 
 
@@ -73,10 +73,10 @@ class TestApplySpectral:
             return Y
         M, N = {"mp_delta05": (120, 240), "mp_delta1": (120, 120),
                 "beta_ri": (120, 240)}[case]
-        noise = "gaussian"
+        spectrum = MarchenkoPastur(M / N)
         if case == "beta_ri":
-            noise = ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5)
-        return make_instance(side, side, noise, M, N, 2.0, 1).Y
+            spectrum = ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5)
+        return make_instance(side, side, spectrum, M, N, 2.0, 1).Y
 
     @pytest.mark.parametrize("case", ["mp_delta05", "mp_delta1", "beta_ri",
                                       "zero_row", "zero_matrix"])
@@ -216,7 +216,7 @@ class TestDenoiserSet:
     def test_empirical_trace_free(self, shrink_mp2):
         # |trace F*(YY^T)| / M stays small on simulated eigenvalues
         side = ScalarChannel("rademacher", 0.04)
-        inst = make_instance(side, side, "gaussian", 1000, 2000, 2.0, 0)
+        inst = make_instance(side, side, shrink_mp2.spectrum, 1000, 2000, 2.0, 0)
         svd = thin_svd(inst.Y)
         den = DenoiserSet(shrink_mp2, 2.0, 2.0)
         lam = svd.eigenvalues
@@ -273,7 +273,7 @@ class TestOptimalRun:
 
     def test_theta_zero_stays_at_side_info_floor(self, mp05):
         ch = ScalarChannel("rademacher", 0.3)
-        inst = make_instance(ch, ch, "gaussian", 400, 800, 0.0, 3)
+        inst = make_instance(ch, ch, mp05, 400, 800, 0.0, 3)
         sh = ShrinkageSet(mp05, 0.0)
         tr = optimal_oamp_run(inst, thin_svd(inst.Y), sh, ch, ch,
                               optimal_se_run(sh, ch, ch, 3))
@@ -282,13 +282,13 @@ class TestOptimalRun:
             assert c == pytest.approx(floor, abs=0.05)
 
     def test_permutation_equivariance(self, mp05, shrink_mp2, channels):
-        inst = make_instance(*channels, "gaussian", 150, 300, 2.0, 7)
+        inst = make_instance(*channels, mp05, 150, 300, 2.0, 7)
         svd = thin_svd(inst.Y)
         schedule = optimal_se_run(shrink_mp2, *channels, 2)
         tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule,
                               keep_iterates=(2,))
         perm = np.random.default_rng(0).permutation(inst.M)
-        inst_p = make_instance(*channels, "gaussian", 150, 300, 2.0, 7)
+        inst_p = make_instance(*channels, mp05, 150, 300, 2.0, 7)
         inst_p.Y = inst.Y[perm]
         inst_p.u_star = inst.u_star[perm]
         inst_p.a = inst.a[perm]
