@@ -1,5 +1,6 @@
-"""Command-line interface: experiment runs, state-evolution predictions,
-spectral-measure self-checks, and the Gaussian fixed-point solver.
+"""Command-line interface: experiment runs, state-evolution predictions
+(with the Gaussian fixed point on MP noise) and spectral-measure
+self-checks.
 
 Each subcommand checks its inputs as one ``ExperimentConfig`` (a flag sets
 the key it names); the exit code is 0 on success, 2 for invalid input
@@ -42,7 +43,7 @@ def _config(args: dict):
     for flag in ("prior", "w0"):    # sets both sides, flag_u and flag_v
         if flag in args:
             args.update(dict.fromkeys((flag + "_u", flag + "_v"), args.pop(flag)))
-    if path is None:    # se, fixed-point and spectra-check draw no instance
+    if path is None:    # se and spectra-check draw no instance
         return parse_config("", {**args, "methods": "se-only"})
     return load_config(path, args)
 
@@ -75,14 +76,6 @@ def _cmd_se(cfg) -> int:
         print(f"{t + 1} {trace.w1[t]:.10f} {trace.w2[t]:.10f} "
               f"{trace.cos2_u[t]:.6f} {trace.cos2_v[t]:.6f} "
               f"{trace.mmse_u[t]:.6g} {trace.mmse_v[t]:.6g}")
-    return 0
-
-
-def _cmd_fixed_point(cfg) -> int:
-    w1, w2, m_u, m_v = gaussian_fixed_point(cfg.theta, cfg.delta,
-                                            *build_channels(cfg))
-    print(f"w1={w1:.12f}\nw2={w2:.12f}\nmmse_u={m_u:.10g}\nmmse_v={m_v:.10g}")
-    print(f"cos2_u={1 - m_u:.10f}\ncos2_v={1 - m_v:.10f}")
     return 0
 
 
@@ -145,16 +138,10 @@ def main(argv=None) -> int:
     p_se = sub.add_parser("se", help="print state-evolution predictions", **flags)
     _spectrum_args(p_se)
     p_se.add_argument("--iters", type=int)
+    p_se.add_argument("--theta", type=float, required=True)
+    p_se.add_argument("--prior", choices=["rademacher", "gaussian"])
+    p_se.add_argument("--w0", type=float, help="side-information strength")
     p_se.set_defaults(handler=_cmd_se)
-
-    p_fp = sub.add_parser("fixed-point", help="solve the Gaussian-noise "
-                                              "fixed-point system", **flags)
-    p_fp.add_argument("--delta", type=float, help="aspect ratio M/N in (0, 1]")
-    p_fp.set_defaults(handler=_cmd_fixed_point)
-    for parser_ in (p_se, p_fp):
-        parser_.add_argument("--theta", type=float, required=True)
-        parser_.add_argument("--prior", choices=["rademacher", "gaussian"])
-        parser_.add_argument("--w0", type=float, help="side-information strength")
 
     p_sc = sub.add_parser("spectra-check", help="validate the induced "
                                                 "spectral measures", **flags)

@@ -1,6 +1,7 @@
 """State evolution: the strength schedules of optimal OAMP and of
-Gaussian-noise AMP, which every simulated run reads, and the Gaussian-noise
-fixed point, all iterated by one strength loop.
+Gaussian-noise AMP, which every simulated run reads, both iterated by one
+strength loop, and the Gaussian-noise fixed point, the root of the AMP map
+found by bisection.
 """
 
 from __future__ import annotations
@@ -11,11 +12,9 @@ import numpy as np
 
 from .oamp import DenoiserSet
 from .scalar_channel import ScalarChannel
-from .spectra import ShrinkageSet
+from .spectra import ShrinkageSet, _bisect
 
 SE_CONVERGENCE_TOL = 1e-12
-FIXED_POINT_TOL = 1e-13
-FIXED_POINT_MAX_ITER = 10_000
 
 
 class StateEvolutionError(Exception):
@@ -138,19 +137,19 @@ def gaussian_fixed_point(theta: float, delta: float, channel_u: ScalarChannel,
         mmse_U(w1) = 1 - (1/theta^2)   w2 / (1 - w2),
         mmse_V(w2) = 1 - (delta/theta^2) w1 / (1 - w1),
 
-    the limit of the AMP schedule (``amp_se_trajectory``), taken once its
-    strengths move less than FIXED_POINT_TOL.  Both half steps increase
-    with their input, so from w = 0 the schedule climbs monotonically to
-    the stable solution; side information in the channels makes the first
-    step informative.
+    the limit of the AMP schedule (``amp_se_trajectory``).  Both half steps
+    increase with their input, so the AMP map T(w1) does too, and the limit
+    from w = 0 is the root of g(w1) = T(w1) - w1 on [T(0), 1]: g(T(0)) >= 0,
+    and g(1) < 0 since mmse(1) = 0.  Where g(T(0)) is not positive (theta =
+    0) T(0) is the fixed point; otherwise the bracket is bisected to
+    rounding.  For both priors g is seen to change sign once there, so the
+    root is the limit that the schedule climbs to.
     """
     if not (0.0 < delta <= 1.0 and 0.0 <= theta <= np.sqrt(np.finfo(float).max * delta)):
         raise StateEvolutionError(f"invalid parameters theta={theta}, delta={delta}")
-    trace = _strength_loop(_amp_step(theta, delta, channel_u, channel_v),
-                           channel_u, channel_v, FIXED_POINT_MAX_ITER, FIXED_POINT_TOL)
-    if trace.converged_at is None:
-        moved = max(abs(trace.w1[-1] - trace.w1[-2]), abs(trace.w2[-1] - trace.w2[-2]))
-        raise StateEvolutionError(
-            f"fixed-point iteration did not converge in {FIXED_POINT_MAX_ITER} "
-            f"steps (last move {moved:.3g})")
-    return trace.w1[-1], trace.w2[-1], trace.mmse_u[-1], trace.mmse_v[-1]
+    step = _amp_step(theta, delta, channel_u, channel_v)
+    lo = step(1, 0.0, 0.0)[0]
+    g = lambda w1: step(1, w1, 0.0)[0] - w1
+    w1 = lo if g(lo) <= 0.0 else _bisect(g, lo, 1.0)
+    w2 = step(1, w1, 0.0)[1]
+    return w1, w2, channel_u.mmse(w1), channel_v.mmse(w2)

@@ -2,13 +2,18 @@
 benchmark reads each name in ``rectoamp.__all__``.  A name that only the
 tests use belongs in ``tests/`` (as the general state evolution and the
 tabulated law do).  Likewise every config key is read by the program: a key
-that only its own class reads is a dead option."""
+that only its own class reads is a dead option, and the README documents
+exactly the CLI's subcommands."""
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import rectoamp
+from rectoamp import cli
 from rectoamp.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +50,15 @@ def test_every_config_key_is_read():
             read |= {node.attr for node in ast.walk(stmt)
                      if isinstance(node, ast.Attribute)}
     assert sorted({f.name for f in fields(ExperimentConfig)} - read) == []
+
+
+def test_readme_cli_block_names_every_subcommand(capsys):
+    """The README's CLI block has one line per subcommand that ``rectoamp
+    -h`` lists, and no other."""
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\s+```text\n(.*?)```", readme, re.S).group(1)
+    documented = [line.split()[1] for line in block.splitlines() if line.strip()]
+    assert sorted(documented) == sorted(listed.split(","))

@@ -88,7 +88,6 @@ _FLAGS = {
 SUBCOMMANDS = {
     "se": ["--theta", "--delta", "--spectrum", "--beta-a", "--beta-b", "--beta-lo",
            "--beta-hi", "--prior", "--w0", "--iters"],
-    "fixed-point": ["--theta", "--delta", "--prior", "--w0"],
     "spectra-check": ["--theta", "--delta", "--spectrum", "--beta-a", "--beta-b",
                       "--beta-lo", "--beta-hi"],
 }
@@ -98,7 +97,7 @@ SUBCOMMANDS = {
 def argvs(draw):
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     flags = draw(st.lists(st.sampled_from(SUBCOMMANDS[command]), unique=True))
-    # --theta is required by se and fixed-point; --iters keeps se short
+    # --theta is required by se; --iters keeps se short
     flags += [f for f in ("--theta", "--iters")
               if f in SUBCOMMANDS[command] and f not in flags]
     argv = [command]

@@ -351,11 +351,9 @@ class TestCli:
         ["se", "--theta", "nan"], ["se", "--theta", "2", "--spectrum", "beta",
                                    "--beta-a", "0"],
         ["se", "--theta", "2", "--iters", "0"],
-        ["fixed-point", "--theta", "2", "--delta", "0"],
-        ["fixed-point", "--theta", "2", "--w0", "0"],
         ["spectra-check", "--spectrum", "beta", "--beta-lo", "3", "--beta-hi", "1"]],
         ids=["se_delta_2", "se_delta_0", "se_w0_1", "se_w0_0", "se_theta_nan",
-             "se_beta_a_0", "se_iters_0", "fp_delta_0", "fp_w0_0", "sc_beta_support"])
+             "se_beta_a_0", "se_iters_0", "sc_beta_support"])
     def test_invalid_args_exit_before_work(self, capsys, monkeypatch, argv):
         def unreachable(*_):
             raise AssertionError("work started on invalid input")
@@ -427,11 +425,21 @@ class TestCli:
         assert deltas == [0.3]
 
     def test_fixed_point_output(self, capsys):
-        assert cli_main(["fixed-point", "--theta", "2", "--delta", "0.5",
-                         "--w0", "0.04"]) == 0
-        out = capsys.readouterr().out
-        vals = dict(line.split("=") for line in out.strip().splitlines())
-        assert float(vals["w1"]) == pytest.approx(0.8816906605, abs=1e-8)
+        assert cli_main(["se", "--theta", "2", "--delta", "0.5",
+                         "--w0", "0.04", "--iters", "1"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("# gaussian fixed point: ")
+        vals = dict(item.split("=") for item in first.split()[4:])
+        assert vals["w1"] == "0.8816906604"
+
+    def test_fixed_point_subcommand_is_gone(self, capsys):
+        # `se --spectrum mp` prints the Gaussian fixed point on its first line
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fixed-point", "--theta", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
 
     def test_se_output(self, capsys):
         assert cli_main(["se", "--theta", "2", "--delta", "0.5",
@@ -440,15 +448,17 @@ class TestCli:
         assert len([l for l in out.splitlines()
                     if l and not l.startswith(("#", "t "))]) == 3
 
-    @pytest.mark.parametrize("argv", [["fixed-point"], ["se", "--iters", "3"]],
-                             ids=["fixed_point", "se"])
+    @pytest.mark.parametrize("argv", [["se", "--iters", "3"]], ids=["se"])
     def test_fixed_point_at_the_threshold(self, capsys, argv):
         # theta 4e-12 below delta^(1/4) with side information 1e-6: the AMP
-        # schedule takes about 4500 steps to settle
-        assert cli_main([*argv, "--theta", "0.84089641525", "--w0", "0.000001"]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert out.startswith("# gaussian fixed point: w1=" if "se" in argv else "w1=")
+        # schedule takes about 4500 steps to settle; theta 1.5e-8 below it
+        # with side information 1e-8: after 10^4 steps it still moves 1.6e-9
+        for theta, w0, w1 in (("0.84089641525", "0.000001", ""),
+                              ("0.8408964", "0.00000001", "0.0001188857 ")):
+            assert cli_main([*argv, "--theta", theta, "--w0", w0]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert out.startswith("# gaussian fixed point: w1=" + w1)
 
     def test_se_beta_prints_no_gaussian_fixed_point(self, capsys):
         # the Gaussian-noise fixed point is the OAMP limit on MP noise only,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectoamp.oamp import DenoiserSet
@@ -245,29 +245,40 @@ class TestGaussianFixedPoint:
 
     def test_solves_the_system(self, channels):
         ch_u, ch_v = channels
-        theta, delta = 2.0, 0.5
-        w1, w2, m_u, m_v = gaussian_fixed_point(theta, delta, ch_u, ch_v)
-        assert m_u == pytest.approx(1 - w2 / (1 - w2) / theta ** 2, abs=1e-9)
-        assert m_v == pytest.approx(1 - delta * w1 / (1 - w1) / theta ** 2,
-                                    abs=1e-9)
+        delta = 0.5
+        for theta in (2.0, 50.0):
+            w1, w2, m_u, m_v = gaussian_fixed_point(theta, delta, ch_u, ch_v)
+            assert m_u == pytest.approx(1 - w2 / (1 - w2) / theta ** 2, abs=1e-9)
+            assert m_v == pytest.approx(1 - delta * w1 / (1 - w1) / theta ** 2,
+                                        abs=1e-9)
 
     def test_solves_the_system_at_the_threshold(self):
         # theta 4e-12 below delta^(1/4), side information 1e-6: the AMP
-        # schedule takes about 4500 steps to settle, and its limit solves
-        # both equations
-        ch = ScalarChannel("rademacher", 1e-6)
-        theta, delta = 0.84089641525, 0.5
-        w1, w2, m_u, m_v = gaussian_fixed_point(theta, delta, ch, ch)
-        assert m_u == pytest.approx(1 - w2 / (1 - w2) / theta ** 2, abs=1e-10)
-        assert m_v == pytest.approx(1 - delta * w1 / (1 - w1) / theta ** 2,
-                                    abs=1e-10)
+        # schedule takes about 4500 steps to settle; theta 1.5e-8 below and
+        # 3.6e-6 above it, side information 1e-8: after 10^4 steps the
+        # schedule still moves 1.6e-9 and 1.7e-9 a step.  The root solves both
+        # equations, and the AMP map moves it by at most two units in the
+        # last place
+        delta = 0.5
+        for theta, w0 in ((0.84089641525, 1e-6), (0.8408964, 1e-8), (0.8409, 1e-8)):
+            ch = ScalarChannel("rademacher", w0)
+            w1, w2, m_u, m_v = gaussian_fixed_point(theta, delta, ch, ch)
+            assert m_u == pytest.approx(1 - w2 / (1 - w2) / theta ** 2, abs=1e-10)
+            assert m_v == pytest.approx(1 - delta * w1 / (1 - w1) / theta ** 2,
+                                        abs=1e-10)
+            gamma = theta ** 2 / delta * (1 - ch.mmse(w2))
+            assert abs(gamma / (1 + gamma) - w1) <= 2 * np.spacing(w1)
+            assert w1 > 1e-4
 
     def test_zero_snr_floor(self, channels):
         ch = ScalarChannel("rademacher", 0.04)
-        w1, w2, m_u, m_v = gaussian_fixed_point(1e-6, 0.5, ch, ch)
-        # no signal flows: strengths collapse and mmse sits at the prior level
-        assert w1 <= 1e-9 and w2 <= 1e-9
-        assert m_u == pytest.approx(ch.mmse(0.0), abs=1e-6)
+        for theta in (1e-6, 0.0):
+            w1, w2, m_u, m_v = gaussian_fixed_point(theta, 0.5, ch, ch)
+            # no signal flows: strengths collapse and mmse sits at the prior
+            # level; at theta = 0 the first AMP step, T(0) = 0, is the root
+            assert w1 <= 1e-9 and w2 <= 1e-9
+            assert m_u == pytest.approx(ch.mmse(0.0), abs=1e-6)
+        assert w1 == w2 == 0.0 and m_u == m_v == ch.mmse(0.0)
 
     def test_large_snr(self):
         ch = ScalarChannel("rademacher", 0.04)
@@ -275,11 +286,47 @@ class TestGaussianFixedPoint:
         assert m_u <= 1e-3 and m_v <= 1e-3
 
     def test_amp_schedule_reaches_it(self, channels):
-        w1, w2, m_u, m_v = gaussian_fixed_point(2.0, 0.5, *channels)
-        tr = amp_se_trajectory(2.0, 0.5, *channels, 200)
-        assert abs(tr.w1[-1] - w1) <= 1e-9 and abs(tr.w2[-1] - w2) <= 1e-9
-        assert tr.cos2_u[-1] == pytest.approx(1 - m_u, abs=1e-9)
-        assert tr.rho1 == tr.rho2 == []
+        for theta in (2.0, 0.0, 50.0):
+            w1, w2, m_u, m_v = gaussian_fixed_point(theta, 0.5, *channels)
+            tr = amp_se_trajectory(theta, 0.5, *channels, 200)
+            assert abs(tr.w1[-1] - w1) <= 1e-9 and abs(tr.w2[-1] - w2) <= 1e-9
+            assert tr.cos2_u[-1] == pytest.approx(1 - m_u, abs=1e-9)
+            assert tr.rho1 == tr.rho2 == []
+
+    # Iterates of the AMP schedule from w = 0 climb to the least fixed point,
+    # so each is a lower bound on it, and the root must lie above them all
+    # (up to the rounding of the map, 1e-15).  Where the schedule settles
+    # (a last move of at most 1e-15) its last iterate is the least fixed
+    # point up to rounding, and the root must meet it: to 1e-12 where theta
+    # is at least 5 % from the threshold delta^(1/4), and to 1e-9 within
+    # 5 %, where the map's slope at the root nears 1 and a settled schedule
+    # sits further from it (2.3e-13 at 0.1 % above the threshold, delta =
+    # 0.05, after 2e4 steps).  Closer still the schedule creeps and does not
+    # settle: at the threshold with delta = 1 and w0 = 1e-8 it is 4.6e-5
+    # short after 3000 steps and 6.7e-8 after 2e4.  There only the bound is
+    # checked; outside the 5 % band every schedule must settle.
+    N_STEPS = 3000
+
+    @settings(max_examples=25, deadline=None)
+    @given(prior_u=st.sampled_from(["rademacher", "gaussian"]),
+           prior_v=st.sampled_from(["rademacher", "gaussian"]),
+           delta=st.floats(0.05, 1.0), theta=st.floats(0.0, 10.0),
+           w0=st.floats(1e-8, 0.9))
+    @example(prior_u="rademacher", prior_v="rademacher", delta=1.0, theta=0.99,
+             w0=1e-6)    # near the threshold, settles
+    @example(prior_u="rademacher", prior_v="rademacher", delta=1.0, theta=1.0,
+             w0=1e-8)    # at it, creeps
+    def test_root_is_the_least_fixed_point(self, prior_u, prior_v, delta, theta, w0):
+        ch_u, ch_v = ScalarChannel(prior_u, w0), ScalarChannel(prior_v, w0)
+        w1, w2, _, _ = gaussian_fixed_point(theta, delta, ch_u, ch_v)
+        tr = amp_se_trajectory(theta, delta, ch_u, ch_v, self.N_STEPS)
+        assert max(tr.w1) <= w1 + 1e-15 and max(tr.w2) <= w2 + 1e-15
+        far = abs(theta - delta ** 0.25) >= 0.05 * delta ** 0.25
+        settled = abs(tr.w1[-1] - tr.w1[-2]) <= 1e-15
+        assert settled or not far
+        if settled:
+            tol = 1e-12 if far else 1e-9
+            assert abs(tr.w1[-1] - w1) <= tol and abs(tr.w2[-1] - w2) <= tol
 
     def test_invalid_parameters(self, channels):
         with pytest.raises(StateEvolutionError):
