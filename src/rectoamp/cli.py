@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seeds", help="seed count or comma-separated list")
     p_run.add_argument("--out", help="output path prefix")
     p_run.add_argument("--methods", help="comma-separated method subset")
-    p_run.add_argument("--workers", type=int, help="parallel worker count")
+    p_run.add_argument("--workers", type=int, help="seed workers (default 1: in process)")
     p_run.set_defaults(handler=_cmd_run)
 
     p_se = sub.add_parser("se", help="print state-evolution predictions", **flags)

@@ -1,5 +1,6 @@
-"""Experiment orchestration: config parsing, seeded parallel runs,
-aggregation, and CSV/JSON emission of empirical-vs-predicted curves.
+"""Experiment orchestration: config parsing, seeded runs (in process, or in
+a pool when ``workers`` asks for one), aggregation, and CSV/JSON emission of
+empirical-vs-predicted curves.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class ExperimentConfig:
     seeds: tuple = tuple(range(20))
     methods: tuple = ("oamp", "pca")
     out: str = "results/run"
-    workers: int | None = None
+    workers: int = 1
 
     @property
     def delta(self) -> float:
@@ -109,7 +110,7 @@ class ExperimentConfig:
                 and self.M < self.N):
             raise ConfigError("beta_lo = 0 with M < N needs beta_a > 1: the Hilbert transform "
                               "at 0, which the lambda = 0 branch of phi2 reads, diverges")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         return self
 
@@ -273,8 +274,7 @@ def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list
 
 def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     cfg.validate()
-    # the workers key, else the CPU count, at most one per seed
-    workers = min(cfg.workers or os.cpu_count() or 1, len(cfg.seeds))
+    workers = min(cfg.workers, len(cfg.seeds))
     shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
     predictions = se_predictions(cfg, shrinkage)
     simulated = [m for m in cfg.methods if m != "se-only"]

@@ -39,26 +39,17 @@ class SeTrace:
 
 
 def _strength_loop(step, channel_u: ScalarChannel, channel_v: ScalarChannel,
-                   n_iter: int, tol: float, output_snrs: bool = False) -> SeTrace:
+                   n_iter: int, tol: float) -> SeTrace:
     """The loop that iterates every schedule, from w1 = w2 = 0.
 
-    Step t maps the strengths to the next ones by ``step(t, w1, w2, rho1,
-    rho2)``.  With ``output_snrs`` (the OAMP map), rho are the output SNRs
-    of the divergence-free denoisers at the current strengths, and the trace
-    records them; otherwise they are None and ``rho1``, ``rho2`` stay empty.
-    Once successive strengths move less than ``tol``, the trace is padded to
-    ``n_iter`` steps with the fixed point: the final strengths and overlaps,
-    and the output SNRs that the final strengths give.
+    Step t maps the strengths to the next ones by ``step(t, w1, w2)``.  Once
+    successive strengths move less than ``tol``, the trace is padded to
+    ``n_iter`` steps with the fixed point: the final strengths and overlaps.
     """
     trace = SeTrace()
     w1 = w2 = 0.0
-    rho = (None, None)
     for t in range(1, n_iter + 1):
-        if output_snrs:
-            rho = (channel_u.dmmse_stats(w1)[2], channel_v.dmmse_stats(w2)[2])
-            trace.rho1.append(rho[0])
-            trace.rho2.append(rho[1])
-        w1_next, w2_next = step(t, w1, w2, *rho)
+        w1_next, w2_next = step(t, w1, w2)
         moved = max(abs(w1_next - w1), abs(w2_next - w2))
         w1, w2 = w1_next, w2_next
         trace.w1.append(w1)
@@ -70,10 +61,6 @@ def _strength_loop(step, channel_u: ScalarChannel, channel_v: ScalarChannel,
         if moved < tol:
             trace.converged_at = t
             pad = n_iter - t
-            if output_snrs:
-                # a later step would take its rho from the final strengths
-                trace.rho1.extend([channel_u.dmmse_stats(w1)[2]] * pad)
-                trace.rho2.extend([channel_v.dmmse_stats(w2)[2]] * pad)
             for lst in (trace.w1, trace.w2, trace.mmse_u, trace.mmse_v,
                         trace.cos2_u, trace.cos2_v):
                 lst.extend([lst[-1]] * pad)
@@ -89,9 +76,13 @@ def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
     Strengths start at w = 0; the first step draws its signal content from
     the side information folded into the scalar channels.  A zero strength
     means the matrix step carries no signal.  The schedule converges once
-    its strengths move less than SE_CONVERGENCE_TOL.
+    its strengths move less than SE_CONVERGENCE_TOL.  Step t builds its
+    denoisers at the output SNRs rho(w_{t-1}) of the divergence-free scalar
+    denoisers, with w_0 = 0, and the trace records them; a padded schedule
+    has padded rho.
     """
-    def step(t, w1, w2, rho1, rho2):
+    def step(t, w1, w2):
+        rho1, rho2 = channel_u.dmmse_stats(w1)[2], channel_v.dmmse_stats(w2)[2]
         w1_next, w2_next = DenoiserSet(shrinkage, rho1, rho2).next_strengths()
         # round-off around a collapsed strength (e.g. theta = 0) becomes 0
         w1_next = 0.0 if -1e-9 < w1_next < 1e-12 else w1_next
@@ -101,8 +92,10 @@ def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
                 f"strength left [0, 1) at t={t}: w1={w1_next:.6g}, w2={w2_next:.6g}")
         return w1_next, w2_next
 
-    return _strength_loop(step, channel_u, channel_v, n_iter, SE_CONVERGENCE_TOL,
-                          output_snrs=True)
+    trace = _strength_loop(step, channel_u, channel_v, n_iter, SE_CONVERGENCE_TOL)
+    trace.rho1 = [channel_u.dmmse_stats(w)[2] for w in [0.0] + trace.w1[:-1]]
+    trace.rho2 = [channel_v.dmmse_stats(w)[2] for w in [0.0] + trace.w2[:-1]]
+    return trace
 
 
 def _amp_step(theta: float, delta: float, channel_u: ScalarChannel,
@@ -110,7 +103,7 @@ def _amp_step(theta: float, delta: float, channel_u: ScalarChannel,
     """The Gaussian-noise AMP map, with snr(w) = w/(1-w): the v half step
     snr(w2) = theta^2 (1 - mmse_U(w1)) from the previous w1, then the u half
     step snr(w1) = (theta^2/delta)(1 - mmse_V(w2)) from the new w2."""
-    def step(t, w1, w2, *_):
+    def step(t, w1, w2):
         gamma = theta ** 2 * (1.0 - channel_u.mmse(w1))
         w2 = gamma / (1.0 + gamma)
         gamma = theta ** 2 / delta * (1.0 - channel_v.mmse(w2))

@@ -3,7 +3,7 @@ benchmark reads each name in ``rectoamp.__all__``.  A name that only the
 tests use belongs in ``tests/`` (as the general state evolution and the
 tabulated law do).  Likewise every config key is read by the program: a key
 that only its own class reads is a dead option, and the README documents
-exactly the CLI's subcommands."""
+exactly the CLI's subcommands and exactly the config keys."""
 
 import ast
 import re
@@ -62,3 +62,13 @@ def test_readme_cli_block_names_every_subcommand(capsys):
     block = re.search(r"## CLI\s+```text\n(.*?)```", readme, re.S).group(1)
     documented = [line.split()[1] for line in block.splitlines() if line.strip()]
     assert sorted(documented) == sorted(listed.split(","))
+
+
+def test_readme_config_table_names_every_key():
+    """The first column of the README's config table names, in backticks,
+    exactly the fields of ``ExperimentConfig``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"## Config format\n.*?\n(\| key \|.*?)\n\n", readme, re.S).group(1)
+    documented = [name for row in table.splitlines()[2:]
+                  for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(documented) == sorted(f.name for f in fields(ExperimentConfig))

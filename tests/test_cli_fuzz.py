@@ -4,9 +4,9 @@ Whatever the config text or the argv, ``rectoamp`` exits 0, 1 or 2 without
 a traceback, and a non-zero exit prints exactly one line with ``error:``.
 Config texts mix the key grammar with junk keys, junk values, nan, inf,
 negative numbers and paths, at M, N <= 40, at most 3 seeds and at most 3
-iterations; ``workers`` is absent, 1, 2, 0, -1 or junk, so no pool grows
-past two processes, and every output path lies under a temporary
-directory.
+iterations; ``workers`` is absent (the seeds run in process), 1, 2, 0, -1
+or junk, so no pool grows past two processes, and every output path lies
+under a temporary directory.
 """
 
 import contextlib

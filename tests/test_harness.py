@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, CSV emission, and the CLI."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -247,12 +248,17 @@ class TestEmission:
                            {"methods": "se-only"})
         assert run_experiment(cfg).metadata["workers"] == 3
 
-    def test_metadata_records_resolved_workers(self):
-        cfg = parse_config(SMALL.replace("workers = 1\n", ""), {"methods": "se-only"})
-        assert cfg.workers is None
+    def test_default_run_is_serial(self, monkeypatch):
+        # without a workers line the seeds run in process: no pool is built
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a run without workers built a process pool")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = parse_config(SMALL.replace("workers = 1\n", ""), {"methods": "oamp"})
+        assert cfg.workers == 1
         meta = run_experiment(cfg).metadata
-        assert meta["workers"] == min(3, os.cpu_count() or 1)
-        assert meta["config"]["workers"] is None
+        assert meta["n_seeds_used"] == 3
+        assert meta["workers"] == 1
+        assert meta["config"]["workers"] == 1
 
     def test_bad_path(self, small_report):
         with pytest.raises(HarnessError, match="cannot write"):
