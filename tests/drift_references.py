@@ -3,7 +3,8 @@
 Each case is one CLI invocation whose output the gate pins:
 
 - fig1- and fig2-shaped runs: the shipped configs at M = 200, N = 400,
-  3 seeds, 10 iterations and one worker (their CSV);
+  3 seeds, 10 iterations and one worker (their CSV), and fig1 at M = N =
+  200, where seed 0 takes the direct-SVD fallback of ``model.thin_svd``;
 - ``se`` for MP and Beta at delta = 0.5 and delta = 1 (stdout);
 - ``spectra-check`` for MP and Beta (stdout).
 
@@ -40,7 +41,10 @@ DATA = ROOT / "tests" / "data"
 
 # appended to a shipped config: a later key overrides an earlier one
 SMALL_RUN = "M = 200\nN = 400\nseeds = 3\niters = 10\nworkers = 1\n"
-RUNS = {"fig1": "configs/fig1.cfg", "fig2": "configs/fig2.cfg"}
+# case: (shipped config, keys appended after SMALL_RUN)
+RUNS = {"fig1": ("configs/fig1.cfg", ""), "fig2": ("configs/fig2.cfg", ""),
+        # MP at delta = 1; seed 0's Gram eigenvalue ratio is 2.7e-9
+        "fig1_square": ("configs/fig1.cfg", "N = 200\n")}
 PRINTS = {
     "se_mp_0.5": ["se", "--theta", "2", "--delta", "0.5"],
     "se_mp_1": ["se", "--theta", "2", "--delta", "1"],
@@ -73,7 +77,8 @@ def render(case: str) -> str:
         return _cli(PRINTS[case])
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
-        cfg.write_text((ROOT / RUNS[case]).read_text() + SMALL_RUN
+        config, extra = RUNS[case]
+        cfg.write_text((ROOT / config).read_text() + SMALL_RUN + extra
                        + f"out = {tmp}/run\n")
         _cli(["run", str(cfg)])
         return (Path(tmp) / "run.csv").read_text()

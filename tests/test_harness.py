@@ -478,6 +478,14 @@ class TestCli:
         assert out.splitlines()[0] == "t w1 w2 cos2_u cos2_v mmse_u mmse_v"
         assert len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("theta", ["0.3", "0.5", "0.8408964", "0.95"])
+    def test_se_square_with_little_side_information(self, capsys, theta):
+        # MP at delta = 1 has a lambda^(-1/2) edge at 0: unless the
+        # quadrature takes its mass, the first strength turns negative
+        assert cli_main(["se", "--delta", "1", "--w0", "0.00000001", "--iters", "3",
+                         "--theta", theta]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_spectra_check_passes(self, capsys):
         assert cli_main(["spectra-check", "--theta", "2"]) == 0
         assert "FAIL" not in capsys.readouterr().out

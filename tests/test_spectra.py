@@ -1,5 +1,6 @@
 """Spectral transforms, shrinkage functions, and induced measures."""
 
+import math
 import os
 import pickle
 import subprocess
@@ -82,92 +83,46 @@ def mp_or_beta(kind, delta):
     return ShiftedBeta(1.5, 1.5, 1.0, 3.0, delta)
 
 
-def legendre_reference(n, x):
-    """spectra._legendre as it was before the rule was cached: the
-    three-term recurrence with (2j - 1) x p - (j - 1) p_prev divided by j."""
-    p_prev, p = np.ones_like(x), x.copy()
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
+class TestGaussChebyshev:
+    @pytest.mark.parametrize("n", [7, 8, 2000])
+    def test_rule(self, n):
+        x, w = spectra._gauss_chebyshev(1.0, 3.0, n)
+        assert np.all(np.diff(x) > 0) and 1.0 < x[0] and x[-1] < 3.0
+        assert np.all(w > 0)
 
+    @pytest.mark.parametrize("n", [7, 8, 2000])
+    def test_even_monomials_on_the_semicircle(self, n):
+        # int x^(2k) sqrt(1 - x^2) = pi (2k)! / (2^(2k+1) k! (k+1)!): the
+        # rule is exact for k <= n - 2, where x^(2k) (1 - x^2) has degree
+        # < 2n (at k = n - 1 the 7-node rule is off by 0.76 %)
+        x, w = spectra._gauss_chebyshev(-1.0, 1.0, n)
+        exact = np.pi * np.array([math.comb(2 * k, k) / (2 ** (2 * k + 1) * (k + 1))
+                                  for k in range(n - 1)])
+        got = (w * np.sqrt((1.0 - x) * (1.0 + x))) @ x[:, None] ** (2 * np.arange(n - 1))
+        assert np.max(np.abs(got / exact - 1.0)) <= 1e-13
 
-def gauss_legendre_reference(n):
-    """The n-point rule on [-1, 1] as it was computed before it was cached:
-    Newton on every positive node until all corrections are below eps,
-    then the weights."""
-    k = np.arange(1, n // 2 + 1)
-    t = np.pi * (4 * k - 1) / (4 * n + 2)
-    x = (1.0 - (n - 1) / (8.0 * n ** 3)
-         - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
-    for _ in range(10):
-        p, dp = legendre_reference(n, x)
-        dx = p / dp
-        x -= dx
-        if np.all(np.abs(dx) <= np.finfo(float).eps):
-            break
-    else:
-        raise AssertionError("reference Newton iteration did not converge")
-    x = np.concatenate((np.zeros(n % 2), x[::-1]))
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * legendre_reference(n, x)[1] ** 2)
-    x = np.concatenate((-x[n % 2:][::-1], x))
-    w = np.concatenate((w[n % 2:][::-1], w))
-    return x, w
+    @pytest.mark.parametrize("make", [
+        lambda: MarchenkoPastur(0.25), lambda: MarchenkoPastur(0.5),
+        lambda: MarchenkoPastur(1.0), lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA),
+        lambda: ShiftedBeta(0.5, 1.5, 1.0, 3.0, DELTA)],
+        ids=["mp_0.25", "mp_0.5", "mp_1", "semicircle", "beta_0.5_1.5"])
+    def test_raw_mass(self, make):
+        # the density times sqrt((hi - x)(x - lo)) is analytic (MP at
+        # delta < 1) or a polynomial (the others), so the mass needs no
+        # renormalization
+        sp = make()
+        _, w = spectra._gauss_chebyshev(*sp.support, spectra.DEFAULT_QUAD_NODES)
+        assert abs(np.dot(w, sp._density_at_nodes) - 1.0) <= 1e-13
+
+    def test_flat_edge_converges_slowly(self):
+        # a shape equal to 1 leaves a density that is nonzero at the edge:
+        # there the rule falls to O(n^-2), 1.0e-7 at 2000 nodes
+        sp = ShiftedBeta(1.0, 1.0, 1.0, 3.0, DELTA)
+        _, w = spectra._gauss_chebyshev(*sp.support, spectra.DEFAULT_QUAD_NODES)
+        assert abs(np.dot(w, sp._density_at_nodes) - 1.0) <= 1e-6
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [7, 8, 2000])
-    def test_rule(self, n):
-        x, w = spectra._gauss_legendre(-1.0, 1.0, n)
-        assert np.all(np.diff(x) > 0)
-        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-        assert np.max(np.abs(x - x_ref)) <= 1e-15
-        assert np.max(np.abs(w / w_ref - 1)) <= 1e-7
-        assert abs(w.sum() - 2.0) <= 1e-14
-
-    @pytest.mark.parametrize("n", [7, 8, 2000])
-    def test_matches_full_newton(self, n):
-        # per-node stopping, the in-place recurrence and one weight pass
-        # against the former rule (at n = 2000: 1.1e-16 and 4.4e-12)
-        x, w = spectra._gauss_legendre(-1.0, 1.0, n)
-        x_ref, w_ref = gauss_legendre_reference(n)
-        assert np.max(np.abs(x - x_ref)) <= 2.2e-16
-        assert np.max(np.abs(w / w_ref - 1)) <= 1e-11
-
-    def test_rule_built_once_per_size(self, monkeypatch):
-        calls = []
-        legendre = spectra._legendre
-
-        def counted(n, x):
-            calls.append(n)
-            return legendre(n, x)
-
-        spectra._reference_rule.cache_clear()
-        monkeypatch.setattr(spectra, "_legendre", counted)
-        MarchenkoPastur(DELTA)
-        assert calls
-        calls.clear()
-        MarchenkoPastur(1.0)
-        ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA)
-        assert calls == []
-
-    def test_cached_rule_is_read_only_and_unshared(self):
-        x, w = spectra._reference_rule(spectra.DEFAULT_QUAD_NODES)
-        assert not x.flags.writeable and not w.flags.writeable
-        with pytest.raises(ValueError):
-            x[0] = 0.0
-        rules = [(sp.nodes, sp.quad_weights) for sp in
-                 (MarchenkoPastur(DELTA), ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA))]
-        rules.append(spectra._gauss_legendre(-1.0, 1.0, spectra.DEFAULT_QUAD_NODES))
-        for owned in (a for rule in rules for a in rule):
-            assert owned.flags.writeable
-            assert not np.shares_memory(owned, x) and not np.shares_memory(owned, w)
-
-    def test_high_degree_monomial(self):
-        # leggauss(2000) is off by 1.2e-10 here
-        x, w = spectra._gauss_legendre(-1.0, 1.0, 2000)
-        assert np.dot(w, x ** 1000) == pytest.approx(2 / 1001, rel=1e-12, abs=0)
-
     def test_spectra_build_without_leggauss(self, monkeypatch):
         def unavailable(n):
             raise AssertionError("leggauss called")
@@ -462,6 +417,10 @@ class TestAtoms:
         for delta in (0.25, 0.5, 1.0):
             assert detection_threshold(MarchenkoPastur(delta)) == pytest.approx(
                 delta ** 0.25, rel=1e-12, abs=0)
+        # the semicircle on [1, 3] has S(3) = 2, so C(3) = 2 + 10 delta
+        for delta, c_edge in ((0.5, 7.0), (1.0, 12.0)):
+            assert detection_threshold(ShiftedBeta(1.5, 1.5, 1.0, 3.0, delta)) == \
+                pytest.approx(1.0 / np.sqrt(c_edge), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0])
     def test_beta_atom_just_above_threshold(self, delta):
@@ -502,18 +461,18 @@ class TestAtoms:
     @pytest.mark.parametrize("kind", ["mp", "beta"])
     def test_upper_atom_from_the_threshold_on(self, kind, delta):
         # the upper bracket starts at the edge, as the threshold does: 1e-6
-        # above theta_c the root sits 3e-12 (mp) or 5e-10 (beta) above the
+        # above theta_c the root sits 3e-12 (mp) or 2.7e-10 (beta) above the
         # edge, below where a bracket from hi + 1e-9 hi would start
         sp = mp_or_beta(kind, delta)
         hi, theta_c = sp.support[1], detection_threshold(sp)
         upper = [a for a in ShrinkageSet(sp, theta_c * (1 + 1e-6)).find_spectral_atoms()
                  if a.location > hi]
         assert len(upper) == 1 and upper[0].nu1_mass > 0 and upper[0].nu2_mass > 0
-        # closer still the MP root rounds to the edge, where C' is infinite:
+        # closer still the root rounds to the edge, where C' is infinite:
         # that root is no atom, and no division by zero is attempted
         upper = [a for a in ShrinkageSet(sp, theta_c * (1 + 1e-12)).find_spectral_atoms()
                  if a.location > hi]
-        assert len(upper) == (kind == "beta")
+        assert upper == []
 
     @pytest.mark.parametrize("excess", [1e-3, 1e-6])
     @pytest.mark.parametrize("delta", [0.5, 1.0])

@@ -235,13 +235,14 @@ class TestOptimalRecursion:
 
 
 class TestGaussianFixedPoint:
-    def test_matches_optimal_recursion(self, shrink_mp2, channels):
-        tr = optimal_se_run(shrink_mp2, *channels, 200)
-        w1, w2, m_u, m_v = gaussian_fixed_point(2.0, 0.5, *channels)
-        assert abs(tr.w1[-1] - w1) <= 1e-6
-        assert abs(tr.w2[-1] - w2) <= 1e-6
-        assert abs(tr.mmse_u[-1] - m_u) <= 1e-6
-        assert abs(tr.mmse_v[-1] - m_v) <= 1e-6
+    def test_matches_optimal_recursion(self, channels):
+        # on MP noise OAMP's limit is the Gaussian fixed point, at delta = 1
+        # too, where the spectrum has a lambda^(-1/2) edge at 0
+        for delta, theta in ((0.5, 2.0), (1.0, 2.0), (1.0, 1.2)):
+            tr = optimal_se_run(ShrinkageSet(MarchenkoPastur(delta), theta), *channels, 200)
+            fixed = gaussian_fixed_point(theta, delta, *channels)
+            limit = (tr.w1[-1], tr.w2[-1], tr.mmse_u[-1], tr.mmse_v[-1])
+            assert np.max(np.abs(np.subtract(limit, fixed))) <= 1e-11, (delta, theta)
 
     def test_solves_the_system(self, channels):
         ch_u, ch_v = channels
