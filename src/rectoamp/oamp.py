@@ -91,10 +91,18 @@ class DenoiserSet:
         self.q_zero = self.delta / (rho2 * shrinkage.phi2_zero() + self.delta)
 
         mu = shrinkage.spectrum.measure()
-        p, _, q, _ = self._pq(mu.nodes, shrinkage.node_numerators)
+        n1, n2, _, _ = shrinkage.node_numerators
+        p, _, q, _, e = self._pq(mu.nodes, shrinkage.node_numerators)
         self.mean_p = float(np.sum(mu.weights * p))
         self.mean_q = (self.delta * float(np.sum(mu.weights * q))
                        + (1.0 - self.delta) * self.q_zero)
+        # (1 - <P*>) / rho1 and (1 - <Q*>) / rho2 without the subtraction,
+        # which loses eps / rho at small rho: 1 - P* = delta rho1 (rho2 +
+        # n1) / E, 1 - Q* = rho2 (delta rho1 + n2) / E and 1 - q_zero =
+        # rho2 phi2(0) / (rho2 phi2(0) + delta)
+        self._gap_p = self.delta * float(np.sum(mu.weights * (rho2 + n1) / e))
+        self._gap_q = (self.delta * float(np.sum(mu.weights * (self.delta * rho1 + n2) / e))
+                       + (1.0 - self.delta) * self.q_zero * shrinkage.phi2_zero() / self.delta)
         if not 0.0 < self.mean_p < 1.0 or not 0.0 < self.mean_q < 1.0:
             # both lie in (0, 1); they round to 1 once den (~ theta^4) swamps rho
             cause = (f"SNR {shrinkage.theta:g} too large: "
@@ -103,7 +111,7 @@ class DenoiserSet:
                             f"<Q*> = {self.mean_q:.6g}")
 
     def _pq(self, lam, numerators):
-        """(P*, Ptil*, Q*, Qtil*) at ``lam`` from the numerators there."""
+        """(P*, Ptil*, Q*, Qtil*, E) at ``lam`` from the numerators there."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         d, r1, r2 = self.delta, self.rho1, self.rho2
         n1, n2, n3, den = numerators
@@ -122,12 +130,12 @@ class DenoiserSet:
         cross = np.sqrt(d) * n3 / lam_e
         p = np.where(zero, 0.0, a2 / e)
         q = np.where(zero, self.q_zero, d * a1 / e)
-        return p, np.where(zero, 0.0, r2 * cross), q, np.where(zero, 0.0, r1 * cross)
+        return p, np.where(zero, 0.0, r2 * cross), q, np.where(zero, 0.0, r1 * cross), e
 
     def evaluate(self, lam, numerators):
         """(F*, Ftil*, G*, Gtil*) entrywise at eigenvalues of YY^T, from the
         shrinkage numerators there (``ShrinkageSet.numerators(lam)``)."""
-        p, ptil, q, qtil = self._pq(lam, numerators)
+        p, ptil, q, qtil, _ = self._pq(lam, numerators)
         c1 = 1.0 + 1.0 / self.rho1
         c2 = 1.0 + 1.0 / self.rho2
         f = c1 * (1.0 - p / self.mean_p)
@@ -142,8 +150,8 @@ class DenoiserSet:
 
     def next_strengths(self):
         """(w1, w2) implied by the trace-free normalization."""
-        w1 = 1.0 - (1.0 - self.mean_p) / (self.mean_p * self.rho1)
-        w2 = 1.0 - (1.0 - self.mean_q) / (self.mean_q * self.rho2)
+        w1 = 1.0 - self._gap_p / self.mean_p
+        w2 = 1.0 - self._gap_q / self.mean_q
         return w1, w2
 
 

@@ -2,7 +2,8 @@
 
 Everything downstream (matrix denoisers, state evolution) is built from a
 handful of deterministic transforms of the limiting spectral measure of the
-noise Gram matrix: its Stieltjes and Hilbert transforms, the rectangular
+noise Gram matrix: its Stieltjes and Hilbert transforms (series in the
+Chebyshev coefficients of its node values, ``SpectrumModel``), the rectangular
 C-transform, three shrinkage functions, and the induced signal-eigenspace
 measures (densities plus point masses at outlier locations).
 """
@@ -18,9 +19,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 DEFAULT_QUAD_NODES = 2000
-# SpectrumModel.hilbert evaluates this many points at a time, so its
-# (rows x nodes) temporaries stay near 2 MB however many points it is given
-_HILBERT_BLOCK_ROWS = 128
 # Each side of the support holds at most one outlier root, so each is
 # bisected in one bracket: [eps, lo - eps] below the lower edge and
 # [hi, hi + ROOT_MARGIN_FACTOR (1 + theta^2)] above the upper one
@@ -77,10 +75,27 @@ def _gauss_chebyshev(lo: float, hi: float, n: int):
     first-kind rule applied to f sqrt((hi - x)(x - lo)) (Abramowitz &
     Stegun 25.4.38), so it is exact when that product is a polynomial of
     degree < 2n and converges geometrically when it is analytic, as for MP
-    at every delta and for the semicircle Beta(3/2, 3/2)."""
+    at every delta and for the semicircle Beta(3/2, 3/2); its nodes are
+    Chebyshev points, so values there give Chebyshev coefficients too."""
     t = (np.arange(n, 0, -1) - 0.5) * (np.pi / n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * np.cos(t), half * (np.pi / n) * np.sin(t)
+
+
+def _chebyshev_coefficients(values, vanishing):
+    """Chebyshev coefficients of the ``_gauss_chebyshev`` node values by a
+    DCT-II, chopped at 1e-14 of the largest (Aurentz & Trefethen, ACM TOMS
+    43, 2017), and made to vanish at the ends flagged in ``vanishing``, where
+    S's 1/r would amplify the interpolant's residue (1e-7 for a shape < 1/2)."""
+    n = values.size
+    ext = np.fft.rfft(np.concatenate((values[::-1], values)))[:n]
+    a = np.real(ext * np.exp(-0.5j * np.pi * np.arange(n) / n)) / n
+    a[0] /= 2.0
+    big = np.flatnonzero(np.abs(a) > 1e-14 * np.max(np.abs(a)))
+    a = a[:max(2, big[-1] + 1 if big.size else n)]
+    ends = np.where(vanishing, [a @ (-1.0) ** np.arange(a.size), a.sum()], 0.0)
+    a[:2] -= [0.5 * (ends[0] + ends[1]), 0.5 * (ends[1] - ends[0])]
+    return a
 
 
 class SpectrumModel:
@@ -90,6 +105,15 @@ class SpectrumModel:
     density on a compact subset of the positive half-line.  Subclasses
     define ``_density(lam)`` on the support from their own attributes, so
     spectra pickle.
+
+    The transforms read the Chebyshev coefficients a_k of F = rho s =
+    sum_k a_k T_k(w), s = sqrt((hi - x)(x - lo)), w = (x - c)/R (few terms
+    when F is a polynomial: Beta shapes in 1/2 + N).  The mass is pi a_0,
+    and with r = sqrt(w - 1) sqrt(w + 1), q = w - r at z (Mason & Handscomb,
+    Chebyshev Polynomials, 2003) S(z) = (pi / R) sum_k a_k q^k / r off the
+    support, and H = -(1/R) sum_{k>=1} a_k U_{k-1}(w) on it, edges included:
+    no term is singular at a node, and at an edge S is pi H, the limit from
+    outside where F vanishes there and the interior limit of H elsewhere.
     """
 
     def __init__(self, delta: float, support):
@@ -103,6 +127,11 @@ class SpectrumModel:
         self.nodes, self.quad_weights = _gauss_chebyshev(lo, hi, DEFAULT_QUAD_NODES)
         with np.errstate(all="ignore"):     # nan on a degenerate support
             self._density_at_nodes = np.asarray(self._density(self.nodes), dtype=float)
+            # F = rho s vanishes at an edge where rho is finite; s is taken at
+            # the rounded nodes, as rho is (R sin t_j is 1e-10 off it there)
+            self._cheb = _chebyshev_coefficients(
+                self._density_at_nodes * np.sqrt(hi - self.nodes) * np.sqrt(self.nodes - lo),
+                np.isfinite(self._density(np.array([lo, hi]))))
         mass = float(np.dot(self.quad_weights, self._density_at_nodes))
         # tolerance accommodates Beta shapes below 1/2, whose t^(a - 1)
         # edge the rule resolves slowly (3.5e-3 at a = 0.3); weights are
@@ -111,9 +140,10 @@ class SpectrumModel:
             raise SpectraError(f"density on the support [{lo}, {hi}] does not integrate "
                                f"to 1 (got {mass:.8f})")
         self.quad_weights = self.quad_weights / mass
+        self._cheb = self._cheb / mass
         # read by every ShrinkageSet's node numerators, whatever its SNR
-        self._hilbert_at_nodes = self.hilbert(self.nodes)
         with np.errstate(over="ignore"):    # the shrinkage numerators square both
+            self._hilbert_at_nodes = self.hilbert(self.nodes)
             squares = np.square([self._density_at_nodes, self._hilbert_at_nodes])
         if not np.isfinite(squares).all():
             raise SpectraError(f"the density or its Hilbert transform on the support "
@@ -136,7 +166,11 @@ class SpectrumModel:
         z = np.asarray(z)
         if np.any(self._on_support_real(z)):
             raise SpectraError("stieltjes transform undefined on the support")
-        return self._stieltjes(z)
+        s = self._stieltjes(z)
+        if s.ndim == 0:
+            s = complex(s)
+            return s.real if np.isreal(z) else s
+        return s
 
     def _on_support_real(self, z):
         z = np.asarray(z)
@@ -145,62 +179,52 @@ class SpectrumModel:
         x = np.real(z)
         return real & (x > lo) & (x < hi)
 
+    def _scaled(self, z):
+        """(w, r, q) at z, with w exactly -1 and 1 at the edges."""
+        lo, hi = self.support
+        w = ((z - lo) - (hi - z)) / (hi - lo)
+        r = np.sqrt(w - 1.0 + 0j) * np.sqrt(w + 1.0 + 0j)
+        return w, r, w - r
+
+    def _q_series(self, q, weights=1):
+        """sum_k weights_k a_k q^k, by Horner."""
+        total = np.zeros_like(q)
+        for coef in (self._cheb * weights)[::-1]:
+            total = total * q + coef
+        return total
+
+    def _u_series(self, w):
+        """sum_{k>=1} a_k U_{k-1}(w), by Clenshaw's recurrence."""
+        b1 = b2 = np.zeros_like(w)
+        for coef in self._cheb[:0:-1]:
+            b1, b2 = coef + 2.0 * w * b1 - b2, b1
+        return b1
+
     def _stieltjes(self, z):
-        z = np.asarray(z, dtype=complex)
-        vals = np.sum(
-            self.quad_weights * self._density_at_nodes
-            / (z[..., None] - self.nodes), axis=-1)
-        if vals.ndim == 0:
-            vals = complex(vals)
-            return vals.real if np.isreal(z) else vals
-        return vals
+        w, r, q = self._scaled(np.asarray(z, dtype=complex))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.asarray(self._q_series(q) / r)
+        if np.any(r == 0.0):
+            vals[r == 0.0] = -self._u_series(np.real(w[r == 0.0]))
+        return vals * (2.0 * np.pi / np.ptp(self.support))
 
     def _stieltjes_derivative(self, lam: float) -> float:
-        """S'(lambda) = -int (lambda - t)^-2 dmu(t), real lambda off the support."""
-        return -float(np.sum(self.quad_weights * self._density_at_nodes
-                             / (lam - self.nodes) ** 2))
+        """S'(lambda) off the support, from dq/dw = -q/r and dr/dw = w/r."""
+        w, r, q = self._scaled(lam)
+        series = r * self._q_series(q, np.arange(self._cheb.size)) + w * self._q_series(q)
+        return -4.0 * np.pi * float(np.real(series / r ** 3)) / np.ptp(self.support) ** 2
 
     def hilbert(self, x):
-        """(1/pi) P.V. int mu(lam) / (x - lam) dlam, defined on all of R.
-
-        Inside the support the principal value is computed by subtracting the
-        density value at x, which leaves a bounded integrand for a
-        Hölder-continuous density; the log term is the exact PV integral of
-        the subtracted constant.  Outside the support this reduces to the
-        plain quadrature, i.e. S(x) / pi.
-        """
+        """(1/pi) P.V. int mu(lam) / (x - lam) dlam, defined on all of R:
+        the U-series on the closed support, Re S(x) / pi outside it."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         lo, hi = self.support
-        mux = np.atleast_1d(self.density(x))
+        inside = (x >= lo) & (x <= hi)
         out = np.empty_like(x)
-        buf = np.empty((min(x.size, _HILBERT_BLOCK_ROWS), self.nodes.size))
-        for start in range(0, x.size, _HILBERT_BLOCK_ROWS):
-            rows = slice(start, start + _HILBERT_BLOCK_ROWS)
-            xb = x[rows]
-            integrand = np.subtract(self._density_at_nodes, mux[rows, None],
-                                    out=buf[:xb.size])
-            # where x is a quadrature node (every ShrinkageSet's node
-            # numerators, computed once in SpectrumModel.__init__) that node's
-            # term is 0/0 and is set to 0, which drops w_i (-mu'(x_i)) / pi
-            # from the sum; so is every term at an x where the density is
-            # infinite.  A quotient that overflows (a very narrow support)
-            # has no such meaning, and fails the spectrum
-            try:
-                with np.errstate(divide="ignore", invalid="ignore", over="raise"):
-                    integrand /= xb[:, None] - self.nodes
-            except FloatingPointError:
-                raise SpectraError(f"the Hilbert transform on the support "
-                                   f"[{lo}, {hi}] overflows") from None
-            integrand[~np.isfinite(integrand)] = 0.0
-            # einsum reduces each row alike whatever the block's row count,
-            # where a gemv's per-row bits depend on it
-            out[rows] = np.einsum("ij,j->i", integrand, self.quad_weights)
-        inside = (x > lo) & (x < hi)
-        out[inside] += mux[inside] * np.log((x[inside] - lo) / (hi - x[inside]))
-        out /= np.pi
-        return float(out[0]) if scalar else out
+        out[inside] = -2.0 / (hi - lo) * self._u_series(self._scaled(x[inside])[0].real)
+        if not np.all(inside):
+            out[~inside] = np.real(self._stieltjes(x[~inside])) / np.pi
+        return out if out.ndim else float(out)
 
     def c_transform(self, z):
         """Rectangular composite transform z*S(z)*(delta*S(z) + (1-delta)/z)."""
@@ -227,7 +251,8 @@ class MarchenkoPastur(SpectrumModel):
     """MP law with ratio delta, matching noise entries of variance 1/N.
 
     Stieltjes transform and density are closed form; the branch of the square
-    root is fixed so that S(z) ~ 1/z at infinity.
+    root is fixed so that S(z) ~ 1/z at infinity.  They stay: near delta = 1
+    the 1/lambda pole below the support keeps F's series from rounding.
     """
 
     kind = "marchenko_pastur"
@@ -250,9 +275,6 @@ class MarchenkoPastur(SpectrumModel):
         if self.delta < 1.0:
             # removable 0/0 at the origin: S(0) = -E[1/lambda] = -1/(1-delta)
             s = np.where(z == 0, -1.0 / (1.0 - self.delta), s)
-        if s.ndim == 0:
-            s = complex(s)
-            return s.real if np.isreal(z) else s
         return s
 
     def _stieltjes_derivative(self, lam):
@@ -264,19 +286,12 @@ class MarchenkoPastur(SpectrumModel):
         return float(np.real((1.0 - dr) / (2.0 * self.delta * lam) - s / lam))
 
     def hilbert(self, x):
+        # on the support S is a boundary value whose real part is pi H, too
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi) & (x > 0)
-        out = np.empty_like(x)
-        out[inside] = (x[inside] + self.delta - 1.0) / (2 * np.pi * self.delta * x[inside])
-        if self.delta == 1.0:
-            out[x == 0] = 1.0 / (2.0 * np.pi)  # interior limit at the edge
-        outside = ~inside & ~((x == 0) & (self.delta == 1.0))
-        if np.any(outside):
-            out[outside] = np.real(self._stieltjes(x[outside].astype(complex))) / np.pi
-        return float(out[0]) if scalar else out
+        out = np.real(self._stieltjes(x)) / np.pi
+        if self.delta == 1.0:   # the interior limit at the edge 0
+            out = np.where(x == 0, 1.0 / (2.0 * np.pi), out)
+        return out if np.ndim(out) else float(out)
 
 
 class ShiftedBeta(SpectrumModel):
@@ -419,10 +434,10 @@ class ShrinkageSet:
         h' = T + lambda T' > 0, h(0+) = 0), and C = T (delta h - (1 - delta)):
         C increases strictly wherever it is positive and is <= 0 elsewhere.
         So g has at most one zero there, with g > 0 to its left and g < 0
-        to its right.  Both arguments need only a nonnegative measure on
-        the half-line, so they hold for the quadrature measure as well.  The roots become
-        point masses through the derivative of the C-transform; the upper
-        atom comes first.
+        to its right.  Both arguments need only a nonnegative measure on the
+        half-line, as the series' is wherever F's interpolant is nonnegative
+        (exactly so for a polynomial F).  The roots become point masses
+        through the derivative of the C-transform; the upper atom comes first.
 
         Every root is an outlier, on either side of the support (the master
         equation of Benaych-Georges & Nadakuditi, J. Multivariate Anal. 111,
@@ -491,25 +506,9 @@ class ShrinkageSet:
         if d < 1.0:    # the null space of Y^T Y
             nu2_atoms = nu2_atoms + ((0.0, (1.0 - d) / self._phi2_zero_denom),)
 
-        # enforce the exact sum rules nu1(R) = nu2(R) = 1 on the quadrature
-        # weights of the continuous parts; for spectra without closed-form
-        # transforms the grid Hilbert transform leaves a mass defect of up
-        # to about 1e-4, and where phi1 peaks at an edge (theta at the
-        # lower-edge threshold) the quadrature rule itself leaves about as
-        # much (ROADMAP direction 1)
-        w1 = base * phi1
-        w2 = base * phi2
-        target1 = 1.0 - sum(m for _, m in nu1_atoms)
-        target2 = 1.0 - sum(m for _, m in nu2_atoms)
-        if w1.sum() > 0 and target1 > 0:
-            w1 *= target1 / w1.sum()
-        if w2.sum() > 0 and target2 > 0:
-            w2 *= target2 / w2.sum()
-
         # nu3 lives on the sigma axis: density (sqrt(d)/(1+d)) sign(s) mu(s^2) phi3(s^2)
         sigma = np.sqrt(lam)
-        w3 = (np.sqrt(d) / (1.0 + d)) * spec._density_at_nodes * phi3 \
-            * spec.quad_weights / (2.0 * sigma)
+        w3 = (np.sqrt(d) / (1.0 + d)) * base * phi3 / (2.0 * sigma)
         nu3_nodes = np.concatenate((-sigma[::-1], sigma))
         nu3_weights = np.concatenate((-w3[::-1], w3))
         nu3_atoms = []
@@ -518,8 +517,8 @@ class ShrinkageSet:
             nu3_atoms += [(s_star, a.nu3_mass_pos), (-s_star, -a.nu3_mass_pos)]
 
         return InducedMeasures(
-            nu1=Measure(lam, w1, nu1_atoms),
-            nu2=Measure(lam, w2, nu2_atoms),
+            nu1=Measure(lam, base * phi1, nu1_atoms),
+            nu2=Measure(lam, base * phi2, nu2_atoms),
             nu3=Measure(nu3_nodes, nu3_weights, tuple(nu3_atoms)),
             atoms=tuple(atoms),
         )

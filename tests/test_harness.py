@@ -486,6 +486,19 @@ class TestCli:
                          "--theta", theta]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_se_below_threshold_with_little_side_information(self, capsys):
+        # half MP's threshold with side information 1e-8: formed as 1 - <P*>,
+        # the complement lost eps / rho and the first strength left [0, 1);
+        # formed directly, every step is the Gaussian fixed point
+        assert cli_main(["se", "--theta", "0.4204482", "--w0", "0.00000001",
+                         "--iters", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0].startswith("# gaussian fixed point: w1=0.0000000044 w2=0.0000000026 ")
+        assert [line.split()[1:3] for line in lines[2:]] == [
+            ["0.0000000044", "0.0000000026"]] * 3
+
     def test_spectra_check_passes(self, capsys):
         assert cli_main(["spectra-check", "--theta", "2"]) == 0
         assert "FAIL" not in capsys.readouterr().out

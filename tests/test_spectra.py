@@ -6,10 +6,11 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
@@ -239,56 +240,86 @@ class TestShiftedBeta:
             ShiftedBeta(a, b, lo, hi, DELTA)
 
 
-def hilbert_reference(spectrum, x):
-    """SpectrumModel.hilbert as it was computed with full-size temporaries,
-    each row reduced by the same einsum (a gemv's per-row bits depend on
-    the total row count)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    lo, hi = spectrum.support
-    mux = np.atleast_1d(spectrum.density(x))
-    diff = x[:, None] - spectrum.nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = (spectrum._density_at_nodes - mux[:, None]) / diff
-    integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-    out = np.einsum("ij,j->i", integrand, spectrum.quad_weights)
-    inside = (x > lo) & (x < hi)
-    out[inside] += mux[inside] * np.log((x[inside] - lo) / (hi - x[inside]))
-    out /= np.pi
-    return float(out[0]) if scalar else out
+def beta_hilbert(a, b, lo, hi, x):
+    """(1/pi) P.V. int rho(lam) / (x - lam) dlam for Beta(a, b) on [lo, hi]
+    by scipy's quad, after lam = lo + (hi - lo) sin^2 phi: for shapes in
+    1/2 + N that leaves a smooth integrand, which inside the support carries
+    the Cauchy weight 1/(phi - phi0).  Returns (value, whether quad met its
+    tolerance of 1e-12)."""
+    width, xp = hi - lo, (x - lo) / (hi - lo)
+    beta_fn = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    g = lambda p: 2.0 * np.sin(p) ** (2 * a - 1) * np.cos(p) ** (2 * b - 1) / (beta_fn * width)
+    kw = dict(limit=500, epsabs=1e-12, epsrel=1e-12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", integrate.IntegrationWarning)
+        if 0.0 < xp < 1.0:
+            phi0 = math.asin(math.sqrt(xp))
+            # 1 / (xp - sin^2 p) = (p - phi0) / (sin(phi0 - p) sin(phi0 + p)) / (p - phi0)
+            val = integrate.quad(lambda p: -g(p) / np.sinc((phi0 - p) / np.pi)
+                                 / np.sin(phi0 + p), 0.0, np.pi / 2,
+                                 weight="cauchy", wvar=phi0, **kw)[0]
+        else:
+            val = integrate.quad(lambda p: g(p) / (xp - np.sin(p) ** 2), 0.0, np.pi / 2,
+                                 **kw)[0]
+    return val / np.pi, not caught
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
-@pytest.mark.parametrize("make", [
-    lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA),
-    lambda: ShiftedBeta(0.5, 2.0, 1.0, 3.0, 1.0),
-    lambda: Tabulated(np.linspace(1.0, 3.0, 201),
-                      np.sin(np.linspace(0.0, np.pi, 201)), DELTA),
-], ids=["beta", "beta_infinite_edge", "tabulated"])
-def test_hilbert_matches_reference_bitwise(make):
-    sp = make()
-    lo, hi = sp.support
-    off_nodes = np.linspace(lo, hi, 37)
-    outside = np.array([0.0, 0.5 * lo, hi + 1e-9, 2.0 * hi])
-    for x in (sp.nodes, off_nodes, outside, np.concatenate((off_nodes, sp.nodes))):
-        assert np.array_equal(sp.hilbert(x), hilbert_reference(sp, x))
-    # lengths around the row block, mixing nodes, off-node and outside points
-    mixed = np.concatenate((outside, off_nodes, sp.nodes))[::3]
-    block = spectra._HILBERT_BLOCK_ROWS
-    for size in (0, 1, block - 1, block, block + 1, 2 * block + 37):
-        x = mixed[:size]
-        assert x.size == size
-        assert np.array_equal(sp.hilbert(x), hilbert_reference(sp, x))
-    for x in (sp.nodes[17], 0.5 * (lo + hi) + 0.1, lo, hi + 0.5):
-        h = sp.hilbert(x)
-        assert isinstance(h, float) and h == hilbert_reference(sp, x)
+HALF_SHAPES = st.sampled_from([0.5, 1.5, 2.5, 3.5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=HALF_SHAPES, b=HALF_SHAPES, where=st.sampled_from(["node", "off_node", "outside"]),
+       node=st.integers(0, spectra.DEFAULT_QUAD_NODES - 1), u=st.floats(0.0, 1.0))
+@example(a=0.5, b=1.5, where="node", node=0, u=0.0)
+@example(a=0.5, b=1.5, where="off_node", node=0, u=0.3)
+@example(a=1.5, b=1.5, where="outside", node=0, u=0.5)
+def test_hilbert_matches_cauchy_quadrature(a, b, where, node, u):
+    # the Chebyshev series of rho s against an independent principal value,
+    # at the quadrature nodes, between them and outside the support.  Where
+    # quad converges (1496 of 1500 draws) the two agree to 1.5e-13 on the
+    # support and to 7.7e-12 relative outside it, next to Beta(1/2, 3/2)'s
+    # infinite edge, where H is about 120; the former subtraction rule was
+    # off by 3.2e-4 at the semicircle's nodes and by 10.8 next to that edge
+    sp = ShiftedBeta(a, b, 1.0, 3.0, DELTA)
+    x = {"node": sp.nodes[node], "off_node": 1.0 + 2.0 * u,
+         "outside": (0.5 + 0.5 * u) if node % 2 else (3.0 + 3.0 * u)}[where]
+    want, converged = beta_hilbert(a, b, 1.0, 3.0, x)
+    assume(converged and x not in (1.0, 3.0))
+    assert sp.hilbert(x) == pytest.approx(want, rel=1e-10, abs=1e-11)
+
+
+def test_tabulated_hilbert_matches_cauchy_quadrature():
+    # a piecewise linear density: F = rho s has kinks, so its coefficients
+    # decay only like k^-2 and the series keeps all 2000; quad runs cell by
+    # cell, with the Cauchy weight in each.  Largest difference 7.4e-6, at
+    # the nodes next to the edges (the former rule: 1.7e-5 at node 17, up to
+    # 4.0e-4 at other nodes, and 4.4e-7 next to the edges)
+    grid = np.linspace(1.0, 3.0, 201)
+    sp = Tabulated(grid, np.sin(np.linspace(0.0, np.pi, 201)), DELTA)
+    dens = lambda l: float(sp.density(np.asarray(l, dtype=float)))
+    points = np.concatenate((sp.nodes[[0, 1, 17, 1000, 1998, 1999]],
+                             [1.0005, 1.3333, 1.7071, 2.2361, 2.7183, 2.9995]))
+    for x in points:
+        want = -sum(integrate.quad(dens, l, r, weight="cauchy", wvar=x, epsabs=1e-14,
+                                   epsrel=1e-13)[0]
+                    for l, r in zip(grid[:-1], grid[1:])) / np.pi
+        assert sp.hilbert(x) == pytest.approx(want, rel=0, abs=1e-5), x
+
+
+def test_hilbert_at_an_infinite_density_edge():
+    # Beta(1/2, 2) on [1, 3]: rho_t = (3/4) t^(-1/2) (1 - t), and
+    # (1/(pi L)) P.V. int rho_t / (x' - t) dt tends to 3 / (2 pi) as x'
+    # decreases to 0, which the series gives at the edge itself (a finite
+    # interior limit, not the former 0)
+    sp = ShiftedBeta(0.5, 2.0, 1.0, 3.0, 1.0)
+    assert sp.hilbert(1.0) == pytest.approx(3.0 / (2.0 * np.pi), rel=0, abs=1e-10)
 
 
 @pytest.mark.parametrize("points", ["nodes", "linspace_1000"])
 def test_hilbert_memory_is_bounded(points):
-    # the row blocks keep the traced peak near 4 MB (64 MB at the 2000
-    # nodes and 32 MB at 1000 points with full-size temporaries)
+    # the series holds a few vectors of the points' length: a traced peak
+    # of 0.16 MB at the 2000 nodes and 0.06 MB at 1000 points (a
+    # points x nodes quadrature would hold 64 MB and 32 MB)
     sp = ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA)
     x = sp.nodes if points == "nodes" else np.linspace(0.5, 3.5, 1000)
     tracemalloc.start()
@@ -416,11 +447,11 @@ class TestAtoms:
         # C at the edge itself: MP's threshold is delta^(1/4) to rounding
         for delta in (0.25, 0.5, 1.0):
             assert detection_threshold(MarchenkoPastur(delta)) == pytest.approx(
-                delta ** 0.25, rel=1e-12, abs=0)
+                delta ** 0.25, rel=1e-13, abs=0)
         # the semicircle on [1, 3] has S(3) = 2, so C(3) = 2 + 10 delta
         for delta, c_edge in ((0.5, 7.0), (1.0, 12.0)):
             assert detection_threshold(ShiftedBeta(1.5, 1.5, 1.0, 3.0, delta)) == \
-                pytest.approx(1.0 / np.sqrt(c_edge), rel=1e-12, abs=0)
+                pytest.approx(1.0 / np.sqrt(c_edge), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0])
     def test_beta_atom_just_above_threshold(self, delta):
@@ -461,13 +492,16 @@ class TestAtoms:
     @pytest.mark.parametrize("kind", ["mp", "beta"])
     def test_upper_atom_from_the_threshold_on(self, kind, delta):
         # the upper bracket starts at the edge, as the threshold does: 1e-6
-        # above theta_c the root sits 3e-12 (mp) or 2.7e-10 (beta) above the
-        # edge, below where a bracket from hi + 1e-9 hi would start
+        # above theta_c the root sits 3e-12 (mp) or 5.8e-13 (beta) above the
+        # edge, below where a bracket from hi + 1e-9 hi would start.  The
+        # masses vanish like the distance to theta_c: nu1 holds 2.3e-6 (mp)
+        # and 1.2e-6 (beta) there, where a quadrature C' held 2.7e-4 (beta)
         sp = mp_or_beta(kind, delta)
         hi, theta_c = sp.support[1], detection_threshold(sp)
         upper = [a for a in ShrinkageSet(sp, theta_c * (1 + 1e-6)).find_spectral_atoms()
                  if a.location > hi]
         assert len(upper) == 1 and upper[0].nu1_mass > 0 and upper[0].nu2_mass > 0
+        assert upper[0].nu1_mass <= 1e-5
         # closer still the root rounds to the edge, where C' is infinite:
         # that root is no atom, and no division by zero is attempted
         upper = [a for a in ShrinkageSet(sp, theta_c * (1 + 1e-12)).find_spectral_atoms()
@@ -525,6 +559,9 @@ class TestAtoms:
     @given(delta=st.floats(0.05, 1.0), theta=st.floats(0.1, 16.0),
            a=st.floats(0.36, 4.0), b=st.floats(0.36, 4.0),
            lo=st.floats(0.05, 3.0), width=st.floats(0.1, 4.0))
+    # a shape below 1/2 at the upper edge leaves the series a residue at the
+    # lower one, unless the coefficients are made to vanish there
+    @example(delta=1.0, theta=1.0, a=2.0, b=0.375, lo=1.0, width=1.0)
     def test_lower_edge_c_transform_increases_where_positive(self, delta, theta, a, b,
                                                              lo, width):
         # the lemma behind the single lower bracket: below the support
@@ -562,7 +599,46 @@ class TestAtoms:
             assert abs(x.mean() - target) / (3.0 * sem + 1e-9) <= 1.0, key
 
 
+SUM_RULE_LAWS = {
+    "mp": MarchenkoPastur,
+    "semicircle": lambda delta: ShiftedBeta(1.5, 1.5, 1.0, 3.0, delta),
+    "beta_0.5_1.5": lambda delta: ShiftedBeta(0.5, 1.5, 1.0, 3.0, delta),
+    "beta_2.5_1.5": lambda delta: ShiftedBeta(2.5, 1.5, 1.0, 3.0, delta)}
+# Beta(5/2, 3/2) on [1, 3] has lo E[1/(lam - lo)]^2 = C(lo) = 1 at delta = 1,
+# so theta = 1 is its lower-edge threshold.  Just below it nu1 carries a
+# resonance narrower than the node spacing next to the lower edge, which
+# holds the mass (0.2) that the lower atom takes above it, and the node rule
+# misses it: nu1(R) = 0.8, and 0.91 at theta = 0.999
+RESONANCE = pytest.mark.xfail(strict=True, reason="unresolved resonance at the "
+                              "lower-edge threshold (nu1 mass 0.8)")
+SUM_RULE_CASES = [
+    pytest.param(law, delta, theta, id=f"{law}-{delta}-{theta}",
+                 marks=RESONANCE if (law, delta, theta) == ("beta_2.5_1.5", 1.0, 1.0) else ())
+    for law, deltas in (("mp", (0.25, 0.5, 1.0)), ("semicircle", (0.5, 1.0)),
+                        ("beta_0.5_1.5", (0.5, 1.0)), ("beta_2.5_1.5", (0.5, 1.0)))
+    for delta in deltas for theta in (1.0, 2.0, 3.0)]
+
+
 class TestInducedMeasures:
+    @pytest.mark.parametrize("law,delta,theta", SUM_RULE_CASES)
+    def test_raw_sum_rules(self, law, delta, theta):
+        # with no renormalization of the weights: nu1 and nu2 are probability
+        # measures, nu3 has mass 0 and first moment theta sqrt(delta) /
+        # (1 + delta), and the Stieltjes transforms of nu1 and nu2 follow
+        # from the spectrum's (largest seen 1.5e-13, Beta(1/2, 3/2) at delta = 1)
+        sp = SUM_RULE_LAWS[law](delta)
+        meas = ShrinkageSet(sp, theta).build_induced_measures()
+        one = lambda _: 1.0
+        errors = [meas.nu1.integrate(one) - 1.0, meas.nu2.integrate(one) - 1.0,
+                  meas.nu3.integrate(one),
+                  meas.nu3.integrate(lambda s: s) - theta * np.sqrt(delta) / (1 + delta)]
+        for z in (sp.support[1] + 1.0 + 0.7j, -0.5 + 0.3j):
+            s_mu, c = sp.stieltjes(z), sp.c_transform(z)
+            errors += [meas.nu1.integrate(lambda l: 1.0 / (z - l)) - s_mu / (1 - theta ** 2 * c),
+                       meas.nu2.integrate(lambda l: 1.0 / (z - l))
+                       - (delta * s_mu + (1 - delta) / z) / (1 - theta ** 2 * c)]
+        assert np.max(np.abs(errors)) <= 1e-12
+
     def test_masses(self, shrink_mp2):
         meas = shrink_mp2.build_induced_measures()
         one = lambda _: 1.0
@@ -577,7 +653,7 @@ class TestInducedMeasures:
         for sh in (shrink_mp2, shrink_beta2):
             meas = sh.build_induced_measures()
             assert meas.nu3.integrate(lambda s: s) == pytest.approx(
-                expect, abs=2e-5)
+                expect, abs=1e-12)
 
     @pytest.mark.parametrize("z", [4.0 + 1.0j, 7.5, -2.0 + 0.3j])
     def test_stieltjes_identities(self, shrink_mp2, z):
@@ -597,7 +673,7 @@ class TestInducedMeasures:
         z = 9.0 + 0.5j
         s_mu, c = sp.stieltjes(z), sp.c_transform(z)
         s1 = meas.nu1.integrate(lambda l: 1.0 / (z - l))
-        assert s1 == pytest.approx(s_mu / (1 - th ** 2 * c), abs=2e-4)
+        assert s1 == pytest.approx(s_mu / (1 - th ** 2 * c), abs=1e-12)
 
     def test_nu3_stieltjes_identity(self, shrink_mp2):
         # S_nu3(z) = (sqrt(d)/(1+d)) theta C(z^2) / (1 - theta^2 C(z^2))
