@@ -43,9 +43,7 @@ def _config(args: dict):
     for flag in ("prior", "w0"):    # sets both sides, flag_u and flag_v
         if flag in args:
             args.update(dict.fromkeys((flag + "_u", flag + "_v"), args.pop(flag)))
-    if path is None:    # se and spectra-check draw no instance
-        return parse_config("", {**args, "methods": "se-only"})
-    return load_config(path, args)
+    return parse_config("", args) if path is None else load_config(path, args)
 
 
 def _cmd_run(cfg) -> int:

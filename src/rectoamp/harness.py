@@ -25,7 +25,7 @@ from .state_evolution import (SeTrace, StateEvolutionError, amp_se_trajectory,
 
 logger = logging.getLogger(__name__)
 
-KNOWN_METHODS = ("oamp", "amp", "pca", "se-only")
+KNOWN_METHODS = ("oamp", "amp", "pca")
 CSV_FIELDS = ("method", "t", "mean_cos2_u", "se_cos2_u", "mean_cos2_v",
               "se_cos2_v", "pred_cos2_u", "pred_cos2_v", "mean_mse_u",
               "mean_mse_v")
@@ -88,10 +88,6 @@ class ExperimentConfig:
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"methods must be non-empty and distinct, got "
                               f"{list(self.methods)}")
-        memory, observation = _physical_memory(), 8 * self.M * self.N
-        if set(self.methods) != {"se-only"} and 0 < memory < observation:
-            raise ConfigError(f"the {self.M} x {self.N} observation ({observation / 2**30:.3g} "
-                              f"GiB) exceeds the {memory / 2**30:.3g} GiB of physical memory")
         if not 0.0 <= self.theta < np.inf:
             raise ConfigError(f"theta must be finite and nonnegative, got {self.theta}")
         try:
@@ -195,7 +191,7 @@ def se_predictions(cfg: ExperimentConfig, shrinkage: ShrinkageSet) -> dict:
     whose overlaps are the masses of the atom above the support, if any."""
     channel_u, channel_v = build_channels(cfg)
     predictions = {}
-    if "oamp" in cfg.methods or "se-only" in cfg.methods:
+    if "oamp" in cfg.methods:
         predictions["oamp"] = optimal_se_run(shrinkage, channel_u, channel_v,
                                              cfg.iters)
     if "amp" in cfg.methods:
@@ -249,7 +245,7 @@ class AggregateReport:
 
 def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list:
     rows = []
-    for method in (m for m in cfg.methods if m != "se-only"):
+    for method in cfg.methods:
         traces = [per_seed[s][method] for s in sorted(per_seed)]
         cu, cv, mu, mv = (np.array([getattr(tr, key) for tr in traces])
                           for key in ("cos2_u", "cos2_v", "mse_u", "mse_v"))
@@ -274,34 +270,36 @@ def _aggregate(per_seed: dict, predictions: dict, cfg: ExperimentConfig) -> list
 
 def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     cfg.validate()
+    # checked here, before any instance is drawn: only a run allocates an
+    # M x N observation
+    memory, observation = _physical_memory(), 8 * cfg.M * cfg.N
+    if 0 < memory < observation:
+        raise ConfigError(f"the {cfg.M} x {cfg.N} observation ({observation / 2**30:.3g} "
+                          f"GiB) exceeds the {memory / 2**30:.3g} GiB of physical memory")
     workers = min(cfg.workers, len(cfg.seeds))
     shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
     predictions = se_predictions(cfg, shrinkage)
-    simulated = [m for m in cfg.methods if m != "se-only"]
-    per_seed, failures = {}, {}
-
-    if "amp" in simulated and cfg.spectrum != "mp":
+    if "amp" in cfg.methods and cfg.spectrum != "mp":
         logger.warning("running Gaussian AMP on non-Gaussian noise")
-    if simulated:
-        run = functools.partial(_seed_outcome, cfg, shrinkage=shrinkage,
-                                predictions=predictions)
-        if workers > 1:
-            # imported here: concurrent.futures.process costs every run ~20 ms
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = dict(zip(cfg.seeds, pool.map(run, cfg.seeds)))
-        else:
-            outcomes = {seed: run(seed) for seed in cfg.seeds}
-        failures = {s: out for s, out in outcomes.items() if isinstance(out, str)}
-        per_seed = {s: out for s, out in outcomes.items() if s not in failures}
-        if failures:
-            logger.warning("%d/%d seeds failed: %s", len(failures),
-                           len(cfg.seeds), failures)
-        if len(failures) > MAX_FAILURE_FRACTION * len(cfg.seeds):
-            raise HarnessError(
-                f"{len(failures)}/{len(cfg.seeds)} seeds failed: {failures}")
+    run = functools.partial(_seed_outcome, cfg, shrinkage=shrinkage,
+                            predictions=predictions)
+    if workers > 1:
+        # imported here: concurrent.futures.process costs every run ~20 ms
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = dict(zip(cfg.seeds, pool.map(run, cfg.seeds)))
+    else:
+        outcomes = {seed: run(seed) for seed in cfg.seeds}
+    failures = {s: out for s, out in outcomes.items() if isinstance(out, str)}
+    per_seed = {s: out for s, out in outcomes.items() if s not in failures}
+    if failures:
+        logger.warning("%d/%d seeds failed: %s", len(failures),
+                       len(cfg.seeds), failures)
+    if len(failures) > MAX_FAILURE_FRACTION * len(cfg.seeds):
+        raise HarnessError(
+            f"{len(failures)}/{len(cfg.seeds)} seeds failed: {failures}")
 
-    rows = _aggregate(per_seed, predictions, cfg) if per_seed else []
+    rows = _aggregate(per_seed, predictions, cfg)
     from . import __version__  # the package imports this module first
     meta = {
         "config": {**vars(cfg), "seeds": list(cfg.seeds), "methods": list(cfg.methods)},

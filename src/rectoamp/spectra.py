@@ -92,9 +92,11 @@ def _chebyshev_coefficients(values, vanishing):
     a = np.real(ext * np.exp(-0.5j * np.pi * np.arange(n) / n)) / n
     a[0] /= 2.0
     big = np.flatnonzero(np.abs(a) > 1e-14 * np.max(np.abs(a)))
-    a = a[:max(2, big[-1] + 1 if big.size else n)]
+    a = a[:max(3, big[-1] + 1 if big.size else n)]
     ends = np.where(vanishing, [a @ (-1.0) ** np.arange(a.size), a.sum()], 0.0)
-    a[:2] -= [0.5 * (ends[0] + ends[1]), 0.5 * (ends[1] - ends[0])]
+    # T_1 and T_2 have zero mean under the Chebyshev weight, so a_0, and
+    # with it the mass pi a_0, stays put
+    a[1:3] -= [0.5 * (ends[1] - ends[0]), 0.5 * (ends[0] + ends[1])]
     return a
 
 

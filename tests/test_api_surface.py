@@ -14,7 +14,7 @@ import pytest
 
 import rectoamp
 from rectoamp import cli
-from rectoamp.harness import ExperimentConfig
+from rectoamp.harness import KNOWN_METHODS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +72,11 @@ def test_readme_config_table_names_every_key():
     documented = [name for row in table.splitlines()[2:]
                   for name in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert sorted(documented) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def test_readme_methods_row_names_every_method():
+    """The meaning column of the README config table's ``methods`` row
+    names, in backticks, exactly ``harness.KNOWN_METHODS``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    meaning = re.search(r"^\| `methods` \|([^|]*)\|", readme, re.M).group(1)
+    assert sorted(re.findall(r"`([\w-]+)`", meaning)) == sorted(KNOWN_METHODS)

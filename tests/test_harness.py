@@ -14,8 +14,8 @@ import pytest
 import rectoamp
 from rectoamp import cli, harness
 from rectoamp.cli import main as cli_main
-from rectoamp.harness import (ConfigError, ExperimentConfig, HarnessError,
-                              build_spectrum, emit_csv, parse_config,
+from rectoamp.harness import (AggregateReport, ConfigError, ExperimentConfig,
+                              HarnessError, build_spectrum, emit_csv, parse_config,
                               run_experiment, se_predictions, write_report)
 from rectoamp.model import ModelError
 from rectoamp.oamp import IterationTrace
@@ -98,12 +98,6 @@ class TestRunExperiment:
         # oamp and amp contribute iters rows each, pca one row
         assert len(small_report.rows) == 3 + 3 + 1
         assert small_report.metadata["n_seeds_used"] == 3
-
-    def test_se_only(self):
-        cfg = parse_config(SMALL, {"methods": "se-only"})
-        report = run_experiment(cfg)
-        assert report.rows == []
-        assert len(report.metadata["schedules"]["oamp"]["w1"]) == cfg.iters
 
     def test_aggregation_independent_recompute(self, small_report):
         cfg = parse_config(SMALL)
@@ -218,9 +212,8 @@ class TestEmission:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_only_when_empty(self, tmp_path):
-        cfg = parse_config(SMALL, {"methods": "se-only"})
         path = tmp_path / "empty.csv"
-        emit_csv(run_experiment(cfg), path)
+        emit_csv(AggregateReport(rows=[], metadata={}), path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("method,t,")
 
@@ -242,11 +235,27 @@ class TestEmission:
             "amp": {"w1": predictions["amp"].w1, "w2": predictions["amp"].w2}}
         assert len(meta["schedules"]["oamp"]["rho1"]) == cfg.iters
 
-    def test_workers_capped_at_seed_count(self):
-        # se-only starts no pool, so the large value is never used
-        cfg = parse_config(SMALL.replace("workers = 1", "workers = 64"),
-                           {"methods": "se-only"})
+    def test_workers_capped_at_seed_count(self, monkeypatch):
+        # a serial stand-in for the pool records its size, so that none forks
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = parse_config(SMALL.replace("workers = 1", "workers = 64"))
         assert run_experiment(cfg).metadata["workers"] == 3
+        assert sizes == [3]
 
     def test_default_run_is_serial(self, monkeypatch):
         # without a workers line the seeds run in process: no pool is built
@@ -279,12 +288,13 @@ class TestCli:
         "spectrum = beta\nbeta_lo = 3\n", "spectrum = beta\nbeta_a = 0\n",
         "workers = 0\n", "seeds = 1, 1\n", "seeds = 0, -1\n",
         "methods = pca,pca\n", "methods =\n", "prior_u = bernoulli\n",
-        "M = ten\n", "delta = 0.5\n", "validate = 1\n", "noise = ri\n"],
+        "M = ten\n", "delta = 0.5\n", "validate = 1\n", "noise = ri\n",
+        "methods = se-only\n"],
         ids=["M_above_N", "w0_u", "w0_v", "theta_nan", "theta_inf", "beta_lo",
              "beta_empty_support", "beta_a", "workers_zero", "seeds_repeated",
              "seeds_negative", "methods_repeated", "methods_empty",
              "prior_unknown", "M_unparsable", "delta_key", "method_name_key",
-             "noise_key"])
+             "noise_key", "methods_se_only"])
     def test_bad_config(self, tmp_path, capsys, text):
         p = tmp_path / "bad.cfg"
         p.write_text("M = 20\nN = 40\nseeds = 2\n" + text)
@@ -413,7 +423,7 @@ class TestCli:
         (tmp_path / "r.csv").mkdir()
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SMALL)
-        assert cli_main(["run", str(cfg), "--methods", "se-only",
+        assert cli_main(["run", str(cfg), "--methods", "pca",
                          "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write CSV") and err.count("\n") == 1
@@ -465,6 +475,26 @@ class TestCli:
             out, err = capsys.readouterr()
             assert err == ""
             assert out.startswith("# gaussian fixed point: w1=" + w1)
+
+    def test_se_prints_the_schedule_a_run_records(self, capsys):
+        assert cli_main(["se", "--delta", "0.5", "--theta", "2", "--iters", "10"]) == 0
+        printed = [line.split()[1:3] for line in capsys.readouterr().out.splitlines()
+                   if line[0].isdigit()]
+        cfg = parse_config("M = 40\nN = 80\ntheta = 2\niters = 10\nseeds = 2\n"
+                           "methods = oamp\n")
+        oamp = run_experiment(cfg).metadata["schedules"]["oamp"]
+        assert len(printed) == 10
+        assert printed == [[f"{w1:.10f}", f"{w2:.10f}"]
+                           for w1, w2 in zip(oamp["w1"], oamp["w2"])]
+
+    @pytest.mark.xfail(strict=True, reason="within 1e-3 of MP's threshold at w0 = 1e-9 "
+                       "the first strength leaves [0, 1): exit 1 with w1 = -1.78e-7 "
+                       "(ROADMAP direction 19(c))")
+    def test_se_just_below_the_threshold_with_little_side_information(self, capsys):
+        code = cli_main(["se", "--theta", "0.8400555", "--w0", "0.000000001",
+                         "--iters", "3"])
+        err = capsys.readouterr().err
+        assert code == 0, err
 
     def test_se_beta_prints_no_gaussian_fixed_point(self, capsys):
         # the Gaussian-noise fixed point is the OAMP limit on MP noise only,

@@ -229,6 +229,23 @@ class TestShiftedBeta:
         # symmetry point: PV integral vanishes
         assert sp.hilbert(2.0) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (3.0, 1.0), (1.0, 1.5), (1.2, 3.0)])
+    def test_edge_correction_keeps_the_mass(self, a, b):
+        # z S(z) = 1 + <lam> / z + ... tends to the mass, which the series'
+        # correction at an edge where the density is finite must leave alone
+        z = 1e9
+        assert abs(z * ShiftedBeta(a, b, 1.0, 3.0, DELTA).stieltjes(z) - 1.0) <= 1e-8
+
+    def test_uniform_law_transform_and_nu1_mass(self):
+        # on [1, 3] S(z) = log((z - 1) / (z - 3)) / 2; the series is off by
+        # 2.4e-5 relative at z = 5 and the raw nu1 mass by 7.0e-6 (a shape
+        # of 1 converges slowly, ROADMAP direction 1)
+        sp = ShiftedBeta(1.0, 1.0, 1.0, 3.0, DELTA)
+        z = 5.0
+        assert abs(sp.stieltjes(z) / (np.log((z - 1.0) / (z - 3.0)) / 2.0) - 1.0) <= 1e-4
+        nu1 = ShrinkageSet(sp, 2.0).build_induced_measures().nu1
+        assert abs(nu1.integrate(lambda _: 1.0) - 1.0) <= 2e-5
+
     @pytest.mark.parametrize("a,b,lo,hi", [
         (0.0, 1.5, 1.0, 3.0), (1.5, -1.0, 1.0, 3.0), (np.nan, 1.5, 1.0, 3.0),
         (1.5, np.inf, 1.0, 3.0), (1.5, 1.5, np.nan, 3.0), (1.5, 1.5, 1.0, np.inf),
@@ -638,6 +655,14 @@ class TestInducedMeasures:
                        meas.nu2.integrate(lambda l: 1.0 / (z - l))
                        - (delta * s_mu + (1 - delta) / z) / (1 - theta ** 2 * c)]
         assert np.max(np.abs(errors)) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="MP's node rule with the pole of 1/lambda "
+                       "just below the support: the raw nu1 mass at delta = 0.999, "
+                       "theta = 2 is off by -5.96e-6 (ROADMAP direction 19(c))")
+    def test_raw_nu1_mass_near_the_square(self):
+        meas = ShrinkageSet(MarchenkoPastur(0.999), 2.0).build_induced_measures()
+        defect = meas.nu1.integrate(lambda _: 1.0) - 1.0
+        assert abs(defect) <= 1e-12, f"raw nu1 mass defect {defect:.3g}"
 
     def test_masses(self, shrink_mp2):
         meas = shrink_mp2.build_induced_measures()
