@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seeds", help="seed count or comma-separated list")
     p_run.add_argument("--out", help="output path prefix")
     p_run.add_argument("--methods", help="comma-separated method subset")
-    p_run.add_argument("--workers", type=int, help="seed workers (default 1: in process)")
+    p_run.add_argument("--workers", type=int, choices=[1], help=argparse.SUPPRESS)
     p_run.set_defaults(handler=_cmd_run)
 
     p_se = sub.add_parser("se", help="print state-evolution predictions", **flags)
@@ -149,6 +149,8 @@ def main(argv=None) -> int:
 
     args = vars(parser.parse_args(argv))
     handler = args.pop("handler", None)
+    # run's --workers (only 1) sets no config key; it goes once the benchmark stops passing it
+    args.pop("workers", None)
     if handler is None:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT

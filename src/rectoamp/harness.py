@@ -1,12 +1,12 @@
-"""Experiment orchestration: config parsing, seeded runs (in process, or in
-a pool when ``workers`` asks for one), aggregation, and CSV/JSON emission of
+"""Experiment orchestration: config parsing, one serial loop over the
+seeds (a seed that raises a domain error is recorded as failed; any other
+exception propagates), aggregation, and CSV/JSON emission of
 empirical-vs-predicted curves.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import logging
 import os
@@ -64,7 +64,6 @@ class ExperimentConfig:
     seeds: tuple = tuple(range(20))
     methods: tuple = ("oamp", "pca")
     out: str = "results/run"
-    workers: int = 1
 
     @property
     def delta(self) -> float:
@@ -106,8 +105,6 @@ class ExperimentConfig:
                 and self.M < self.N):
             raise ConfigError("beta_lo = 0 with M < N needs beta_a > 1: the Hilbert transform "
                               "at 0, which the lambda = 0 branch of phi2 reads, diverges")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         return self
 
 
@@ -128,7 +125,7 @@ def _parse_seeds(val: str) -> tuple:
 
 _KEYS = {f.name for f in fields(ExperimentConfig)}
 # how a text value becomes its key's type; the other keys keep the text
-_PARSERS = {**dict.fromkeys(("M", "N", "iters", "workers"), int),
+_PARSERS = {**dict.fromkeys(("M", "N", "iters"), int),
             **dict.fromkeys(("theta", "beta_a", "beta_b", "beta_lo", "beta_hi",
                              "w0_u", "w0_v"), float),
             "seeds": _parse_seeds,
@@ -227,16 +224,6 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
     return out
 
 
-def _seed_outcome(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
-                  predictions: dict):
-    """``run_single_seed``'s traces, or the message of the domain error that
-    failed the seed; any other exception propagates."""
-    try:
-        return run_single_seed(cfg, seed, shrinkage, predictions)
-    except DOMAIN_ERRORS as exc:
-        return str(exc)
-
-
 @dataclass
 class AggregateReport:
     rows: list        # dicts matching CSV_FIELDS, deterministic order
@@ -276,22 +263,16 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     if 0 < memory < observation:
         raise ConfigError(f"the {cfg.M} x {cfg.N} observation ({observation / 2**30:.3g} "
                           f"GiB) exceeds the {memory / 2**30:.3g} GiB of physical memory")
-    workers = min(cfg.workers, len(cfg.seeds))
     shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
     predictions = se_predictions(cfg, shrinkage)
     if "amp" in cfg.methods and cfg.spectrum != "mp":
         logger.warning("running Gaussian AMP on non-Gaussian noise")
-    run = functools.partial(_seed_outcome, cfg, shrinkage=shrinkage,
-                            predictions=predictions)
-    if workers > 1:
-        # imported here: concurrent.futures.process costs every run ~20 ms
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(zip(cfg.seeds, pool.map(run, cfg.seeds)))
-    else:
-        outcomes = {seed: run(seed) for seed in cfg.seeds}
-    failures = {s: out for s, out in outcomes.items() if isinstance(out, str)}
-    per_seed = {s: out for s, out in outcomes.items() if s not in failures}
+    per_seed, failures = {}, {}
+    for seed in cfg.seeds:
+        try:
+            per_seed[seed] = run_single_seed(cfg, seed, shrinkage, predictions)
+        except DOMAIN_ERRORS as exc:
+            failures[seed] = str(exc)
     if failures:
         logger.warning("%d/%d seeds failed: %s", len(failures),
                        len(cfg.seeds), failures)
@@ -307,7 +288,6 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         "n_seeds_used": len(per_seed),
         "failures": failures,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "workers": workers,
         "cpu_count": os.cpu_count(),
         "versions": {"rectoamp": __version__, "numpy": np.__version__},
         "schedules": {m: {k: getattr(tr, k) for k in SCHEDULE_FIELDS[m]}

@@ -100,13 +100,19 @@ def _chebyshev_coefficients(values, vanishing):
     return a
 
 
+def _horner(coefs, q):
+    total = np.zeros_like(q)
+    for coef in coefs[::-1]:
+        total = total * q + coef
+    return total
+
+
 class SpectrumModel:
     """Limiting spectral law of the noise Gram matrix, with aspect ratio.
 
     The measure must be a probability measure with a Hölder-continuous
     density on a compact subset of the positive half-line.  Subclasses
-    define ``_density(lam)`` on the support from their own attributes, so
-    spectra pickle.
+    define ``_density(lam)`` on the support.
 
     The transforms read the Chebyshev coefficients a_k of F = rho s =
     sum_k a_k T_k(w), s = sqrt((hi - x)(x - lo)), w = (x - c)/R (few terms
@@ -116,6 +122,9 @@ class SpectrumModel:
     support, and H = -(1/R) sum_{k>=1} a_k U_{k-1}(w) on it, edges included:
     no term is singular at a node, and at an edge S is pi H, the limit from
     outside where F vanishes there and the interior limit of H elsewhere.
+    Where F vanishes at an edge, S divides the root q = 1 (upper) or q = -1
+    (lower) out of sum_k a_k q^k: with e = sqrt(w - 1), p = sqrt(w + 1), r = e p and
+    d = p - e = 2/(p + e), q - 1 = -e d and q + 1 = p d, so (q -+ 1)/r does not cancel.
     """
 
     def __init__(self, delta: float, support):
@@ -131,9 +140,9 @@ class SpectrumModel:
             self._density_at_nodes = np.asarray(self._density(self.nodes), dtype=float)
             # F = rho s vanishes at an edge where rho is finite; s is taken at
             # the rounded nodes, as rho is (R sin t_j is 1e-10 off it there)
-            self._cheb = _chebyshev_coefficients(
-                self._density_at_nodes * np.sqrt(hi - self.nodes) * np.sqrt(self.nodes - lo),
-                np.isfinite(self._density(np.array([lo, hi]))))
+            vanishing = np.isfinite(self._density(np.array([lo, hi])))
+            s = np.sqrt(hi - self.nodes) * np.sqrt(self.nodes - lo)
+            self._cheb = _chebyshev_coefficients(self._density_at_nodes * s, vanishing)
         mass = float(np.dot(self.quad_weights, self._density_at_nodes))
         # tolerance accommodates Beta shapes below 1/2, whose t^(a - 1)
         # edge the rule resolves slowly (3.5e-3 at a = 0.3); weights are
@@ -143,6 +152,11 @@ class SpectrumModel:
                                f"to 1 (got {mass:.8f})")
         self.quad_weights = self.quad_weights / mass
         self._cheb = self._cheb / mass
+        self._vanishing, self._divided = tuple(vanishing), self._cheb
+        for root, vanish in zip((-1.0, 1.0), vanishing):    # S's series / (q - root)
+            if vanish:
+                sign = root ** np.arange(self._divided.size)
+                self._divided = np.cumsum((sign * self._divided)[::-1])[::-1][1:] * sign[1:]
         # read by every ShrinkageSet's node numerators, whatever its SNR
         with np.errstate(over="ignore"):    # the shrinkage numerators square both
             self._hilbert_at_nodes = self.hilbert(self.nodes)
@@ -182,18 +196,13 @@ class SpectrumModel:
         return real & (x > lo) & (x < hi)
 
     def _scaled(self, z):
-        """(w, r, q) at z, with w exactly -1 and 1 at the edges."""
+        """(w, e, p, q) at z: w is exactly -1 and 1 at the edges, e = sqrt(w - 1) and
+        p = sqrt(w + 1) come from z - hi and z - lo, which are exact next to an edge,
+        and q = w - r = 1/(w + r), r = e p, which does not cancel at large |z|."""
         lo, hi = self.support
         w = ((z - lo) - (hi - z)) / (hi - lo)
-        r = np.sqrt(w - 1.0 + 0j) * np.sqrt(w + 1.0 + 0j)
-        return w, r, w - r
-
-    def _q_series(self, q, weights=1):
-        """sum_k weights_k a_k q^k, by Horner."""
-        total = np.zeros_like(q)
-        for coef in (self._cheb * weights)[::-1]:
-            total = total * q + coef
-        return total
+        e, p = (np.sqrt(2.0 * (z - edge) / (hi - lo) + 0j) for edge in (hi, lo))
+        return w, e, p, 1.0 / (w + e * p)
 
     def _u_series(self, w):
         """sum_{k>=1} a_k U_{k-1}(w), by Clenshaw's recurrence."""
@@ -203,17 +212,24 @@ class SpectrumModel:
         return b1
 
     def _stieltjes(self, z):
-        w, r, q = self._scaled(np.asarray(z, dtype=complex))
+        w, e, p, q = self._scaled(np.asarray(z, dtype=complex))
+        low, up = self._vanishing
+        d = 2.0 / (p + e)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(self._q_series(q) / r)
-        if np.any(r == 0.0):
-            vals[r == 0.0] = -self._u_series(np.real(w[r == 0.0]))
+            # (q + 1)^low (q - 1)^up / r, where q + 1 = p d, q - 1 = -e d and r = e p
+            factor = (p * d if low else 1.0) * (-e * d if up else 1.0) / (e * p)
+            vals = np.asarray(_horner(self._divided, q) * factor)
+        edge = e * p == 0.0
+        if np.any(edge):
+            vals[edge] = -self._u_series(np.real(w[edge]))
         return vals * (2.0 * np.pi / np.ptp(self.support))
 
     def _stieltjes_derivative(self, lam: float) -> float:
         """S'(lambda) off the support, from dq/dw = -q/r and dr/dw = w/r."""
-        w, r, q = self._scaled(lam)
-        series = r * self._q_series(q, np.arange(self._cheb.size)) + w * self._q_series(q)
+        w, e, p, q = self._scaled(lam)
+        r = e * p
+        series = (r * _horner(np.arange(self._cheb.size) * self._cheb, q)
+                  + w * _horner(self._cheb, q))
         return -4.0 * np.pi * float(np.real(series / r ** 3)) / np.ptp(self.support) ** 2
 
     def hilbert(self, x):
@@ -222,8 +238,9 @@ class SpectrumModel:
         x = np.asarray(x, dtype=float)
         lo, hi = self.support
         inside = (x >= lo) & (x <= hi)
+        w = ((x - lo) - (hi - x)) / (hi - lo)
         out = np.empty_like(x)
-        out[inside] = -2.0 / (hi - lo) * self._u_series(self._scaled(x[inside])[0].real)
+        out[inside] = -2.0 / (hi - lo) * self._u_series(w[inside])
         if not np.all(inside):
             out[~inside] = np.real(self._stieltjes(x[~inside])) / np.pi
         return out if out.ndim else float(out)

@@ -25,7 +25,7 @@ class StateEvolutionError(Exception):
 class SeTrace:
     """Strength schedule: per-iteration channel strengths w_t, denoiser
     output SNRs rho_t, and the predicted overlaps; a method's prediction
-    (``harness.se_predictions``).  Holds only numbers, so it pickles."""
+    (``harness.se_predictions``)."""
 
     w1: list = field(default_factory=list)
     w2: list = field(default_factory=list)

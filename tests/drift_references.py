@@ -40,7 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
 # appended to a shipped config: a later key overrides an earlier one
-SMALL_RUN = "M = 200\nN = 400\nseeds = 3\niters = 10\nworkers = 1\n"
+SMALL_RUN = "M = 200\nN = 400\nseeds = 3\niters = 10\n"
 # case: (shipped config, keys appended after SMALL_RUN)
 RUNS = {"fig1": ("configs/fig1.cfg", ""), "fig2": ("configs/fig2.cfg", ""),
         # MP at delta = 1; seed 0's Gram eigenvalue ratio is 2.7e-9

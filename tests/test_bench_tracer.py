@@ -18,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 
-TINY = "M = 40\nN = 80\niters = 2\nseeds = 2\nworkers = 1\n"
+TINY = "M = 40\nN = 80\niters = 2\nseeds = 2\n"
 CONFIGS = {
     "mp_gaussian": TINY + "spectrum = mp\nmethods = oamp,amp,pca\n",
     "beta_ri": TINY + "spectrum = beta\nmethods = oamp,pca\n",

@@ -4,9 +4,7 @@ Whatever the config text or the argv, ``rectoamp`` exits 0, 1 or 2 without
 a traceback, and a non-zero exit prints exactly one line with ``error:``.
 Config texts mix the key grammar with junk keys, junk values, nan, inf,
 negative numbers and paths, at M, N <= 40, at most 3 seeds and at most 3
-iterations; ``workers`` is absent (the seeds run in process), 1, 2, 0, -1
-or junk, so no pool grows past two processes, and every output path lies
-under a temporary directory.
+iterations, and every output path lies under a temporary directory.
 """
 
 import contextlib
@@ -51,7 +49,6 @@ def _values(workdir):
         "iters": st.integers(-1, 3).map(str),
         "seeds": st.integers(0, 3).map(str) | seed_list,
         "methods": methods, "out": out,
-        "workers": st.sampled_from(["1", "2", "0", "-1", "two"]),
     }
 
 

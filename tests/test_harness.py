@@ -1,12 +1,13 @@
 """Config parsing, experiment orchestration, CSV emission, and the CLI."""
 
-import concurrent.futures
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +32,9 @@ w0_v = 0.04
 iters = 3
 seeds = 3
 methods = oamp,amp,pca
-workers = 1
 """
 
-# rotationally invariant Beta noise: the pool ships a ShiftedBeta
+# rotationally invariant noise with a Beta(1.5, 1.5) spectrum on [1, 3]
 SMALL_BETA = (SMALL.replace("spectrum = mp", "spectrum = beta")
               .replace("methods = oamp,amp,pca", "methods = oamp,pca"))
 
@@ -82,15 +82,32 @@ def small_report():
     return run_experiment(parse_config(SMALL))
 
 
-def test_import_leaves_process_pool_out():
-    src = os.path.dirname(os.path.dirname(rectoamp.__file__))
+SRC = os.path.dirname(os.path.dirname(rectoamp.__file__))
+
+
+def run_python(*args):
+    """``python ARGS`` in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_leaves_process_pool_out():
     code = ("import sys, rectoamp.harness\n"
             "print('concurrent.futures.process' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_source_names_no_process_pool():
+    # the seeds run in one serial loop: nothing forks, so nothing pickles
+    pattern = re.compile(r"ProcessPoolExecutor|concurrent\.futures|functools|pickl")
+    hits = [f"{path.name}:{n}" for path in sorted(Path(SRC, "rectoamp").glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
 
 
 class TestRunExperiment:
@@ -129,12 +146,6 @@ class TestRunExperiment:
         assert all(isinstance(tr, IterationTrace) for tr in out.values())
         assert len(out["pca"].mse_v) == 1
         assert len(caches) == 1 and caches[0]._right is None
-
-    @pytest.mark.parametrize("text", [SMALL, SMALL_BETA], ids=["mp", "beta_ri"])
-    def test_parallel_matches_serial(self, text):
-        serial = run_experiment(parse_config(text))
-        report = run_experiment(parse_config(text, {"workers": "3"}))
-        assert report.rows == serial.rows
 
     def test_seed_independent_objects_built_once(self, monkeypatch):
         calls = {"build_spectrum": 0, "ShrinkageSet": 0}
@@ -222,7 +233,7 @@ class TestEmission:
         meta = json.loads(open(meta_path).read())
         assert "timestamp" in meta
         assert meta["n_seeds_used"] == 3
-        assert meta["workers"] == 1
+        assert "workers" not in meta and "workers" not in meta["config"]
         assert meta["cpu_count"] == os.cpu_count()
         assert meta["versions"] == {"rectoamp": rectoamp.__version__,
                                     "numpy": np.__version__}
@@ -234,40 +245,6 @@ class TestEmission:
                      for k in ("w1", "w2", "rho1", "rho2", "converged_at")},
             "amp": {"w1": predictions["amp"].w1, "w2": predictions["amp"].w2}}
         assert len(meta["schedules"]["oamp"]["rho1"]) == cfg.iters
-
-    def test_workers_capped_at_seed_count(self, monkeypatch):
-        # a serial stand-in for the pool records its size, so that none forks
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        cfg = parse_config(SMALL.replace("workers = 1", "workers = 64"))
-        assert run_experiment(cfg).metadata["workers"] == 3
-        assert sizes == [3]
-
-    def test_default_run_is_serial(self, monkeypatch):
-        # without a workers line the seeds run in process: no pool is built
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a run without workers built a process pool")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        cfg = parse_config(SMALL.replace("workers = 1\n", ""), {"methods": "oamp"})
-        assert cfg.workers == 1
-        meta = run_experiment(cfg).metadata
-        assert meta["n_seeds_used"] == 3
-        assert meta["workers"] == 1
-        assert meta["config"]["workers"] == 1
 
     def test_bad_path(self, small_report):
         with pytest.raises(HarnessError, match="cannot write"):
@@ -286,12 +263,12 @@ class TestCli:
         "M = 400\nN = 200\n", "w0_u = 1.5\n", "w0_v = -0.1\n", "theta = nan\n",
         "theta = inf\n", "spectrum = beta\nbeta_lo = -1\n",
         "spectrum = beta\nbeta_lo = 3\n", "spectrum = beta\nbeta_a = 0\n",
-        "workers = 0\n", "seeds = 1, 1\n", "seeds = 0, -1\n",
+        "workers = 1\n", "seeds = 1, 1\n", "seeds = 0, -1\n",
         "methods = pca,pca\n", "methods =\n", "prior_u = bernoulli\n",
         "M = ten\n", "delta = 0.5\n", "validate = 1\n", "noise = ri\n",
         "methods = se-only\n"],
         ids=["M_above_N", "w0_u", "w0_v", "theta_nan", "theta_inf", "beta_lo",
-             "beta_empty_support", "beta_a", "workers_zero", "seeds_repeated",
+             "beta_empty_support", "beta_a", "workers_key", "seeds_repeated",
              "seeds_negative", "methods_repeated", "methods_empty",
              "prior_unknown", "M_unparsable", "delta_key", "method_name_key",
              "noise_key", "methods_se_only"])
@@ -545,6 +522,30 @@ class TestCli:
         assert atoms[1].endswith("(below the support)")
         assert len([l for l in lines if l.startswith("[PASS]")]) == 6
         assert err == "" and not recwarn.list
+
+    def test_benchmark_argv_matches_a_plain_run(self, tmp_path):
+        # the benchmark runs `python -m rectoamp.cli run CFG --workers 1 ...`;
+        # the flag is accepted and changes nothing
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("M = 40\nN = 80\niters = 2\nmethods = oamp,amp,pca\n")
+        csvs = []
+        for name, extra in (("flag", ["--workers", "1"]), ("plain", [])):
+            out = tmp_path / name
+            proc = run_python("-m", "rectoamp.cli", "run", str(cfg), *extra,
+                              "--seeds", "1,2", "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            csvs.append(out.with_suffix(".csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("workers", ["2", "0"])
+    def test_workers_flag_accepts_only_one(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("M = 20\nN = 40\nseeds = 2\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(cfg), "--workers", workers])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
 
     def test_run_writes_outputs(self, tmp_path):
         cfg = tmp_path / "c.cfg"

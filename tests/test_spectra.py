@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -258,26 +259,32 @@ class TestShiftedBeta:
 
 
 def beta_hilbert(a, b, lo, hi, x):
-    """(1/pi) P.V. int rho(lam) / (x - lam) dlam for Beta(a, b) on [lo, hi]
-    by scipy's quad, after lam = lo + (hi - lo) sin^2 phi: for shapes in
-    1/2 + N that leaves a smooth integrand, which inside the support carries
-    the Cauchy weight 1/(phi - phi0).  Returns (value, whether quad met its
-    tolerance of 1e-12)."""
+    """(1/pi) P.V. int rho(lam) / (x - lam) dlam for Beta(a, b) on [lo, hi].
+    Inside the support by scipy's quad, after lam = lo + (hi - lo) sin^2 phi:
+    for shapes in 1/2 + N that leaves a smooth integrand with the Cauchy
+    weight 1/(phi - phi0).  Outside it by a 40-digit mpmath.quad over
+    t = (lam - lo) / (hi - lo) in [0, 1/2, 1], whose tanh-sinh nodes crowd
+    the edges and so resolve H's sqrt(x - hi) term next to one (scipy's
+    quad missed it by up to 2.5e-7 relative and still reported
+    convergence).  Returns (value, whether the quadrature met its tolerance:
+    1e-12 for quad, an error estimate below 1e-14 of the value for mpmath)."""
     width, xp = hi - lo, (x - lo) / (hi - lo)
+    if not 0.0 < xp < 1.0:
+        with mpmath.workdps(40):
+            xp = (mpmath.mpf(x) - lo) / width
+            val, err = mpmath.quad(lambda t: t ** (a - 1) * (1 - t) ** (b - 1) / (xp - t),
+                                   [0, 0.5, 1], error=True)
+            val /= mpmath.beta(a, b) * width * mpmath.pi
+            return float(val), err <= 1e-14 * abs(val)
     beta_fn = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     g = lambda p: 2.0 * np.sin(p) ** (2 * a - 1) * np.cos(p) ** (2 * b - 1) / (beta_fn * width)
-    kw = dict(limit=500, epsabs=1e-12, epsrel=1e-12)
+    phi0 = math.asin(math.sqrt(xp))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", integrate.IntegrationWarning)
-        if 0.0 < xp < 1.0:
-            phi0 = math.asin(math.sqrt(xp))
-            # 1 / (xp - sin^2 p) = (p - phi0) / (sin(phi0 - p) sin(phi0 + p)) / (p - phi0)
-            val = integrate.quad(lambda p: -g(p) / np.sinc((phi0 - p) / np.pi)
-                                 / np.sin(phi0 + p), 0.0, np.pi / 2,
-                                 weight="cauchy", wvar=phi0, **kw)[0]
-        else:
-            val = integrate.quad(lambda p: g(p) / (xp - np.sin(p) ** 2), 0.0, np.pi / 2,
-                                 **kw)[0]
+        # 1 / (xp - sin^2 p) = (p - phi0) / (sin(phi0 - p) sin(phi0 + p)) / (p - phi0)
+        val = integrate.quad(lambda p: -g(p) / np.sinc((phi0 - p) / np.pi)
+                             / np.sin(phi0 + p), 0.0, np.pi / 2, weight="cauchy",
+                             wvar=phi0, limit=500, epsabs=1e-12, epsrel=1e-12)[0]
     return val / np.pi, not caught
 
 
@@ -290,13 +297,23 @@ HALF_SHAPES = st.sampled_from([0.5, 1.5, 2.5, 3.5])
 @example(a=0.5, b=1.5, where="node", node=0, u=0.0)
 @example(a=0.5, b=1.5, where="off_node", node=0, u=0.3)
 @example(a=1.5, b=1.5, where="outside", node=0, u=0.5)
+# just above the upper edge, where F = rho s vanishes
+@example(a=0.5, b=1.5, where="outside", node=0, u=1e-15)
+@example(a=0.5, b=1.5, where="outside", node=0, u=1e-14)
+@example(a=2.5, b=1.5, where="outside", node=0, u=2.220446049250313e-16)
+# x = 1 - 2^-53, just below the lower edge, where w rounds to -1
+@example(a=1.5, b=1.5, where="outside", node=1, u=1.0 - 2.0 ** -52)
+@example(a=0.5, b=1.5, where="outside", node=1, u=1.0 - 2.0 ** -52)
 def test_hilbert_matches_cauchy_quadrature(a, b, where, node, u):
     # the Chebyshev series of rho s against an independent principal value,
-    # at the quadrature nodes, between them and outside the support.  Where
-    # quad converges (1496 of 1500 draws) the two agree to 1.5e-13 on the
-    # support and to 7.7e-12 relative outside it, next to Beta(1/2, 3/2)'s
-    # infinite edge, where H is about 120; the former subtraction rule was
-    # off by 3.2e-4 at the semicircle's nodes and by 10.8 next to that edge
+    # at the quadrature nodes, between them and outside the support.  In
+    # 1500 draws, 30 % of them at u in {0, 2^-52, 1e-15, 1e-14, 1 - 2^-52, 1},
+    # the oracle converged on 1394 of the 1421 off the edges (all 464
+    # outside), and the two agreed to 1.2e-12 of max(|H|, 0.1) on the
+    # support and to 5.1e-13 outside it.  Next to an edge where F vanishes
+    # the series divides out that edge's root (SpectrumModel says how):
+    # summed as is, it was off by 3e-10 to 3e-9 relative at x = 3 + 3u,
+    # u <= 1e-14, and by 1.5e-8 at x = 1 - 2^-53 (Beta(3/2, 3/2))
     sp = ShiftedBeta(a, b, 1.0, 3.0, DELTA)
     x = {"node": sp.nodes[node], "off_node": 1.0 + 2.0 * u,
          "outside": (0.5 + 0.5 * u) if node % 2 else (3.0 + 3.0 * u)}[where]
