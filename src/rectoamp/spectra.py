@@ -115,16 +115,18 @@ class SpectrumModel:
     define ``_density(lam)`` on the support.
 
     The transforms read the Chebyshev coefficients a_k of F = rho s =
-    sum_k a_k T_k(w), s = sqrt((hi - x)(x - lo)), w = (x - c)/R (few terms
-    when F is a polynomial: Beta shapes in 1/2 + N).  The mass is pi a_0,
-    and with r = sqrt(w - 1) sqrt(w + 1), q = w - r at z (Mason & Handscomb,
-    Chebyshev Polynomials, 2003) S(z) = (pi / R) sum_k a_k q^k / r off the
-    support, and H = -(1/R) sum_{k>=1} a_k U_{k-1}(w) on it, edges included:
-    no term is singular at a node, and at an edge S is pi H, the limit from
-    outside where F vanishes there and the interior limit of H elsewhere.
-    Where F vanishes at an edge, S divides the root q = 1 (upper) or q = -1
-    (lower) out of sum_k a_k q^k: with e = sqrt(w - 1), p = sqrt(w + 1), r = e p and
-    d = p - e = 2/(p + e), q - 1 = -e d and q + 1 = p d, so (q -+ 1)/r does not cancel.
+    sum_k a_k T_k(w), s = sqrt((hi - x)(x - lo)), w = (x - c)/R, L = 2R (few
+    terms when F is a polynomial: Beta shapes in 1/2 + N).  The mass is
+    pi a_0, and with r = sqrt(w - 1) sqrt(w + 1), q = w - r at z (Mason &
+    Handscomb, Chebyshev Polynomials, 2003) S(z) = (pi / R) sum_k a_k q^k / r.
+    Where F vanishes at an edge, the series has a root there, q = 1 (upper)
+    or q = -1 (lower), which is divided out once: with e = sqrt(w - 1),
+    p = sqrt(w + 1), r = e p and d = p - e = 2/(p + e), q - 1 = -e d and
+    q + 1 = p d, so the root cancels its square root and nothing divides 0
+    by 0.  The one expression holds off the support, on it (the boundary
+    value, whose real part is pi H) and at an edge where F vanishes.  Where
+    the density is infinite at an edge, S there is its limit from outside,
+    +inf at hi and -inf at lo, and H its limit from inside.
     """
 
     def __init__(self, delta: float, support):
@@ -204,45 +206,44 @@ class SpectrumModel:
         e, p = (np.sqrt(2.0 * (z - edge) / (hi - lo) + 0j) for edge in (hi, lo))
         return w, e, p, 1.0 / (w + e * p)
 
-    def _u_series(self, w):
-        """sum_{k>=1} a_k U_{k-1}(w), by Clenshaw's recurrence."""
-        b1 = b2 = np.zeros_like(w)
-        for coef in self._cheb[:0:-1]:
-            b1, b2 = coef + 2.0 * w * b1 - b2, b1
-        return b1
-
     def _stieltjes(self, z):
-        w, e, p, q = self._scaled(np.asarray(z, dtype=complex))
+        w, e, p, q = self._scaled(np.asarray(z))
         low, up = self._vanishing
         d = 2.0 / (p + e)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # (q + 1)^low (q - 1)^up / r, where q + 1 = p d, q - 1 = -e d and r = e p
-            factor = (p * d if low else 1.0) * (-e * d if up else 1.0) / (e * p)
-            vals = np.asarray(_horner(self._divided, q) * factor)
-        edge = e * p == 0.0
-        if np.any(edge):
-            vals[edge] = -self._u_series(np.real(w[edge]))
-        return vals * (2.0 * np.pi / np.ptp(self.support))
+            # (q + 1)^low (q - 1)^up / r; at an edge where the density is
+            # infinite 1/e or 1/p is 1/0 and leaves nan, and the limit from
+            # outside is w inf: +inf at hi, -inf at lo
+            vals = (2.0 * np.pi / np.ptp(self.support) * _horner(self._divided, q)
+                    * (d if low else 1.0 / p) * (-d if up else 1.0 / e))
+            return np.where(np.isnan(vals), np.real(w) * np.inf, vals)
 
     def _stieltjes_derivative(self, lam: float) -> float:
-        """S'(lambda) off the support, from dq/dw = -q/r and dr/dw = w/r."""
-        w, e, p, q = self._scaled(lam)
-        r = e * p
-        series = (r * _horner(np.arange(self._cheb.size) * self._cheb, q)
-                  + w * _horner(self._cheb, q))
-        return -4.0 * np.pi * float(np.real(series / r ** 3)) / np.ptp(self.support) ** 2
+        """S'(lambda) off the support, from the divided form: S = -(4 pi / L) T(q)
+        with T = q P(q) (q + 1)^(low - 1) (q - 1)^(up - 1), P the divided series,
+        and dq/dz = -(2/L) q / r, where (q P)' = sum_k (k + 1) c_k q^k."""
+        _, e, p, q = self._scaled(lam)
+        d = 2.0 / (p + e)
+        # 1/(q + 1) and 1/(q - 1) of each edge whose root the series keeps
+        kept = [inv for inv, divided in zip((1.0 / (p * d), -1.0 / (e * d)), self._vanishing)
+                if not divided]
+        c = self._divided
+        dt = _horner(np.arange(1, c.size + 1) * c, q) - q * _horner(c, q) * sum(kept)
+        return (8.0 * np.pi * float(np.real(q / (e * p) * np.prod(kept) * dt))
+                / np.ptp(self.support) ** 2)
 
     def hilbert(self, x):
-        """(1/pi) P.V. int mu(lam) / (x - lam) dlam, defined on all of R:
-        the U-series on the closed support, Re S(x) / pi outside it."""
+        """(1/pi) P.V. int mu(lam) / (x - lam) dlam = Re S(x) / pi on all of R.
+        At an edge where the density, and so S, is infinite, it is the limit
+        from inside, -(2/L) sum_k a_k U_{k-1}(+-1) with U_{k-1}(+-1) =
+        (+-1)^(k-1) k."""
         x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        w = ((x - lo) - (hi - x)) / (hi - lo)
-        out = np.empty_like(x)
-        out[inside] = -2.0 / (hi - lo) * self._u_series(w[inside])
-        if not np.all(inside):
-            out[~inside] = np.real(self._stieltjes(x[~inside])) / np.pi
+        out = np.real(self._stieltjes(x)) / np.pi
+        k = np.arange(self._cheb.size)
+        for edge, sign, vanish in zip(self.support, (-1.0, 1.0), self._vanishing):
+            if not vanish:
+                limit = -2.0 / np.ptp(self.support) * np.sum(k * self._cheb * sign ** (k - 1))
+                out = np.where(x == edge, limit, out)
         return out if out.ndim else float(out)
 
     def c_transform(self, z):
@@ -269,9 +270,11 @@ class SpectrumModel:
 class MarchenkoPastur(SpectrumModel):
     """MP law with ratio delta, matching noise entries of variance 1/N.
 
-    Stieltjes transform and density are closed form; the branch of the square
-    root is fixed so that S(z) ~ 1/z at infinity.  They stay: near delta = 1
-    the 1/lambda pole below the support keeps F's series from rounding.
+    Stieltjes transform, its derivative and the density are closed form;
+    the branch of the square root is fixed so that S(z) ~ 1/z at infinity.
+    They stay: near delta = 1 the 1/lambda pole below the support keeps F's
+    series from rounding.  The Hilbert transform is the base class's
+    Re S / pi, with its limit from inside at the edge 0 when delta = 1.
     """
 
     kind = "marchenko_pastur"
@@ -291,10 +294,9 @@ class MarchenkoPastur(SpectrumModel):
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.sqrt(z - lo) * np.sqrt(z - hi)
             s = (z + self.delta - 1.0 - r) / (2.0 * self.delta * z)
-        if self.delta < 1.0:
-            # removable 0/0 at the origin: S(0) = -E[1/lambda] = -1/(1-delta)
-            s = np.where(z == 0, -1.0 / (1.0 - self.delta), s)
-        return s
+        # 0/0 at the origin: S(0) = -E[1/lambda] = -1/(1-delta), and at
+        # delta = 1, where 0 is the edge, -inf, the limit from outside
+        return np.where(z == 0, -1.0 / (1.0 - self.delta) if self.delta < 1.0 else -np.inf, s)
 
     def _stieltjes_derivative(self, lam):
         # S' = (1 - r') / (2 delta lambda) - S / lambda with r^2 = (z - lo)(z - hi)
@@ -303,14 +305,6 @@ class MarchenkoPastur(SpectrumModel):
         dr = (2.0 * lam - lo - hi) / (2.0 * r)
         s = self._stieltjes(lam)
         return float(np.real((1.0 - dr) / (2.0 * self.delta * lam) - s / lam))
-
-    def hilbert(self, x):
-        # on the support S is a boundary value whose real part is pi H, too
-        x = np.asarray(x, dtype=float)
-        out = np.real(self._stieltjes(x)) / np.pi
-        if self.delta == 1.0:   # the interior limit at the edge 0
-            out = np.where(x == 0, 1.0 / (2.0 * np.pi), out)
-        return out if np.ndim(out) else float(out)
 
 
 class ShiftedBeta(SpectrumModel):
@@ -481,8 +475,9 @@ class ShrinkageSet:
         g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
         lo, hi = spec.support
         eps_lo = 1e-9 * max(1.0, lo)
-        # the upper bracket starts at the edge, where C is finite and
-        # maximal, so a root exists exactly above detection_threshold
+        # the upper bracket starts at the edge, where C is maximal (+inf
+        # where the density is infinite), so a root exists exactly above
+        # detection_threshold
         brackets = [(hi, hi + ROOT_MARGIN_FACTOR * (1.0 + th ** 2))]
         if lo - eps_lo > eps_lo:
             brackets.append((eps_lo, lo - eps_lo))
@@ -549,7 +544,9 @@ def detection_threshold(spectrum: SpectrumModel) -> float:
     The root equation 1 = theta^2 C(lambda) has a solution above the edge iff
     theta^2 sup C > 1; C is maximal at the edge, so the threshold is
     1 / sqrt(C(lambda_max)).  C is evaluated at the edge itself: a step
-    eps above it would cost about sqrt(eps) at a square-root edge.
+    eps above it would cost about sqrt(eps) at a square-root edge.  Where the
+    density is infinite at the edge, C is +inf there and the threshold is 0:
+    an outlier exists at every theta > 0.
     """
     edge = np.real(spectrum.c_transform(spectrum.support[1]))
     if edge <= 0:

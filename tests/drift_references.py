@@ -16,11 +16,13 @@ build and its thread count.
 
 Regenerating a reference is a deliberate act:
 
-    PYTHONPATH=src python tests/drift_references.py
+    PYTHONPATH=src python tests/drift_references.py [CASE ...]
 
-rewrites ``tests/data/`` and prints the largest drift per column against
+rewrites the references of the named cases in ``tests/data/``, or of every
+case when none is named, and prints the largest drift per column against
 the references it replaces; a change that regenerates them states that
-drift and why it is intended.
+drift and why it is intended.  Naming only the cases a change moves on
+purpose leaves the others, and the drift they are allowed, as they were.
 """
 
 from __future__ import annotations
@@ -120,9 +122,15 @@ def drifts(case: str, reference: str, output: str) -> dict:
     return out
 
 
-def main() -> int:
+def main(cases) -> int:
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        print(f"unknown case {', '.join(unknown)}; the cases are {', '.join(CASES)}",
+              file=sys.stderr)
+        return 2
+    cases = cases or CASES
     DATA.mkdir(parents=True, exist_ok=True)
-    for case in CASES:
+    for case in cases:
         path = reference_path(case)
         output = render(case)
         if path.exists():
@@ -130,9 +138,9 @@ def main() -> int:
                 if drift or not ok:
                     print(f"{case} {column}: {drift:.3g}{'' if ok else ' (above tolerance)'}")
         path.write_text(output)
-    print(f"wrote {len(CASES)} references to {DATA}")
+    print(f"wrote {len(cases)} references to {DATA}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

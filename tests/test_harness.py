@@ -523,6 +523,17 @@ class TestCli:
         assert len([l for l in lines if l.startswith("[PASS]")]) == 6
         assert err == "" and not recwarn.list
 
+    def test_spectra_check_infinite_upper_edge(self, capsys):
+        # Beta(3/2, 1/2) on [1, 3]: the density is infinite at the upper edge,
+        # so the threshold is 0 and theta = 0.3 has an atom above the support
+        assert cli_main(["spectra-check", "--spectrum", "beta", "--beta-b", "0.5",
+                         "--theta", "0.3"]) == 0
+        out = capsys.readouterr().out
+        assert "# detection threshold: theta_c = 0.000000\n" in out
+        assert ("# atom at lambda* = 3.178732: nu1 mass 0.382430, nu2 mass 0.215360 "
+                "(above the support)\n") in out
+        assert "FAIL" not in out
+
     def test_benchmark_argv_matches_a_plain_run(self, tmp_path):
         # the benchmark runs `python -m rectoamp.cli run CFG --workers 1 ...`;
         # the flag is accepted and changes nothing
