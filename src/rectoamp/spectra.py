@@ -70,20 +70,17 @@ class Measure:
         return total.real if total.imag == 0 else total
 
 
-def _gauss_chebyshev(lo: float, hi: float, n: int):
-    """n-point Gauss-Chebyshev rule on [lo, hi], nodes ascending: the
-    first-kind rule applied to f sqrt((hi - x)(x - lo)) (Abramowitz &
-    Stegun 25.4.38), so it is exact when that product is a polynomial of
-    degree < 2n and converges geometrically when it is analytic, as for MP
-    at every delta and for the semicircle Beta(3/2, 3/2); its nodes are
-    Chebyshev points, so values there give Chebyshev coefficients too."""
+def _chebyshev_nodes(lo: float, hi: float, n: int):
+    """The n first-kind Chebyshev points of [lo, hi], ascending.  Weighing F =
+    f sqrt((hi - x)(x - lo)) there by pi/n integrates f exactly when F is a
+    polynomial of degree < 2n (Abramowitz & Stegun 25.4.38), and geometrically
+    fast when F is analytic (MP at every delta, the semicircle Beta(3/2, 3/2))."""
     t = (np.arange(n, 0, -1) - 0.5) * (np.pi / n)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * np.cos(t), half * (np.pi / n) * np.sin(t)
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(t)
 
 
 def _chebyshev_coefficients(values, vanishing):
-    """Chebyshev coefficients of the ``_gauss_chebyshev`` node values by a
+    """Chebyshev coefficients of the ``_chebyshev_nodes`` values by a
     DCT-II, chopped at 1e-14 of the largest (Aurentz & Trefethen, ACM TOMS
     43, 2017), and made to vanish at the ends flagged in ``vanishing``, where
     S's 1/r would amplify the interpolant's residue (1e-7 for a shape < 1/2)."""
@@ -114,11 +111,13 @@ class SpectrumModel:
     density on a compact subset of the positive half-line.  Subclasses
     define ``_density(lam)`` on the support.
 
-    The transforms read the Chebyshev coefficients a_k of F = rho s =
-    sum_k a_k T_k(w), s = sqrt((hi - x)(x - lo)), w = (x - c)/R, L = 2R (few
-    terms when F is a polynomial: Beta shapes in 1/2 + N).  The mass is
-    pi a_0, and with r = sqrt(w - 1) sqrt(w + 1), q = w - r at z (Mason &
-    Handscomb, Chebyshev Polynomials, 2003) S(z) = (pi / R) sum_k a_k q^k / r.
+    One node representation holds the law: F = rho s at the n Chebyshev
+    nodes, s = sqrt((hi - x)(x - lo)), with the coefficients a_k of F =
+    sum_k a_k T_k(w), w = (x - c)/R, L = 2R (few terms when F is a polynomial:
+    Beta shapes in 1/2 + N).  The mass is pi a_0 = (pi/n) sum F, and the
+    measure's node weights (pi/n) F and the series are divided by it.  With
+    r = sqrt(w - 1) sqrt(w + 1), q = w - r at z (Mason & Handscomb, Chebyshev
+    Polynomials, 2003) S(z) = (pi / R) sum_k a_k q^k / r.
     Where F vanishes at an edge, the series has a root there, q = 1 (upper)
     or q = -1 (lower), which is divided out once: with e = sqrt(w - 1),
     p = sqrt(w + 1), r = e p and d = p - e = 2/(p + e), q - 1 = -e d and
@@ -137,22 +136,21 @@ class SpectrumModel:
             raise SpectraError(f"invalid support [{lo}, {hi}]")
         self.delta = float(delta)
         self.support = (lo, hi)
-        self.nodes, self.quad_weights = _gauss_chebyshev(lo, hi, DEFAULT_QUAD_NODES)
+        self.nodes = _chebyshev_nodes(lo, hi, DEFAULT_QUAD_NODES)
         with np.errstate(all="ignore"):     # nan on a degenerate support
             self._density_at_nodes = np.asarray(self._density(self.nodes), dtype=float)
             # F = rho s vanishes at an edge where rho is finite; s is taken at
-            # the rounded nodes, as rho is (R sin t_j is 1e-10 off it there)
+            # the rounded nodes, as rho is
             vanishing = np.isfinite(self._density(np.array([lo, hi])))
-            s = np.sqrt(hi - self.nodes) * np.sqrt(self.nodes - lo)
-            self._cheb = _chebyshev_coefficients(self._density_at_nodes * s, vanishing)
-        mass = float(np.dot(self.quad_weights, self._density_at_nodes))
+            f = self._density_at_nodes * np.sqrt(hi - self.nodes) * np.sqrt(self.nodes - lo)
+            self._cheb = _chebyshev_coefficients(f, vanishing)
+        mass = float(np.pi * self._cheb[0])
         # tolerance accommodates Beta shapes below 1/2, whose t^(a - 1)
-        # edge the rule resolves slowly (3.5e-3 at a = 0.3); weights are
-        # then renormalized so <1> = 1 exactly
+        # edge the rule resolves slowly (3.5e-3 at a = 0.3)
         if not abs(mass - 1.0) <= 5e-3:
             raise SpectraError(f"density on the support [{lo}, {hi}] does not integrate "
                                f"to 1 (got {mass:.8f})")
-        self.quad_weights = self.quad_weights / mass
+        self._weights = (np.pi / f.size) * f / mass
         self._cheb = self._cheb / mass
         self._vanishing, self._divided = tuple(vanishing), self._cheb
         for root, vanish in zip((-1.0, 1.0), vanishing):    # S's series / (q - root)
@@ -185,10 +183,10 @@ class SpectrumModel:
         if np.any(self._on_support_real(z)):
             raise SpectraError("stieltjes transform undefined on the support")
         s = self._stieltjes(z)
-        if s.ndim == 0:
-            s = complex(s)
-            return s.real if np.isreal(z) else s
-        return s
+        # real off the support, so that z S stays real where S is infinite
+        if np.all(np.isreal(z)):
+            s = np.real(s)
+        return s.item() if s.ndim == 0 else s
 
     def _on_support_real(self, z):
         z = np.asarray(z)
@@ -264,7 +262,7 @@ class SpectrumModel:
     # -- measure views ------------------------------------------------------
 
     def measure(self) -> Measure:
-        return Measure(self.nodes, self.quad_weights * self._density_at_nodes)
+        return Measure(self.nodes, self._weights)
 
 
 class MarchenkoPastur(SpectrumModel):
@@ -469,7 +467,9 @@ class ShrinkageSet:
         the lower root 0.9433, with overlaps matching its nu1 and nu2 masses
         (tests/test_spectra.py pins this on 20 simulated instances).
         """
-        if self.theta == 0:
+        # theta^2 is also 0 below 1.5e-162: there 1 - theta^2 C is 1, and 0 inf
+        # = nan at an infinite-density edge, whose root would round to it
+        if self.theta ** 2 == 0:
             return []
         spec, th = self.spectrum, self.theta
         g = lambda lam: 1.0 - th ** 2 * np.real(spec.c_transform(lam))
@@ -510,7 +510,7 @@ class ShrinkageSet:
         """Assemble nu1, nu2 (lambda axis) and nu3 (signed, sigma axis)."""
         spec, d = self.spectrum, self.delta
         lam = spec.nodes
-        base = spec.quad_weights * spec._density_at_nodes
+        base = spec._weights
         n1, n2, n3, den = self.node_numerators
         phi1, phi2, phi3 = n1 / den, n2 / den, n3 / den
         atoms = self.find_spectral_atoms()

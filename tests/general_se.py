@@ -9,9 +9,8 @@ from rectoamp.state_evolution import StateEvolutionError
 def measure_tilde(spectrum: SpectrumModel) -> Measure:
     """delta * mu + (1 - delta) * atom at 0 (law of the co-Gram matrix)."""
     atoms = ((0.0, 1.0 - spectrum.delta),) if spectrum.delta < 1.0 else ()
-    return Measure(spectrum.nodes,
-                   spectrum.delta * spectrum.quad_weights * spectrum._density_at_nodes,
-                   atoms)
+    mu = spectrum.measure()
+    return Measure(mu.nodes, spectrum.delta * mu.weights, atoms)
 
 
 def se_step_general(measures: InducedMeasures, spectrum: SpectrumModel,

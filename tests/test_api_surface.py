@@ -80,3 +80,15 @@ def test_readme_methods_row_names_every_method():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     meaning = re.search(r"^\| `methods` \|([^|]*)\|", readme, re.M).group(1)
     assert sorted(re.findall(r"`([\w-]+)`", meaning)) == sorted(KNOWN_METHODS)
+
+
+def test_readme_install_names_every_test_dependency():
+    """The README's Install section names every package of ``pyproject.toml``'s
+    ``test`` extra (read with a regex: ``tomllib`` is new in Python 3.11)."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^\[project\.optional-dependencies\]\n(?:.*\n)*?test = \[(.*?)\]",
+                      pyproject, re.M | re.S).group(1)
+    packages = [re.match(r"[\w.-]+", spec).group(0) for spec in re.findall(r'"([^"]+)"', extra)]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    install = re.search(r"^## Install\n(.*?)^## ", readme, re.M | re.S).group(1)
+    assert packages and [p for p in packages if not re.search(rf"\b{re.escape(p)}\b", install)] == []

@@ -533,6 +533,10 @@ class TestCli:
         assert ("# atom at lambda* = 3.178732: nu1 mass 0.382430, nu2 mass 0.215360 "
                 "(above the support)\n") in out
         assert "FAIL" not in out
+        # the node weights and the series share one mass, so every identity
+        # holds to rounding
+        residuals = [float(r) for r in re.findall(r"residual (\S+)", out)]
+        assert len(residuals) == 6 and max(residuals) <= 1e-14
 
     def test_benchmark_argv_matches_a_plain_run(self, tmp_path):
         # the benchmark runs `python -m rectoamp.cli run CFG --workers 1 ...`;

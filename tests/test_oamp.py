@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectoamp import oamp
@@ -195,6 +195,9 @@ class TestDenoiserSet:
            b=st.floats(0.5, 4.0), lo=st.floats(0.0, 3.0),
            width=st.floats(0.1, 4.0),
            fractions=st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=8))
+    # theta^2 underflows to 0 where C is infinite, at the upper edge of Beta(1, 1/2)
+    @example(kind="beta", delta=1.0, theta=2.4087367933560202e-166, a=1.0, b=0.5,
+             lo=0.0, width=1.0, fractions=[1.0])
     def test_numerator_identity(self, kind, delta, theta, a, b, lo, width,
                                 fractions):
         # n1 n2 lambda - n3^2 = delta lambda den, on and off the support and
