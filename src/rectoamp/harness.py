@@ -30,9 +30,9 @@ CSV_FIELDS = ("method", "t", "mean_cos2_u", "se_cos2_u", "mean_cos2_v",
               "se_cos2_v", "pred_cos2_u", "pred_cos2_v", "mean_mse_u",
               "mean_mse_v")
 MAX_FAILURE_FRACTION = 0.2
-# what the metadata JSON records of each strength schedule
-SCHEDULE_FIELDS = {"oamp": ("w1", "w2", "rho1", "rho2", "converged_at"),
-                   "amp": ("w1", "w2")}
+# what the metadata JSON records of each schedule, and per OAMP step of its denoiser set
+SCHEDULE_FIELDS = {"oamp": ("w1", "w2", "converged_at"), "amp": ("w1", "w2")}
+DENOISER_FIELDS = ("rho1", "rho2", "mean_p", "mean_q")
 # a seed that raises one of these has failed; anything else is a bug
 DOMAIN_ERRORS = (ChannelError, SpectraError, ModelError, StateEvolutionError,
                  OampError, BaselineError)
@@ -205,16 +205,16 @@ def se_predictions(cfg: ExperimentConfig, shrinkage: ShrinkageSet) -> dict:
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, shrinkage: ShrinkageSet,
                     predictions: dict) -> dict:
-    """Run every simulated method on one instance with the run's shrinkage
-    set, along the schedules of ``se_predictions``; returns one
-    ``IterationTrace`` per method."""
+    """Run every simulated method on one instance of the run's spectrum,
+    along the schedules of ``se_predictions``; OAMP applies its schedule's
+    denoiser sets.  Returns one ``IterationTrace`` per method."""
     channel_u, channel_v = build_channels(cfg)
     inst = make_instance(channel_u, channel_v, shrinkage.spectrum, cfg.M, cfg.N,
                          cfg.theta, seed)
     svd = thin_svd(inst.Y)
     out = {}
     if "oamp" in cfg.methods:
-        out["oamp"] = optimal_oamp_run(inst, svd, shrinkage, channel_u, channel_v,
+        out["oamp"] = optimal_oamp_run(inst, svd, channel_u, channel_v,
                                        predictions["oamp"])
     if "amp" in cfg.methods:
         out["amp"] = gaussian_amp_run(inst, channel_u, channel_v, predictions["amp"])
@@ -290,7 +290,9 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "cpu_count": os.cpu_count(),
         "versions": {"rectoamp": __version__, "numpy": np.__version__},
-        "schedules": {m: {k: getattr(tr, k) for k in SCHEDULE_FIELDS[m]}
+        "schedules": {m: {**{k: getattr(tr, k) for k in SCHEDULE_FIELDS[m]},
+                          **{k: [getattr(d, k) for d in tr.denoisers]
+                             for k in DENOISER_FIELDS if tr.denoisers}}
                       for m, tr in predictions.items() if m in SCHEDULE_FIELDS},
     }
     return AggregateReport(rows=rows, metadata=meta)

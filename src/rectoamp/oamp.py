@@ -10,13 +10,14 @@ with estimates given by the posterior means at the predicted strengths.
 The module holds the optimal matrix denoisers (``DenoiserSet``, exact at
 the spectral outliers), the four spectral applications (``apply_left``,
 ``apply_right``, ``apply_cross_left``, ``apply_cross_right``) and the one
-run loop, ``optimal_oamp_run``.  The applications need only the
-eigenpairs (lambda, U) of YY^T and Y itself, since h(Y^T Y) Y^T =
-Y^T h(YY^T) and h(Y^T Y) = h(0) I + Y^T U diag((h - h(0)) / lambda) U^T Y;
-each step projects its two inputs, U^T f and U^T (Y g), once.  That
-the general state evolution collapses to the scalar schedule under these
-denoisers is checked by the tests' general-SE oracle, not by a second
-iteration.
+run loop, ``optimal_oamp_run``.  The state evolution builds each step's
+``DenoiserSet`` once, on its schedule, and every run applies those sets.
+The applications need only the eigenpairs (lambda, U) of YY^T and Y
+itself, since h(Y^T Y) Y^T = Y^T h(YY^T) and h(Y^T Y) = h(0) I + Y^T U
+diag((h - h(0)) / lambda) U^T Y; each step projects its two inputs, U^T f
+and U^T (Y g), once.  That the general state evolution collapses to the
+scalar schedule under these denoisers is checked by the tests' general-SE
+oracle, not by a second iteration.
 """
 
 from __future__ import annotations
@@ -218,12 +219,13 @@ def _check_finite(x, label):
         raise DivergenceError(f"{label} iterate diverged (non-finite entries)")
 
 
-def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageSet,
-                     channel_u: ScalarChannel, channel_v: ScalarChannel,
-                     schedule, keep_iterates: tuple = ()) -> IterationTrace:
-    """Run the optimal OAMP iteration along ``schedule``, the
-    ``optimal_se_run`` of the same spectrum, SNR and channels, which gives
-    the strengths w_t and output SNRs rho_t.
+def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChannel,
+                     channel_v: ScalarChannel, schedule,
+                     keep_iterates: tuple = ()) -> IterationTrace:
+    """Run the optimal OAMP iteration along ``schedule``, an
+    ``optimal_se_run`` of the same channels, which gives each step's
+    strengths w_t and the ``DenoiserSet`` it applies; the sets' shrinkage
+    numerators are evaluated at the eigenvalues once, for all the steps.
 
     The side channel is handled inside the scalar denoisers, so the iterate
     strengths start at w = 0 and the first update draws its signal content
@@ -236,15 +238,14 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, shrinkage: ShrinkageS
     get them.
     """
     lam = svd.eigenvalues
-    numerators = shrinkage.numerators(lam)
+    numerators = schedule.denoisers[0].shrinkage.numerators(lam)
     trace = IterationTrace()
     w1 = w2 = 0.0
     u_it = np.zeros(inst.M)
     v_it = np.zeros(inst.N)
 
-    for t, (w1_next, w2_next, rho1, rho2) in enumerate(zip(
-            schedule.w1, schedule.w2, schedule.rho1, schedule.rho2), 1):
-        den = DenoiserSet(shrinkage, rho1, rho2)
+    for t, (w1_next, w2_next, den) in enumerate(zip(
+            schedule.w1, schedule.w2, schedule.denoisers), 1):
         f = channel_u.dmmse(u_it, inst.a, w1)
         g = channel_v.dmmse(v_it, inst.b, w2)
         fv, ftv, gv, gtv = den.evaluate(lam, numerators)

@@ -137,6 +137,9 @@ class SpectrumModel:
         self.delta = float(delta)
         self.support = (lo, hi)
         self.nodes = _chebyshev_nodes(lo, hi, DEFAULT_QUAD_NODES)
+        if not (lo <= self.nodes[0] and self.nodes[-1] <= hi):
+            raise SpectraError(f"support [{lo}, {hi}] too narrow: at its width {hi - lo:.3g} "
+                               "the quadrature nodes round outside it")
         with np.errstate(all="ignore"):     # nan on a degenerate support
             self._density_at_nodes = np.asarray(self._density(self.nodes), dtype=float)
             # F = rho s vanishes at an edge where rho is finite; s is taken at
@@ -405,6 +408,10 @@ class ShrinkageSet:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if np.any(lam < 0):
             raise SpectraError("shrinkage functions are defined on the nonnegative axis")
+        for edge, vanish in zip(self.spectrum.support, self.spectrum._vanishing):
+            if not vanish and np.any(lam == edge):
+                raise SpectraError(f"shrinkage functions undefined at lambda = {edge}, "
+                                   "where the density is infinite")
         return self._numerators(lam, self.spectrum.density(lam), self.spectrum.hilbert(lam))
 
     def _numerators(self, lam, mu, h):

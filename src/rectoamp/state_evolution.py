@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oamp import DenoiserSet
+from . import oamp
 from .scalar_channel import ScalarChannel
 from .spectra import ShrinkageSet, _bisect
 
@@ -23,14 +23,13 @@ class StateEvolutionError(Exception):
 
 @dataclass
 class SeTrace:
-    """Strength schedule: per-iteration channel strengths w_t, denoiser
-    output SNRs rho_t, and the predicted overlaps; a method's prediction
-    (``harness.se_predictions``)."""
+    """Strength schedule: per-iteration channel strengths w_t, the predicted
+    overlaps and, for OAMP, each step's ``oamp.DenoiserSet`` (its output SNRs
+    rho_t and means <P*>, <Q*>); a method's prediction (``harness.se_predictions``)."""
 
     w1: list = field(default_factory=list)
     w2: list = field(default_factory=list)
-    rho1: list = field(default_factory=list)
-    rho2: list = field(default_factory=list)
+    denoisers: list = field(default_factory=list)
     cos2_u: list = field(default_factory=list)
     cos2_v: list = field(default_factory=list)
     mmse_u: list = field(default_factory=list)
@@ -70,20 +69,23 @@ def _strength_loop(step, channel_u: ScalarChannel, channel_v: ScalarChannel,
 
 def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
                    channel_v: ScalarChannel, n_iter: int) -> SeTrace:
-    """Strength schedule of the optimal OAMP iteration and its predicted
-    overlaps.
+    """Strength schedule of the optimal OAMP iteration, its predicted
+    overlaps and the denoisers that each of its steps applies.
 
     Strengths start at w = 0; the first step draws its signal content from
     the side information folded into the scalar channels.  A zero strength
     means the matrix step carries no signal.  The schedule converges once
     its strengths move less than SE_CONVERGENCE_TOL.  Step t builds its
-    denoisers at the output SNRs rho(w_{t-1}) of the divergence-free scalar
-    denoisers, with w_0 = 0, and the trace records them; a padded schedule
-    has padded rho.
+    ``oamp.DenoiserSet`` at the output SNRs rho(w_{t-1}) of the
+    divergence-free scalar denoisers, with w_0 = 0, and the trace keeps it;
+    the padded steps share one more step's set, at the fixed point's rho(w_c).
     """
+    denoisers = []
+
     def step(t, w1, w2):
-        rho1, rho2 = channel_u.dmmse_stats(w1)[2], channel_v.dmmse_stats(w2)[2]
-        w1_next, w2_next = DenoiserSet(shrinkage, rho1, rho2).next_strengths()
+        denoisers.append(oamp.DenoiserSet(shrinkage, channel_u.dmmse_stats(w1)[2],
+                                          channel_v.dmmse_stats(w2)[2]))
+        w1_next, w2_next = denoisers[-1].next_strengths()
         # round-off around a collapsed strength (e.g. theta = 0) becomes 0
         w1_next = 0.0 if -1e-9 < w1_next < 1e-12 else w1_next
         w2_next = 0.0 if -1e-9 < w2_next < 1e-12 else w2_next
@@ -93,8 +95,9 @@ def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
         return w1_next, w2_next
 
     trace = _strength_loop(step, channel_u, channel_v, n_iter, SE_CONVERGENCE_TOL)
-    trace.rho1 = [channel_u.dmmse_stats(w)[2] for w in [0.0] + trace.w1[:-1]]
-    trace.rho2 = [channel_v.dmmse_stats(w)[2] for w in [0.0] + trace.w2[:-1]]
+    if len(denoisers) < n_iter:
+        step(len(denoisers) + 1, trace.w1[-1], trace.w2[-1])     # the set at rho(w_c)
+    trace.denoisers = denoisers + denoisers[-1:] * (n_iter - len(denoisers))
     return trace
 
 
@@ -117,7 +120,7 @@ def amp_se_trajectory(theta: float, delta: float, channel_u: ScalarChannel,
 
     Every one of the ``n_iter`` steps is taken (the tolerance is 0), since
     an AMP run scales its messages by each step's strengths.  The AMP map
-    has no output SNRs, so ``rho1`` and ``rho2`` stay empty.
+    has no matrix denoisers, so ``denoisers`` stays empty.
     """
     return _strength_loop(_amp_step(theta, delta, channel_u, channel_v),
                           channel_u, channel_v, n_iter, 0.0)

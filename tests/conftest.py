@@ -93,7 +93,7 @@ def run_seed(spectrum, theta, M, N, seed, shrinkage=None, channels=None,
         "pca": (pca.cos2_u[0], pca.cos2_v[0]),
     }
     if with_oamp and shrinkage is not None:
-        tr = optimal_oamp_run(inst, svd, shrinkage, channels[0], channels[1],
+        tr = optimal_oamp_run(inst, svd, channels[0], channels[1],
                               schedules["oamp"], keep_iterates=keep_iterates)
         out["oamp"] = tr
         if keep_iterates:

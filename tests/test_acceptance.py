@@ -9,7 +9,6 @@ import pytest
 from scipy import integrate, stats
 
 from rectoamp.model import make_instance, thin_svd
-from rectoamp.oamp import DenoiserSet
 from rectoamp.spectra import ShrinkageSet
 from rectoamp.state_evolution import gaussian_fixed_point, optimal_se_run
 
@@ -152,7 +151,7 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     # analytic trace-freeness at the fixed-point output SNRs, both spectra
     worst_mean = 0.0
     for sh, se in ((shrink_mp2, se_mp), (shrink_beta2, se_beta)):
-        den = DenoiserSet(sh, se.rho1[-1], se.rho2[-1])
+        den = se.denoisers[-1]
         mu, d = sh.spectrum.measure(), sh.delta
         values = lambda l: den.evaluate(l, sh.numerators(l))
         mean_f = mu.integrate(lambda l: values(l)[0])
@@ -165,7 +164,7 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     # empirical trace on one simulated instance
     inst = make_instance(*channels, shrink_mp2.spectrum, M_DESK, 2 * M_DESK, THETA, 0)
     svd = thin_svd(inst.Y)
-    den = DenoiserSet(shrink_mp2, se_mp.rho1[-1], se_mp.rho2[-1])
+    den = se_mp.denoisers[-1]
     lam = svd.eigenvalues
     emp = abs(np.sum(den.evaluate(lam, shrink_mp2.numerators(lam))[0])) / M_DESK
     ok &= emp <= 0.01

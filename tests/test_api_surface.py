@@ -3,7 +3,8 @@ benchmark reads each name in ``rectoamp.__all__``.  A name that only the
 tests use belongs in ``tests/`` (as the general state evolution and the
 tabulated law do).  Likewise every config key is read by the program: a key
 that only its own class reads is a dead option, and the README documents
-exactly the CLI's subcommands and exactly the config keys."""
+exactly the CLI's subcommands, the config keys and the schedule keys of a
+run's metadata."""
 
 import ast
 import re
@@ -14,7 +15,7 @@ import pytest
 
 import rectoamp
 from rectoamp import cli
-from rectoamp.harness import KNOWN_METHODS, ExperimentConfig
+from rectoamp.harness import KNOWN_METHODS, ExperimentConfig, parse_config, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,3 +93,16 @@ def test_readme_install_names_every_test_dependency():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     install = re.search(r"^## Install\n(.*?)^## ", readme, re.M | re.S).group(1)
     assert packages and [p for p in packages if not re.search(rf"\b{re.escape(p)}\b", install)] == []
+
+
+def test_readme_run_bullet_names_every_schedule_key():
+    """The README's ``run`` bullet names, in backticks, exactly the keys that
+    a run writes under ``schedules.oamp`` and under ``schedules.amp``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^- `run` (.*?)^(?:- |\S)", readme, re.M | re.S).group(1)
+    oamp, amp = re.search(r"`schedules\.oamp` holds(.*?)`schedules\.amp` holds(.*?)\)",
+                          bullet, re.S).groups()
+    cfg = parse_config("M = 40\nN = 80\niters = 2\nseeds = 1\nmethods = oamp,amp\n")
+    written = run_experiment(cfg).metadata["schedules"]
+    assert sorted(re.findall(r"`(\w+)`", oamp)) == sorted(written["oamp"])
+    assert sorted(re.findall(r"`(\w+)`", amp)) == sorted(written["amp"])

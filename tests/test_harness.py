@@ -240,11 +240,26 @@ class TestEmission:
         cfg = parse_config(SMALL)
         predictions = se_predictions(
             cfg, ShrinkageSet(build_spectrum(cfg), cfg.theta))
+        oamp = predictions["oamp"]
         assert meta["schedules"] == {
-            "oamp": {k: getattr(predictions["oamp"], k)
-                     for k in ("w1", "w2", "rho1", "rho2", "converged_at")},
+            "oamp": {"w1": oamp.w1, "w2": oamp.w2, "converged_at": oamp.converged_at,
+                     **{k: [getattr(den, k) for den in oamp.denoisers]
+                        for k in ("rho1", "rho2", "mean_p", "mean_q")}},
             "amp": {"w1": predictions["amp"].w1, "w2": predictions["amp"].w2}}
         assert len(meta["schedules"]["oamp"]["rho1"]) == cfg.iters
+
+    def test_metadata_records_each_steps_spectral_means(self, tmp_path):
+        # <P*> and <Q*> of every OAMP step, padded ones included, read off
+        # the denoiser sets of the schedule
+        cfg = parse_config(SMALL, {"iters": "20", "seeds": "1", "methods": "oamp"})
+        _, meta_path = write_report(run_experiment(cfg), str(tmp_path / "r"))
+        recorded = json.loads(open(meta_path).read())["schedules"]["oamp"]
+        schedule = se_predictions(cfg, ShrinkageSet(build_spectrum(cfg), cfg.theta))["oamp"]
+        assert schedule.converged_at < cfg.iters
+        for key in ("mean_p", "mean_q"):
+            assert len(recorded[key]) == cfg.iters
+            assert all(0.0 < value < 1.0 for value in recorded[key])
+            assert recorded[key] == [getattr(den, key) for den in schedule.denoisers]
 
     def test_bad_path(self, small_report):
         with pytest.raises(HarnessError, match="cannot write"):
@@ -302,6 +317,20 @@ class TestCli:
         assert cli_main(["run", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("hi", ["1.000000000000001", "1.000000000000002",
+                                    "1.00000000000001", "1.000000000000005"])
+    def test_support_a_few_ulps_wide(self, capsys, hi):
+        # 287, 213 and 95 of the Chebyshev nodes of [1, hi] round outside
+        # it at the first three widths, and the error names the width, not
+        # the density; at about 5e-15 the nodes stay inside
+        assert cli_main(["se", "--theta", "2", "--spectrum", "beta", "--beta-lo", "1",
+                         "--beta-hi", hi]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        narrow = f"too narrow: at its width {float(hi) - 1.0:.3g} "
+        assert (narrow in err) == (hi != "1.000000000000005")
+        assert ("does not integrate to 1" in err) == (hi == "1.000000000000005")
 
     def test_huge_theta_in_setup(self, tmp_path, capsys):
         # a finite theta whose shrinkage numerators cannot be finite

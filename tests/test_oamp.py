@@ -238,21 +238,46 @@ class TestOptimalRun:
 
     def test_strengths_read_from_schedule(self, small_instance, shrink_mp2,
                                           channels, monkeypatch):
-        # each step builds its denoisers at the schedule's output SNRs
+        # the schedule builds step t's denoisers at rho(w_{t-1}), and a run
+        # applies them without building any
         inst, svd = small_instance
+        ch_u, ch_v = channels
         schedule = optimal_se_run(shrink_mp2, *channels, 4)
         built = []
-        real = oamp.DenoiserSet
-
-        def recording(shrinkage, rho1, rho2):
-            built.append((shrinkage, rho1, rho2))
-            return real(shrinkage, rho1, rho2)
-
-        monkeypatch.setattr(oamp, "DenoiserSet", recording)
-        tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule)
-        assert built == [(shrink_mp2, r1, r2)
-                         for r1, r2 in zip(schedule.rho1, schedule.rho2)]
+        monkeypatch.setattr(oamp, "DenoiserSet", lambda *args: built.append(args))
+        tr = optimal_oamp_run(inst, svd, *channels, schedule)
+        assert built == []
         assert len(tr.cos2_u) == 4
+        for den, w1, w2 in zip(schedule.denoisers, [0.0] + schedule.w1[:-1],
+                               [0.0] + schedule.w2[:-1]):
+            assert den.shrinkage is shrink_mp2
+            assert (den.rho1, den.rho2) == (ch_u.dmmse_stats(w1)[2],
+                                            ch_v.dmmse_stats(w2)[2])
+
+    def test_padded_steps_share_the_fixed_point_set(self, mp05, channels):
+        # MP at theta = 3 converges at t = 6 of 10 steps: steps 7..10 share
+        # one set at rho(w_6), and a run along it is bit for bit the run
+        # that builds every step's set afresh at rho(w_{t-1})
+        ch_u, ch_v = channels
+        sh = ShrinkageSet(mp05, 3.0)
+        schedule = optimal_se_run(sh, *channels, 10)
+        assert schedule.converged_at == 6
+        rho = (ch_u.dmmse_stats(schedule.w1[5])[2], ch_v.dmmse_stats(schedule.w2[5])[2])
+        for den in schedule.denoisers[6:]:
+            assert den is schedule.denoisers[6]
+            assert (den.rho1, den.rho2) == rho
+        afresh = dataclasses.replace(schedule, denoisers=[
+            DenoiserSet(sh, ch_u.dmmse_stats(w1)[2], ch_v.dmmse_stats(w2)[2])
+            for w1, w2 in zip([0.0] + schedule.w1[:-1], [0.0] + schedule.w2[:-1])])
+        inst = make_instance(*channels, mp05, 400, 800, 3.0, 0)
+        svd = thin_svd(inst.Y)
+        steps = tuple(range(1, 11))
+        tr, ref = (optimal_oamp_run(inst, svd, *channels, s, keep_iterates=steps)
+                   for s in (schedule, afresh))
+        assert (tr.cos2_u, tr.cos2_v, tr.mse_u, tr.mse_v) == (
+            ref.cos2_u, ref.cos2_v, ref.mse_u, ref.mse_v)
+        for t in steps:
+            assert all(np.array_equal(x, y) for x, y in zip(tr.iterates[t], ref.iterates[t]))
 
     def test_numerators_evaluated_once(self, small_instance, shrink_mp2,
                                        shrink_beta2, channels, monkeypatch):
@@ -272,7 +297,7 @@ class TestOptimalRun:
             return real(self, lam)
 
         monkeypatch.setattr(ShrinkageSet, "numerators", counted)
-        tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule)
+        tr = optimal_oamp_run(inst, svd, *channels, schedule)
         assert len(tr.cos2_u) == 4
         assert calls == [inst.M]
 
@@ -280,7 +305,7 @@ class TestOptimalRun:
         ch = ScalarChannel("rademacher", 0.3)
         inst = make_instance(ch, ch, mp05, 400, 800, 0.0, 3)
         sh = ShrinkageSet(mp05, 0.0)
-        tr = optimal_oamp_run(inst, thin_svd(inst.Y), sh, ch, ch,
+        tr = optimal_oamp_run(inst, thin_svd(inst.Y), ch, ch,
                               optimal_se_run(sh, ch, ch, 3))
         floor = 1.0 - ch.mmse(0.0)
         for c in tr.cos2_u:
@@ -290,15 +315,15 @@ class TestOptimalRun:
         inst = make_instance(*channels, mp05, 150, 300, 2.0, 7)
         svd = thin_svd(inst.Y)
         schedule = optimal_se_run(shrink_mp2, *channels, 2)
-        tr = optimal_oamp_run(inst, svd, shrink_mp2, *channels, schedule,
+        tr = optimal_oamp_run(inst, svd, *channels, schedule,
                               keep_iterates=(2,))
         perm = np.random.default_rng(0).permutation(inst.M)
         inst_p = make_instance(*channels, mp05, 150, 300, 2.0, 7)
         inst_p.Y = inst.Y[perm]
         inst_p.u_star = inst.u_star[perm]
         inst_p.a = inst.a[perm]
-        tr_p = optimal_oamp_run(inst_p, thin_svd(inst_p.Y), shrink_mp2,
-                                *channels, schedule, keep_iterates=(2,))
+        tr_p = optimal_oamp_run(inst_p, thin_svd(inst_p.Y), *channels, schedule,
+                                keep_iterates=(2,))
         assert np.allclose(tr_p.iterates[2][0], tr.iterates[2][0][perm],
                            atol=1e-8)
 
@@ -319,12 +344,11 @@ class TestOptimalRun:
         for seed in range(3):
             inst = make_instance(*channels, spectrum, 1000, 2000, 2.0, seed)
             svd = thin_svd(inst.Y)
-            base = optimal_oamp_run(inst, svd, shrinkage, *channels, schedule,
+            base = optimal_oamp_run(inst, svd, *channels, schedule,
                                     keep_iterates=steps)
             kick = 1e-10 * np.random.default_rng(seed).standard_normal(inst.M)
             moved = optimal_oamp_run(dataclasses.replace(inst, a=inst.a + kick), svd,
-                                     shrinkage, *channels, schedule,
-                                     keep_iterates=steps)
+                                     *channels, schedule, keep_iterates=steps)
             gap = [np.linalg.norm(moved.iterates[t][0] - base.iterates[t][0])
                    for t in steps]
             growth = (gap[9] / gap[2]) ** (1 / 7)

@@ -534,6 +534,18 @@ class TestShrinkage:
         with pytest.raises(SpectraError):
             shrink_mp2.numerators(np.array([-0.1]))
 
+    @pytest.mark.parametrize("make,theta,lam", [
+        (lambda: ShiftedBeta(1.0, 0.5, 0.0, 1.0, 1.0), 1.0, 1.0),
+        (lambda: MarchenkoPastur(1.0), 2.0, 0.0)], ids=["beta_upper_edge", "mp_1_origin"])
+    def test_infinite_density_point_rejected(self, recwarn, make, theta, lam):
+        # the numerators there would be inf or nan, with a RuntimeWarning
+        # from the density; the error names lambda instead
+        sh = ShrinkageSet(make(), theta)
+        with pytest.raises(SpectraError, match=f"at lambda = {lam}, where the density "
+                                               "is infinite"):
+            sh.numerators(np.array([0.5, lam]))
+        assert not recwarn.list
+
 
 class TestAtoms:
     def test_mp_atom_location_and_masses(self, shrink_mp2):

@@ -83,8 +83,8 @@ def optimal_steps(shrinkage, ch_u, ch_v, n_iter):
         a, sf2, rho1 = ch_u.dmmse_stats(w1p)
         b, sg2, rho2 = ch_v.dmmse_stats(w2p)
         # past convergence the schedule holds the rho of its final strengths
-        assert rho1 == pytest.approx(se.rho1[t], rel=1e-9)
-        assert rho2 == pytest.approx(se.rho2[t], rel=1e-9)
+        assert rho1 == pytest.approx(se.denoisers[t].rho1, rel=1e-9)
+        assert rho2 == pytest.approx(se.denoisers[t].rho2, rel=1e-9)
         den = DenoiserSet(shrinkage, rho1, rho2)
         denoisers = tuple(lambda l, i=i, den=den: den.evaluate(l, numerators(l))[i]
                           for i in range(4))
@@ -231,7 +231,7 @@ class TestOptimalRecursion:
 
     def test_rho_positive(self, shrink_mp2, channels):
         tr = optimal_se_run(shrink_mp2, *channels, 10)
-        assert all(r > 0 for r in tr.rho1 + tr.rho2)
+        assert all(r > 0 for den in tr.denoisers for r in (den.rho1, den.rho2))
 
 
 class TestGaussianFixedPoint:
@@ -327,7 +327,7 @@ class TestGaussianFixedPoint:
             tr = amp_se_trajectory(theta, 0.5, *channels, 200)
             assert abs(tr.w1[-1] - w1) <= 1e-9 and abs(tr.w2[-1] - w2) <= 1e-9
             assert tr.cos2_u[-1] == pytest.approx(1 - m_u, abs=1e-9)
-            assert tr.rho1 == tr.rho2 == []
+            assert tr.denoisers == []
 
     # Iterates of the AMP schedule from w = 0 climb to the least fixed point,
     # so each is a lower bound on it, and the root must lie above them all
