@@ -24,6 +24,9 @@ DEFAULT_QUAD_NODES = 2000
 # [hi, hi + ROOT_MARGIN_FACTOR (1 + theta^2)] above the upper one
 # (ShrinkageSet.find_spectral_atoms says why).
 ROOT_MARGIN_FACTOR = 10.0
+# How far back (in floats) _bisect looks for the first sign change of g, so
+# that its root does not depend on the bracket it was given.
+ROOT_SNAP_ULPS = 16
 # No search reads this any more: the benchmark's spectra.scan_mb metric
 # (perfbench/pipeline.py) still sizes the former lower-edge sign scan from
 # it, so it goes when that metric does.
@@ -36,16 +39,33 @@ class SpectraError(Exception):
 
 def _bisect(g, a: float, b: float) -> float:
     """Root of g in [a, b], where g(a) and g(b) differ in sign bit: halve
-    the bracket until its midpoint rounds to an endpoint."""
+    the bracket until its midpoint rounds to an endpoint.
+
+    Rounding makes the sign of g flicker over a few floats around the root,
+    so where the halving ends depends on the bracket.  So the two floats
+    whose midpoint is returned are the first pair, counted from
+    ROOT_SNAP_ULPS floats back towards a, across which the sign bit of g
+    changes: the same pair for every bracket of the root while the flicker
+    spans fewer floats.
+    """
+    start = a
     neg_a = np.signbit(g(a))
     while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
-            return mid
+            break
         if np.signbit(g(mid)) == neg_a:
             a = mid
         else:
             b = mid
+    for _ in range(ROOT_SNAP_ULPS):
+        if a == start:
+            break
+        a = math.nextafter(a, start)
+    # ends at b at the latest, whose sign bit differs from g(start)'s
+    while np.signbit(g(math.nextafter(a, b))) == neg_a:
+        a = math.nextafter(a, b)
+    return 0.5 * (a + math.nextafter(a, b))
 
 
 @dataclass(frozen=True)
