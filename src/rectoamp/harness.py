@@ -19,7 +19,8 @@ from .baselines import BaselineError, gaussian_amp_run, pca_estimate
 from .model import ModelError, make_instance, thin_svd
 from .oamp import IterationTrace, OampError, optimal_oamp_run
 from .scalar_channel import ChannelError, ScalarChannel
-from .spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, SpectraError
+from .spectra import (MarchenkoPastur, ShiftedBeta, ShrinkageSet, SpectraError,
+                      detection_threshold)
 from .state_evolution import (SeTrace, StateEvolutionError, amp_se_trajectory,
                               optimal_se_run)
 
@@ -182,10 +183,11 @@ def build_channels(cfg: ExperimentConfig):
             ScalarChannel(cfg.prior_v, cfg.w0_v))
 
 
-def se_predictions(cfg: ExperimentConfig, shrinkage: ShrinkageSet) -> dict:
+def se_predictions(cfg: ExperimentConfig, shrinkage: ShrinkageSet, atoms: list) -> dict:
     """Each method's prediction, the ``SeTrace`` its seeds run along: the OAMP
     and AMP strength schedules with their cos^2 curves, and for PCA one step
-    whose overlaps are the masses of the atom above the support, if any."""
+    whose overlaps are the masses of the atom above the support, if any, in
+    ``atoms`` (the shrinkage set's ``find_spectral_atoms``)."""
     channel_u, channel_v = build_channels(cfg)
     predictions = {}
     if "oamp" in cfg.methods:
@@ -197,7 +199,7 @@ def se_predictions(cfg: ExperimentConfig, shrinkage: ShrinkageSet) -> dict:
     if "pca" in cfg.methods:
         # PCA takes the top eigenvector: the atom above the support, if any
         hi = shrinkage.spectrum.support[1]
-        above = [a for a in shrinkage.find_spectral_atoms() if a.location > hi]
+        above = [a for a in atoms if a.location > hi]
         nu1, nu2 = (above[0].nu1_mass, above[0].nu2_mass) if above else (0.0, 0.0)
         predictions["pca"] = SeTrace(cos2_u=[nu1], cos2_v=[nu2])
     return predictions
@@ -264,7 +266,8 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         raise ConfigError(f"the {cfg.M} x {cfg.N} observation ({observation / 2**30:.3g} "
                           f"GiB) exceeds the {memory / 2**30:.3g} GiB of physical memory")
     shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
-    predictions = se_predictions(cfg, shrinkage)
+    atoms = shrinkage.find_spectral_atoms()
+    predictions = se_predictions(cfg, shrinkage, atoms)
     if "amp" in cfg.methods and cfg.spectrum != "mp":
         logger.warning("running Gaussian AMP on non-Gaussian noise")
     per_seed, failures = {}, {}
@@ -282,6 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
 
     rows = _aggregate(per_seed, predictions, cfg)
     from . import __version__  # the package imports this module first
+    hi = shrinkage.spectrum.support[1]
     meta = {
         "config": {**vars(cfg), "seeds": list(cfg.seeds), "methods": list(cfg.methods)},
         "n_seeds_requested": len(cfg.seeds),
@@ -294,6 +298,11 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
                           **{k: [getattr(d, k) for d in tr.denoisers]
                              for k in DENOISER_FIELDS if tr.denoisers}}
                       for m, tr in predictions.items() if m in SCHEDULE_FIELDS},
+        "spectrum": {"detection_threshold": detection_threshold(shrinkage.spectrum),
+                     "atoms": [{"location": a.location, "nu1_mass": a.nu1_mass,
+                                "nu2_mass": a.nu2_mass,
+                                "side": "above" if a.location > hi else "below"}
+                               for a in atoms]},
     }
     return AggregateReport(rows=rows, metadata=meta)
 

@@ -128,8 +128,8 @@ class SpectrumModel:
     """Limiting spectral law of the noise Gram matrix, with aspect ratio.
 
     The measure must be a probability measure with a Hölder-continuous
-    density on a compact subset of the positive half-line.  Subclasses
-    define ``_density(lam)`` on the support.
+    density on a compact subset of the positive half-line.  A subclass
+    defines ``_density(lam)`` on the support, and optionally ``_stieltjes``.
 
     One node representation holds the law: F = rho s at the n Chebyshev
     nodes, s = sqrt((hi - x)(x - lo)), with the coefficients a_k of F =
@@ -239,20 +239,6 @@ class SpectrumModel:
                     * (d if low else 1.0 / p) * (-d if up else 1.0 / e))
             return np.where(np.isnan(vals), np.real(w) * np.inf, vals)
 
-    def _stieltjes_derivative(self, lam: float) -> float:
-        """S'(lambda) off the support, from the divided form: S = -(4 pi / L) T(q)
-        with T = q P(q) (q + 1)^(low - 1) (q - 1)^(up - 1), P the divided series,
-        and dq/dz = -(2/L) q / r, where (q P)' = sum_k (k + 1) c_k q^k."""
-        _, e, p, q = self._scaled(lam)
-        d = 2.0 / (p + e)
-        # 1/(q + 1) and 1/(q - 1) of each edge whose root the series keeps
-        kept = [inv for inv, divided in zip((1.0 / (p * d), -1.0 / (e * d)), self._vanishing)
-                if not divided]
-        c = self._divided
-        dt = _horner(np.arange(1, c.size + 1) * c, q) - q * _horner(c, q) * sum(kept)
-        return (8.0 * np.pi * float(np.real(q / (e * p) * np.prod(kept) * dt))
-                / np.ptp(self.support) ** 2)
-
     def hilbert(self, x):
         """(1/pi) P.V. int mu(lam) / (x - lam) dlam = Re S(x) / pi on all of R.
         At an edge where the density, and so S, is infinite, it is the limit
@@ -276,11 +262,17 @@ class SpectrumModel:
         return z * s * (self.delta * s + (1.0 - self.delta) / z)
 
     def c_derivative(self, lam: float) -> float:
-        """dC/dlambda on the real axis off the support:
-        C' = delta S^2 + (2 delta lambda S + 1 - delta) S'."""
-        s = float(np.real(self.stieltjes(lam)))   # rejects lam on the support
-        d = self.delta
-        return d * s ** 2 + (2.0 * d * lam * s + 1.0 - d) * self._stieltjes_derivative(lam)
+        """dC/dlambda off the closed support, where C is analytic and real: the complex
+        step Im C(lam + ih) / h (Squire & Trapp, SIAM Rev. 40, 1998) subtracts nothing."""
+        lo, hi = self.support
+        if lo <= lam <= hi:
+            raise SpectraError(f"C' undefined at lambda = {lam}, on the support [{lo}, {hi}]")
+        # h's O(h^2) error is far below rounding: ShrinkageSet._atom_at reads C' at roots,
+        # each a float or more off an edge, and a support narrower than ~1e-15 hi is refused
+        z = lam + 1e-100j * (hi - lo)
+        # C = S (delta z S + 1 - delta): c_transform's (1 - delta)/z would cancel in Im near 0
+        s = self.stieltjes(z)
+        return float(np.imag(s * (self.delta * z * s + 1.0 - self.delta))) / z.imag
 
     # -- measure views ------------------------------------------------------
 
@@ -291,11 +283,11 @@ class SpectrumModel:
 class MarchenkoPastur(SpectrumModel):
     """MP law with ratio delta, matching noise entries of variance 1/N.
 
-    Stieltjes transform, its derivative and the density are closed form;
-    the branch of the square root is fixed so that S(z) ~ 1/z at infinity.
-    They stay: near delta = 1 the 1/lambda pole below the support keeps F's
-    series from rounding.  The Hilbert transform is the base class's
-    Re S / pi, with its limit from inside at the edge 0 when delta = 1.
+    The density and the Stieltjes transform are closed form; the branch of
+    the square root is fixed so that S(z) ~ 1/z at infinity.  S stays: near
+    delta = 1 the 1/lambda pole below the support keeps F's series from
+    rounding.  H and C' are the base class's, from S (H takes its limit from
+    inside at the edge 0 when delta = 1).
     """
 
     kind = "marchenko_pastur"
@@ -319,14 +311,6 @@ class MarchenkoPastur(SpectrumModel):
         # delta = 1, where 0 is the edge, -inf, the limit from outside
         return np.where(z == 0, -1.0 / (1.0 - self.delta) if self.delta < 1.0 else -np.inf, s)
 
-    def _stieltjes_derivative(self, lam):
-        # S' = (1 - r') / (2 delta lambda) - S / lambda with r^2 = (z - lo)(z - hi)
-        lo, hi = self.support
-        r = np.sqrt(complex(lam - lo)) * np.sqrt(complex(lam - hi))
-        dr = (2.0 * lam - lo - hi) / (2.0 * r)
-        s = self._stieltjes(lam)
-        return float(np.real((1.0 - dr) / (2.0 * self.delta * lam) - s / lam))
-
 
 class ShiftedBeta(SpectrumModel):
     """Beta(a, b) density rescaled to the interval [lo, hi]."""
@@ -346,8 +330,9 @@ class ShiftedBeta(SpectrumModel):
 
     def _density(self, lam):
         lo, hi = self.support
-        t = np.clip((lam - lo) / (hi - lo), 0.0, 1.0)
-        return t ** (self.a - 1.0) * (1.0 - t) ** (self.b - 1.0) / self._norm
+        # 1 - t from hi - lam, which is exact next to hi, where 1 - t rounds
+        t, u = (np.clip(x / (hi - lo), 0.0, 1.0) for x in (lam - lo, hi - lam))
+        return t ** (self.a - 1.0) * u ** (self.b - 1.0) / self._norm
 
     def sample_eigenvalues(self, n: int, rng) -> np.ndarray:
         lo, hi = self.support
@@ -475,7 +460,7 @@ class ShrinkageSet:
         to its right.  Both arguments need only a nonnegative measure on the
         half-line, as the series' is wherever F's interpolant is nonnegative
         (exactly so for a polynomial F).  The roots become point masses
-        through the derivative of the C-transform; the upper atom comes first.
+        through C', the complex step of C; the upper atom comes first.
 
         Every root is an outlier, on either side of the support (the master
         equation of Benaych-Georges & Nadakuditi, J. Multivariate Anal. 111,

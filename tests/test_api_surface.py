@@ -97,12 +97,17 @@ def test_readme_install_names_every_test_dependency():
 
 def test_readme_run_bullet_names_every_schedule_key():
     """The README's ``run`` bullet names, in backticks, exactly the keys that
-    a run writes under ``schedules.oamp`` and under ``schedules.amp``."""
+    a run writes under ``schedules.oamp``, under ``schedules.amp``, and under
+    ``spectrum`` and each of its atoms."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     bullet = re.search(r"^- `run` (.*?)^(?:- |\S)", readme, re.M | re.S).group(1)
     oamp, amp = re.search(r"`schedules\.oamp` holds(.*?)`schedules\.amp` holds(.*?)\)",
                           bullet, re.S).groups()
+    spectrum = re.search(r"`spectrum` holds(.*?)\(", bullet, re.S).group(1)
     cfg = parse_config("M = 40\nN = 80\niters = 2\nseeds = 1\nmethods = oamp,amp\n")
-    written = run_experiment(cfg).metadata["schedules"]
+    meta = run_experiment(cfg).metadata
+    written = meta["schedules"]
     assert sorted(re.findall(r"`(\w+)`", oamp)) == sorted(written["oamp"])
     assert sorted(re.findall(r"`(\w+)`", amp)) == sorted(written["amp"])
+    assert sorted(re.findall(r"`(\w+)`", spectrum)) == sorted(
+        [*meta["spectrum"], *meta["spectrum"]["atoms"][0]])

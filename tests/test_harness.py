@@ -20,7 +20,7 @@ from rectoamp.harness import (AggregateReport, ConfigError, ExperimentConfig,
                               run_experiment, se_predictions, write_report)
 from rectoamp.model import ModelError
 from rectoamp.oamp import IterationTrace
-from rectoamp.spectra import ShrinkageSet
+from rectoamp.spectra import ShrinkageSet, detection_threshold
 
 SMALL = """
 spectrum = mp
@@ -119,7 +119,7 @@ class TestRunExperiment:
     def test_aggregation_independent_recompute(self, small_report):
         cfg = parse_config(SMALL)
         shrinkage = harness.ShrinkageSet(harness.build_spectrum(cfg), cfg.theta)
-        predictions = harness.se_predictions(cfg, shrinkage)
+        predictions = harness.se_predictions(cfg, shrinkage, shrinkage.find_spectral_atoms())
         per_seed = {s: harness.run_single_seed(cfg, s, shrinkage, predictions)
                     for s in cfg.seeds}
         oamp_rows = [r for r in small_report.rows if r["method"] == "oamp"]
@@ -140,7 +140,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "thin_svd", kept)
         cfg = parse_config(SMALL, {"seeds": "1"})
         shrinkage = harness.ShrinkageSet(harness.build_spectrum(cfg), cfg.theta)
-        predictions = harness.se_predictions(cfg, shrinkage)
+        predictions = harness.se_predictions(cfg, shrinkage, shrinkage.find_spectral_atoms())
         out = harness.run_single_seed(cfg, 1, shrinkage, predictions)
         assert set(out) == {"oamp", "amp", "pca"}
         assert all(isinstance(tr, IterationTrace) for tr in out.values())
@@ -157,6 +157,17 @@ class TestRunExperiment:
         report = run_experiment(parse_config(SMALL))
         assert report.metadata["n_seeds_used"] == 3
         assert calls == {"build_spectrum": 1, "ShrinkageSet": 1}
+
+    @pytest.mark.parametrize("methods", ["oamp,amp,pca", "oamp"])
+    def test_atoms_searched_once(self, monkeypatch, methods):
+        # PCA's prediction and the metadata read the one search, which a run
+        # without PCA makes too
+        calls = []
+        real = ShrinkageSet.find_spectral_atoms
+        monkeypatch.setattr(ShrinkageSet, "find_spectral_atoms",
+                            lambda shrink: calls.append(1) or real(shrink))
+        report = run_experiment(parse_config(SMALL, {"methods": methods}))
+        assert len(calls) == 1 and len(report.metadata["spectrum"]["atoms"]) == 1
 
     def test_amp_on_ri_noise_logged_once(self, caplog):
         cfg = parse_config(SMALL_BETA, {"methods": "amp"})
@@ -238,8 +249,8 @@ class TestEmission:
         assert meta["versions"] == {"rectoamp": rectoamp.__version__,
                                     "numpy": np.__version__}
         cfg = parse_config(SMALL)
-        predictions = se_predictions(
-            cfg, ShrinkageSet(build_spectrum(cfg), cfg.theta))
+        shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
+        predictions = se_predictions(cfg, shrinkage, shrinkage.find_spectral_atoms())
         oamp = predictions["oamp"]
         assert meta["schedules"] == {
             "oamp": {"w1": oamp.w1, "w2": oamp.w2, "converged_at": oamp.converged_at,
@@ -254,12 +265,35 @@ class TestEmission:
         cfg = parse_config(SMALL, {"iters": "20", "seeds": "1", "methods": "oamp"})
         _, meta_path = write_report(run_experiment(cfg), str(tmp_path / "r"))
         recorded = json.loads(open(meta_path).read())["schedules"]["oamp"]
-        schedule = se_predictions(cfg, ShrinkageSet(build_spectrum(cfg), cfg.theta))["oamp"]
+        shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
+        schedule = se_predictions(cfg, shrinkage, [])["oamp"]
         assert schedule.converged_at < cfg.iters
         for key in ("mean_p", "mean_q"):
             assert len(recorded[key]) == cfg.iters
             assert all(0.0 < value < 1.0 for value in recorded[key])
             assert recorded[key] == [getattr(den, key) for den in schedule.denoisers]
+
+    def test_metadata_records_the_spectrum(self, tmp_path):
+        # fig2's law at delta = 0.5 and theta = 2 has an atom on each side
+        cfg = parse_config(SMALL_BETA, {"seeds": "1", "iters": "1"})
+        _, meta_path = write_report(run_experiment(cfg), str(tmp_path / "r"))
+        recorded = json.loads(open(meta_path).read())["spectrum"]
+        shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
+        atoms = shrinkage.find_spectral_atoms()
+        assert recorded == {
+            "detection_threshold": detection_threshold(shrinkage.spectrum),
+            "atoms": [{"location": a.location, "nu1_mass": a.nu1_mass,
+                       "nu2_mass": a.nu2_mass, "side": side}
+                      for a, side in zip(atoms, ("above", "below"))]}
+        assert len(atoms) == 2
+
+    def test_metadata_records_a_zero_threshold(self):
+        # Beta(3/2, 1/2): the density is infinite at the upper edge, so an
+        # atom sits above the support at every theta > 0
+        cfg = parse_config(SMALL_BETA, {"beta_b": "0.5", "seeds": "1", "iters": "1"})
+        recorded = run_experiment(cfg).metadata["spectrum"]
+        assert recorded["detection_threshold"] == 0.0
+        assert recorded["atoms"][0]["side"] == "above"
 
     def test_bad_path(self, small_report):
         with pytest.raises(HarnessError, match="cannot write"):
@@ -331,6 +365,16 @@ class TestCli:
         narrow = f"too narrow: at its width {float(hi) - 1.0:.3g} "
         assert (narrow in err) == (hi != "1.000000000000005")
         assert ("does not integrate to 1" in err) == (hi == "1.000000000000005")
+
+    @pytest.mark.parametrize("hi", ["1e-151", "1e-152", "1e-153"])
+    def test_tiny_support_fails_like_its_neighbours(self, capsys, hi):
+        # [0, 1e-152] printed perfect recovery up to the change that checked
+        # the spectral means; it now fails as the widths on either side do
+        assert cli_main(["se", "--theta", "2", "--spectrum", "beta", "--beta-lo", "0",
+                         "--beta-hi", hi, "--beta-a", "2", "--iters", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: SNR 2 too large")
+        assert err.count("\n") == 1
 
     def test_huge_theta_in_setup(self, tmp_path, capsys):
         # a finite theta whose shrinkage numerators cannot be finite

@@ -361,14 +361,26 @@ def test_hilbert_at_an_infinite_density_edge():
     assert sp.hilbert(3.0) == pytest.approx(-3.0 / (2.0 * np.pi), rel=0, abs=1e-10)
 
 
+def beta_stieltjes(a, b, lo, hi):
+    """S(lambda) of Beta(a, b) on [lo, hi] in mpmath, off the support:
+    2F1(1, a; a + b; 1/x) / (x L), x = (lambda - lo)/L, with L exact: next to
+    an edge the rounding of a float hi - lo would move x by more than S's
+    rounding."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+
+    def s(lam):
+        x = (lam - lo) / (hi - lo)
+        return mpmath.hyp2f1(1, a, a + b, 1 / x) / (x * (hi - lo))
+    return s
+
+
 def beta_c_transform(a, b, lo, hi, delta):
     """C(lambda) = delta lambda S^2 + (1 - delta) S of Beta(a, b) on [lo, hi] in
-    mpmath, off the support: S = 2F1(1, a; a + b; 1/x) / (x L), x = (lambda - lo)/L."""
-    a, b, delta = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(delta)
+    mpmath, off the support, from ``beta_stieltjes``."""
+    stieltjes, delta = beta_stieltjes(a, b, lo, hi), mpmath.mpf(delta)
 
     def c(lam):
-        x = (lam - lo) / (hi - lo)
-        s = mpmath.hyp2f1(1, a, a + b, 1 / x) / (x * (hi - lo))
+        s = stieltjes(lam)
         return delta * lam * s ** 2 + (1 - delta) * s
     return c
 
@@ -377,19 +389,20 @@ def beta_c_transform(a, b, lo, hi, delta):
 VANISHING_EDGES = [(0.5, 1.5, "hi"), (1.5, 1.5, "lo"), (1.5, 1.5, "hi"), (2.5, 1.5, "lo"),
                    (2.5, 1.5, "hi"), (1.5, 0.5, "lo")]
 FLAT_EDGE = pytest.mark.xfail(strict=True, reason=(
-    "Beta(5/2, 3/2) has S' finite at its lower edge, so (q P)' has a root at "
-    "q = -1 that the coefficients hold only to rounding, and q / r amplifies "
-    "it: 1.8e-12, 1.6e-11 and 1.0e-10 relative at 1 - 1e-8, 1e-10, 1e-12"))
+    "Beta(5/2, 3/2) has S' finite at its lower edge, so the derivative of the "
+    "q-series, which the complex step reads, has a root at q = -1 that the "
+    "coefficients hold only to rounding, and q / r amplifies it: 2.4e-12, "
+    "1.7e-11 and 3.4e-11 relative at 1 - 1e-8, 1e-10, 1e-12"))
 
 
 @pytest.mark.parametrize("a,b,edge,k", [
     pytest.param(a, b, edge, k, marks=FLAT_EDGE if (a, edge) == (2.5, "lo") and k >= 8 else ())
     for a, b, edge in VANISHING_EDGES for k in range(2, 13, 2)])
 def test_c_derivative_next_to_a_vanishing_edge(a, b, edge, k):
-    # C' against a 40-digit mpmath.diff of C.  S' is the derivative of the
-    # divided series (SpectrumModel): summed undivided over r^3 it was off
-    # by up to 5.1e-5 (semicircle, 3 + 1e-12), 6.8e-5 (1 - 1e-12) and 15
-    # (Beta(5/2, 3/2), 1 - 1e-12)
+    # C' against a 40-digit mpmath.diff of C.  C' is the complex step of C
+    # through the divided series (SpectrumModel): an S' summed undivided over
+    # r^3 was off by up to 5.1e-5 (semicircle, 3 + 1e-12), 6.8e-5
+    # (1 - 1e-12) and 15 (Beta(5/2, 3/2), 1 - 1e-12)
     sp = ShiftedBeta(a, b, 1.0, 3.0, DELTA)
     lam = 3.0 + 10.0 ** -k if edge == "hi" else 1.0 - 10.0 ** -k
     with mpmath.workdps(40):
@@ -397,18 +410,64 @@ def test_c_derivative_next_to_a_vanishing_edge(a, b, edge, k):
         assert abs(sp.c_derivative(lam) / want - 1) <= 1e-12
 
 
-@pytest.mark.parametrize("a,b", [(1.5, 0.5), (0.5, 1.5)])
-def test_stieltjes_next_to_an_infinite_density_edge(a, b):
+@pytest.mark.parametrize("make", [
+    lambda: MarchenkoPastur(0.5), lambda: MarchenkoPastur(1.0),
+    lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA), lambda: ShiftedBeta(2.5, 1.5, 1.0, 3.0, DELTA),
+    lambda: ShiftedBeta(1.5, 0.5, 1.0, 3.0, DELTA)],
+    ids=["mp_0.5", "mp_1", "semicircle", "beta_2.5_1.5", "beta_1.5_0.5"])
+def test_c_derivative_rejects_the_closed_support(make):
+    # at an edge a bare complex step returns about 1e50, and S' divides by 0
+    sp = make()
+    lo, hi = sp.support
+    for lam in (lo, 0.5 * (lo + hi), hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectraError, match=f"lambda = {lam}"):
+                sp.c_derivative(lam)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.sampled_from([0.5, 1.5, 2.5]), b=st.sampled_from([0.5, 1.5, 2.5]),
+       delta=st.floats(0.05, 1.0), lo=st.floats(0.05, 3.0), width=st.floats(0.1, 5.0),
+       above=st.booleans(), k=st.floats(0.0, 6.0))
+# lambda = 5.6e-16 and 0: a step through c_transform's z S (delta S + (1 - delta)/z)
+# cancels in Im near 0, and gave 0.143 for -0.0152 at the first
+@example(a=0.5, b=0.5, delta=0.5, lo=1.0, width=1.0, above=False, k=2.220446049250313e-16)
+@example(a=2.5, b=1.5, delta=0.5, lo=1.0, width=2.0, above=False, k=0.0)
+def test_c_derivative_matches_the_hypergeometric_form(a, b, delta, lo, width, above, k):
+    # C' = delta S^2 + (2 delta lambda S + 1 - delta) S' against S and S' of
+    # the 40-digit 2F1 form, to 1e-12 of the sum of the terms' magnitudes:
+    # below lo C' can cross 0, where a relative bound means nothing.  In 300
+    # draws the worst was 3.0e-13; a density taking 1 - t by subtraction left
+    # up to 9.8e-7 where its width is no power of two
+    hi = lo + width
+    sp = ShiftedBeta(a, b, lo, hi, delta)
+    lam = hi + 10.0 ** -k * width if above else lo - 10.0 ** -k * lo
+    with mpmath.workdps(40):
+        stieltjes, x = beta_stieltjes(a, b, lo, hi), mpmath.mpf(lam)
+        s, ds = stieltjes(x), mpmath.diff(stieltjes, x)
+        want = delta * s ** 2 + (2 * delta * x * s + 1 - delta) * ds
+        scale = delta * s ** 2 + abs(2 * delta * x * s + 1 - delta) * abs(ds)
+        assert abs(sp.c_derivative(lam) - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("a,b,lo,hi", [(1.5, 0.5, 1.0, 3.0), (0.5, 1.5, 1.0, 3.0),
+                                       (2.5, 0.5, 2.0, 7.0), (0.5, 0.5, 2.0, 7.0)],
+                         ids=["1.5-0.5", "0.5-1.5", "2.5-0.5-on-2-7", "0.5-0.5-on-2-7"])
+def test_stieltjes_next_to_an_infinite_density_edge(a, b, lo, hi):
     # S against the 40-digit 2F1 form.  The series is divided by the mass of
     # its own node values: next to an infinite edge a mass from other node
     # weights differs by 1e-10, which left a uniform relative error in S of
-    # 3.2e-13 (Beta(3/2, 1/2)) and 4.9e-14 (Beta(1/2, 3/2))
-    sp = ShiftedBeta(a, b, 1.0, 3.0, DELTA)
+    # 3.2e-13 (Beta(3/2, 1/2)) and 4.9e-14 (Beta(1/2, 3/2)).  On [2, 7],
+    # whose width is no power of two, a density taking 1 - t by subtraction
+    # was off by 8e-12 relative next to hi; where it is infinite there, that
+    # noise kept all coefficients, and S was off by up to 1.6e-11
+    sp = ShiftedBeta(a, b, lo, hi, DELTA)
     with mpmath.workdps(40):
-        for z in (0.5, 0.99, 3.01, 3.5, 10.0):
-            x = (mpmath.mpf(z) - 1) / 2
-            want = mpmath.hyp2f1(1, a, a + b, 1 / x) / (2 * x)
-            assert abs(sp.stieltjes(z) / want - 1) <= 1e-15, z
+        want = beta_stieltjes(a, b, lo, hi)
+        for z in (lo / 2, lo - 1e-2, lo - 1e-6, lo - 1e-12, hi + 1e-12, hi + 1e-6,
+                  hi + 1e-2, 2 * hi, 5 * hi):
+            assert abs(sp.stieltjes(z) / want(mpmath.mpf(z)) - 1) <= 1e-15, z
 
 
 def test_c_transform_of_an_array_with_an_infinite_edge():
