@@ -33,7 +33,7 @@ CSV_FIELDS = ("method", "t", "mean_cos2_u", "se_cos2_u", "mean_cos2_v",
 MAX_FAILURE_FRACTION = 0.2
 # what the metadata JSON records of each schedule, and per OAMP step of its denoiser set
 SCHEDULE_FIELDS = {"oamp": ("w1", "w2", "converged_at"), "amp": ("w1", "w2")}
-DENOISER_FIELDS = ("rho1", "rho2", "mean_p", "mean_q")
+DENOISER_FIELDS = ("rho1", "rho2", "mean_p", "mean_q", "q_zero")
 # a seed that raises one of these has failed; anything else is a bug
 DOMAIN_ERRORS = (ChannelError, SpectraError, ModelError, StateEvolutionError,
                  OampError, BaselineError)
@@ -286,6 +286,8 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     rows = _aggregate(per_seed, predictions, cfg)
     from . import __version__  # the package imports this module first
     hi = shrinkage.spectrum.support[1]
+    # the BLAS numpy reports it was built with; None where it reports none
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     meta = {
         "config": {**vars(cfg), "seeds": list(cfg.seeds), "methods": list(cfg.methods)},
         "n_seeds_requested": len(cfg.seeds),
@@ -293,7 +295,8 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         "failures": failures,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "cpu_count": os.cpu_count(),
-        "versions": {"rectoamp": __version__, "numpy": np.__version__},
+        "versions": {"rectoamp": __version__, "numpy": np.__version__,
+                     "blas": {k: blas.get(k) for k in ("name", "version")}},
         "schedules": {m: {**{k: getattr(tr, k) for k in SCHEDULE_FIELDS[m]},
                           **{k: [getattr(d, k) for d in tr.denoisers]
                              for k in DENOISER_FIELDS if tr.denoisers}}

@@ -11,7 +11,9 @@ The module holds the optimal matrix denoisers (``DenoiserSet``, exact at
 the spectral outliers), the four spectral applications (``apply_left``,
 ``apply_right``, ``apply_cross_left``, ``apply_cross_right``) and the one
 run loop, ``optimal_oamp_run``.  The state evolution builds each step's
-``DenoiserSet`` once, on its schedule, and every run applies those sets.
+``DenoiserSet`` once, on its schedule, and every run applies those sets:
+each evaluates itself at the run's eigenvalues through its shrinkage
+numerators.
 The applications need only the eigenpairs (lambda, U) of YY^T and Y
 itself, since h(Y^T Y) Y^T = Y^T h(YY^T) and h(Y^T Y) = h(0) I + Y^T U
 diag((h - h(0)) / lambda) U^T Y; each step projects its two inputs, U^T f
@@ -133,10 +135,10 @@ class DenoiserSet:
         q = np.where(zero, self.q_zero, d * a1 / e)
         return p, np.where(zero, 0.0, r2 * cross), q, np.where(zero, 0.0, r1 * cross), e
 
-    def evaluate(self, lam, numerators):
-        """(F*, Ftil*, G*, Gtil*) entrywise at eigenvalues of YY^T, from the
-        shrinkage numerators there (``ShrinkageSet.numerators(lam)``)."""
-        p, ptil, q, qtil, _ = self._pq(lam, numerators)
+    def evaluate(self, lam):
+        """(F*, Ftil*, G*, Gtil*) entrywise at eigenvalues lam of YY^T, from
+        the set's own shrinkage numerators there (``ShrinkageSet.numerators``)."""
+        p, ptil, q, qtil, _ = self._pq(lam, self.shrinkage.numerators(lam))
         c1 = 1.0 + 1.0 / self.rho1
         c2 = 1.0 + 1.0 / self.rho2
         f = c1 * (1.0 - p / self.mean_p)
@@ -224,8 +226,8 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChan
                      keep_iterates: tuple = ()) -> IterationTrace:
     """Run the optimal OAMP iteration along ``schedule``, an
     ``optimal_se_run`` of the same channels, which gives each step's
-    strengths w_t and the ``DenoiserSet`` it applies; the sets' shrinkage
-    numerators are evaluated at the eigenvalues once, for all the steps.
+    strengths w_t and the ``DenoiserSet`` it applies: step t evaluates
+    ``schedule.denoisers[t]`` at the eigenvalues.
 
     The side channel is handled inside the scalar denoisers, so the iterate
     strengths start at w = 0 and the first update draws its signal content
@@ -238,7 +240,6 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChan
     get them.
     """
     lam = svd.eigenvalues
-    numerators = schedule.denoisers[0].shrinkage.numerators(lam)
     trace = IterationTrace()
     w1 = w2 = 0.0
     u_it = np.zeros(inst.M)
@@ -248,7 +249,7 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChan
             schedule.w1, schedule.w2, schedule.denoisers), 1):
         f = channel_u.dmmse(u_it, inst.a, w1)
         g = channel_v.dmmse(v_it, inst.b, w2)
-        fv, ftv, gv, gtv = den.evaluate(lam, numerators)
+        fv, ftv, gv, gtv = den.evaluate(lam)
         f_proj = svd.U.T @ f
         yg_proj = svd.U.T @ (svd.Y @ g)
         # a zero strength means the matrix step carries no signal (e.g.

@@ -161,11 +161,11 @@ class SpectrumModel:
             raise SpectraError(f"support [{lo}, {hi}] too narrow: at its width {hi - lo:.3g} "
                                "the quadrature nodes round outside it")
         with np.errstate(all="ignore"):     # nan on a degenerate support
-            self._density_at_nodes = np.asarray(self._density(self.nodes), dtype=float)
+            density = np.asarray(self._density(self.nodes), dtype=float)
             # F = rho s vanishes at an edge where rho is finite; s is taken at
             # the rounded nodes, as rho is
             vanishing = np.isfinite(self._density(np.array([lo, hi])))
-            f = self._density_at_nodes * np.sqrt(hi - self.nodes) * np.sqrt(self.nodes - lo)
+            f = density * np.sqrt(hi - self.nodes) * np.sqrt(self.nodes - lo)
             self._cheb = _chebyshev_coefficients(f, vanishing)
         mass = float(np.pi * self._cheb[0])
         # tolerance accommodates Beta shapes below 1/2, whose t^(a - 1)
@@ -180,10 +180,8 @@ class SpectrumModel:
             if vanish:
                 sign = root ** np.arange(self._divided.size)
                 self._divided = np.cumsum((sign * self._divided)[::-1])[::-1][1:] * sign[1:]
-        # read by every ShrinkageSet's node numerators, whatever its SNR
         with np.errstate(over="ignore"):    # the shrinkage numerators square both
-            self._hilbert_at_nodes = self.hilbert(self.nodes)
-            squares = np.square([self._density_at_nodes, self._hilbert_at_nodes])
+            squares = np.square([density, self.hilbert(self.nodes)])
         if not np.isfinite(squares).all():
             raise SpectraError(f"the density or its Hilbert transform on the support "
                                f"[{lo}, {hi}] has no finite square at the quadrature nodes")
@@ -283,8 +281,9 @@ class SpectrumModel:
 class MarchenkoPastur(SpectrumModel):
     """MP law with ratio delta, matching noise entries of variance 1/N.
 
-    The density and the Stieltjes transform are closed form; the branch of
-    the square root is fixed so that S(z) ~ 1/z at infinity.  S stays: near
+    The density and the Stieltjes transform are closed form, S(z) = 2/(z +
+    delta - 1 + r) with r's branch fixed so that S(z) ~ 1/z at infinity,
+    which subtracts nothing on the support or off it.  S stays: near
     delta = 1 the 1/lambda pole below the support keeps F's series from
     rounding.  H and C' are the base class's, from S (H takes its limit from
     inside at the edge 0 when delta = 1).
@@ -305,11 +304,12 @@ class MarchenkoPastur(SpectrumModel):
         z = np.asarray(z, dtype=complex)
         lo, hi = self.support
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.sqrt(z - lo) * np.sqrt(z - hi)
-            s = (z + self.delta - 1.0 - r) / (2.0 * self.delta * z)
-        # 0/0 at the origin: S(0) = -E[1/lambda] = -1/(1-delta), and at
-        # delta = 1, where 0 is the edge, -inf, the limit from outside
-        return np.where(z == 0, -1.0 / (1.0 - self.delta) if self.delta < 1.0 else -np.inf, s)
+            # the textbook (z + delta - 1 - r) / (2 delta z) times its conjugate,
+            # as (z + delta - 1)^2 - r^2 = 4 delta z: the textbook form subtracts
+            # two terms of size z (5.8e-10 relative lost at z = 1e7, delta = 1/2)
+            s = 2.0 / (z + self.delta - 1.0 + np.sqrt(z - lo) * np.sqrt(z - hi))
+        # 2/0 at delta = 1, where 0 is the edge: -inf, the limit from outside
+        return np.where(np.isnan(s), -np.inf, s)
 
 
 class ShiftedBeta(SpectrumModel):
@@ -395,8 +395,7 @@ class ShrinkageSet:
         logger.info("phi2(0) uses H_mu(0) = %.6g (interpreted as the noise-spectrum "
                     "Hilbert transform)", h0)
         # read by the induced measures and by every DenoiserSet's means
-        self.node_numerators = self._numerators(
-            spectrum.nodes, spectrum._density_at_nodes, spectrum._hilbert_at_nodes)
+        self.node_numerators = self.numerators(spectrum.nodes)
         if not all(np.all(np.isfinite(v)) for v in self.node_numerators):
             raise SpectraError(f"SNR {theta:g} too large: the shrinkage numerators "
                                "overflow at the quadrature nodes")
@@ -404,27 +403,26 @@ class ShrinkageSet:
     # -- raw pieces ---------------------------------------------------------
 
     def numerators(self, lam):
-        """(n1, n2, n3, den) with phi_i = n_i / den.
+        """(n1, n2, n3, den) with phi_i = n_i / den, from the spectrum's
+        density and Hilbert transform at lam, on the nodes and at
+        eigenvalues alike.
 
         Working with numerators keeps the optimal matrix denoisers finite at
         the outlier locations, where den vanishes but the denoisers
-        themselves have removable singularities.
+        themselves have removable singularities.  Near the largest SNRs they
+        overflow to inf without a warning; the callers reject what is not
+        finite.
         """
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if np.any(lam < 0):
             raise SpectraError("shrinkage functions are defined on the nonnegative axis")
-        for edge, vanish in zip(self.spectrum.support, self.spectrum._vanishing):
-            if not vanish and np.any(lam == edge):
-                raise SpectraError(f"shrinkage functions undefined at lambda = {edge}, "
-                                   "where the density is infinite")
-        return self._numerators(lam, self.spectrum.density(lam), self.spectrum.hilbert(lam))
-
-    def _numerators(self, lam, mu, h):
-        """numerators(lam) from the density mu and Hilbert transform h at lam.
-
-        Near the largest SNRs they overflow to inf without a warning; the
-        callers reject what is not finite.
-        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = self.spectrum.density(lam)
+        infinite = ~np.isfinite(mu)
+        if np.any(infinite):
+            raise SpectraError(f"shrinkage functions undefined at lambda = {lam[infinite][0]}, "
+                               "where the density is infinite")
+        h = self.spectrum.hilbert(lam)
         th2 = self.theta ** 2
         d = self.delta
         zero = lam == 0.0
@@ -522,7 +520,7 @@ class ShrinkageSet:
         """Assemble nu1, nu2 (lambda axis) and nu3 (signed, sigma axis)."""
         spec, d = self.spectrum, self.delta
         lam = spec.nodes
-        base = spec._weights
+        base = spec.measure().weights
         n1, n2, n3, den = self.node_numerators
         phi1, phi2, phi3 = n1 / den, n2 / den, n3 / den
         atoms = self.find_spectral_atoms()

@@ -25,7 +25,9 @@ class StateEvolutionError(Exception):
 class SeTrace:
     """Strength schedule: per-iteration channel strengths w_t, the predicted
     overlaps and, for OAMP, each step's ``oamp.DenoiserSet`` (its output SNRs
-    rho_t and means <P*>, <Q*>); a method's prediction (``harness.se_predictions``)."""
+    rho_t and means <P*>, <Q*>); a method's prediction (``harness.se_predictions``).
+    ``converged_at`` is the first step whose strengths moved less than
+    SE_CONVERGENCE_TOL, or None; the steps after it are taken all the same."""
 
     w1: list = field(default_factory=list)
     w2: list = field(default_factory=list)
@@ -38,18 +40,21 @@ class SeTrace:
 
 
 def _strength_loop(step, channel_u: ScalarChannel, channel_v: ScalarChannel,
-                   n_iter: int, tol: float) -> SeTrace:
-    """The loop that iterates every schedule, from w1 = w2 = 0.
+                   n_iter: int) -> SeTrace:
+    """The loop that iterates every schedule, from w1 = w2 = 0, for all of
+    its ``n_iter`` steps.
 
-    Step t maps the strengths to the next ones by ``step(t, w1, w2)``.  Once
-    successive strengths move less than ``tol``, the trace is padded to
-    ``n_iter`` steps with the fixed point: the final strengths and overlaps.
+    Step t maps the strengths to the next ones by ``step(t, w1, w2)``; the
+    first step whose strengths move less than SE_CONVERGENCE_TOL is the
+    trace's ``converged_at``.
     """
     trace = SeTrace()
     w1 = w2 = 0.0
     for t in range(1, n_iter + 1):
         w1_next, w2_next = step(t, w1, w2)
-        moved = max(abs(w1_next - w1), abs(w2_next - w2))
+        if (trace.converged_at is None
+                and max(abs(w1_next - w1), abs(w2_next - w2)) < SE_CONVERGENCE_TOL):
+            trace.converged_at = t
         w1, w2 = w1_next, w2_next
         trace.w1.append(w1)
         trace.w2.append(w2)
@@ -57,13 +62,6 @@ def _strength_loop(step, channel_u: ScalarChannel, channel_v: ScalarChannel,
                               (trace.mmse_v, trace.cos2_v, channel_v.mmse(w2))):
             mmse.append(m)
             cos2.append(1.0 - m)
-        if moved < tol:
-            trace.converged_at = t
-            pad = n_iter - t
-            for lst in (trace.w1, trace.w2, trace.mmse_u, trace.mmse_v,
-                        trace.cos2_u, trace.cos2_v):
-                lst.extend([lst[-1]] * pad)
-            break
     return trace
 
 
@@ -74,11 +72,9 @@ def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
 
     Strengths start at w = 0; the first step draws its signal content from
     the side information folded into the scalar channels.  A zero strength
-    means the matrix step carries no signal.  The schedule converges once
-    its strengths move less than SE_CONVERGENCE_TOL.  Step t builds its
+    means the matrix step carries no signal.  Step t builds its own
     ``oamp.DenoiserSet`` at the output SNRs rho(w_{t-1}) of the
-    divergence-free scalar denoisers, with w_0 = 0, and the trace keeps it;
-    the padded steps share one more step's set, at the fixed point's rho(w_c).
+    divergence-free scalar denoisers, with w_0 = 0, and the trace keeps it.
     """
     denoisers = []
 
@@ -94,10 +90,8 @@ def optimal_se_run(shrinkage: ShrinkageSet, channel_u: ScalarChannel,
                 f"strength left [0, 1) at t={t}: w1={w1_next:.6g}, w2={w2_next:.6g}")
         return w1_next, w2_next
 
-    trace = _strength_loop(step, channel_u, channel_v, n_iter, SE_CONVERGENCE_TOL)
-    if len(denoisers) < n_iter:
-        step(len(denoisers) + 1, trace.w1[-1], trace.w2[-1])     # the set at rho(w_c)
-    trace.denoisers = denoisers + denoisers[-1:] * (n_iter - len(denoisers))
+    trace = _strength_loop(step, channel_u, channel_v, n_iter)
+    trace.denoisers = denoisers
     return trace
 
 
@@ -116,14 +110,13 @@ def _amp_step(theta: float, delta: float, channel_u: ScalarChannel,
 
 def amp_se_trajectory(theta: float, delta: float, channel_u: ScalarChannel,
                       channel_v: ScalarChannel, n_iter: int) -> SeTrace:
-    """Strength schedule of Gaussian-noise AMP and its predicted overlaps.
-
-    Every one of the ``n_iter`` steps is taken (the tolerance is 0), since
-    an AMP run scales its messages by each step's strengths.  The AMP map
-    has no matrix denoisers, so ``denoisers`` stays empty.
+    """Strength schedule of Gaussian-noise AMP and its predicted overlaps,
+    over all ``n_iter`` steps, whose strengths an AMP run scales its
+    messages by.  The AMP map has no matrix denoisers, so ``denoisers``
+    stays empty.
     """
     return _strength_loop(_amp_step(theta, delta, channel_u, channel_v),
-                          channel_u, channel_v, n_iter, 0.0)
+                          channel_u, channel_v, n_iter)
 
 
 def gaussian_fixed_point(theta: float, delta: float, channel_u: ScalarChannel,

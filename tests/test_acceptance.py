@@ -153,7 +153,7 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     for sh, se in ((shrink_mp2, se_mp), (shrink_beta2, se_beta)):
         den = se.denoisers[-1]
         mu, d = sh.spectrum.measure(), sh.delta
-        values = lambda l: den.evaluate(l, sh.numerators(l))
+        values = den.evaluate
         mean_f = mu.integrate(lambda l: values(l)[0])
         mean_g = (d * mu.integrate(lambda l: values(l)[2])
                   + (1 - d) * den.g_zero())
@@ -166,7 +166,7 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     svd = thin_svd(inst.Y)
     den = se_mp.denoisers[-1]
     lam = svd.eigenvalues
-    emp = abs(np.sum(den.evaluate(lam, shrink_mp2.numerators(lam))[0])) / M_DESK
+    emp = abs(np.sum(den.evaluate(lam)[0])) / M_DESK
     ok &= emp <= 0.01
     details.append(f"|tr F|/M = {emp:.4f} (tol 0.01)")
 

@@ -97,17 +97,38 @@ def test_readme_install_names_every_test_dependency():
 
 def test_readme_run_bullet_names_every_schedule_key():
     """The README's ``run`` bullet names, in backticks, exactly the keys that
-    a run writes under ``schedules.oamp``, under ``schedules.amp``, and under
-    ``spectrum`` and each of its atoms."""
+    a run writes under ``versions`` and its ``blas``, under
+    ``schedules.oamp``, under ``schedules.amp``, and under ``spectrum`` and
+    each of its atoms."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     bullet = re.search(r"^- `run` (.*?)^(?:- |\S)", readme, re.M | re.S).group(1)
+    versions = re.search(r"`versions` holds(.*?);", bullet, re.S).group(1)
     oamp, amp = re.search(r"`schedules\.oamp` holds(.*?)`schedules\.amp` holds(.*?)\)",
                           bullet, re.S).groups()
     spectrum = re.search(r"`spectrum` holds(.*?)\(", bullet, re.S).group(1)
     cfg = parse_config("M = 40\nN = 80\niters = 2\nseeds = 1\nmethods = oamp,amp\n")
     meta = run_experiment(cfg).metadata
     written = meta["schedules"]
+    assert sorted(re.findall(r"`(\w+)`", versions)) == sorted(
+        [*meta["versions"], *meta["versions"]["blas"]])
     assert sorted(re.findall(r"`(\w+)`", oamp)) == sorted(written["oamp"])
     assert sorted(re.findall(r"`(\w+)`", amp)) == sorted(written["amp"])
     assert sorted(re.findall(r"`(\w+)`", spectrum)) == sorted(
         [*meta["spectrum"], *meta["spectrum"]["atoms"][0]])
+
+
+def test_src_reads_no_other_objects_private_attributes():
+    """No module of ``src/`` reads an attribute whose name starts with a
+    single underscore from anything but ``self`` or ``cls``: an object's
+    private state is its own.  Imports of private names are not attributes
+    and are not checked."""
+    reads, paths = [], sorted((ROOT / "src" / "rectoamp").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                reads.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert reads == []

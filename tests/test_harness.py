@@ -246,8 +246,11 @@ class TestEmission:
         assert meta["n_seeds_used"] == 3
         assert "workers" not in meta and "workers" not in meta["config"]
         assert meta["cpu_count"] == os.cpu_count()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert meta["versions"] == {"rectoamp": rectoamp.__version__,
-                                    "numpy": np.__version__}
+                                    "numpy": np.__version__,
+                                    "blas": {"name": blas["name"],
+                                             "version": blas["version"]}}
         cfg = parse_config(SMALL)
         shrinkage = ShrinkageSet(build_spectrum(cfg), cfg.theta)
         predictions = se_predictions(cfg, shrinkage, shrinkage.find_spectral_atoms())
@@ -255,13 +258,13 @@ class TestEmission:
         assert meta["schedules"] == {
             "oamp": {"w1": oamp.w1, "w2": oamp.w2, "converged_at": oamp.converged_at,
                      **{k: [getattr(den, k) for den in oamp.denoisers]
-                        for k in ("rho1", "rho2", "mean_p", "mean_q")}},
+                        for k in ("rho1", "rho2", "mean_p", "mean_q", "q_zero")}},
             "amp": {"w1": predictions["amp"].w1, "w2": predictions["amp"].w2}}
         assert len(meta["schedules"]["oamp"]["rho1"]) == cfg.iters
 
     def test_metadata_records_each_steps_spectral_means(self, tmp_path):
-        # <P*> and <Q*> of every OAMP step, padded ones included, read off
-        # the denoiser sets of the schedule
+        # <P*> and <Q*> of every OAMP step, those past convergence
+        # included, read off each step's own denoiser set
         cfg = parse_config(SMALL, {"iters": "20", "seeds": "1", "methods": "oamp"})
         _, meta_path = write_report(run_experiment(cfg), str(tmp_path / "r"))
         recorded = json.loads(open(meta_path).read())["schedules"]["oamp"]

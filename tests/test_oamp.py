@@ -122,7 +122,7 @@ def assert_continuous_at_atoms(den):
     assert atoms
     for atom in atoms:
         lam = atom.location + np.array([0.0, -1e-4, 1e-4])
-        values = den.evaluate(lam, den.shrinkage.numerators(lam))
+        values = den.evaluate(lam)
         at, below, above = np.array(values).T
         assert np.all(np.isfinite(at))
         for side in (below, above):
@@ -135,7 +135,7 @@ class TestDenoiserSet:
             den = DenoiserSet(sh, 1.3, 0.8)
             mu = sh.spectrum.measure()
             d = sh.delta
-            values = lambda l: den.evaluate(l, sh.numerators(l))
+            values = den.evaluate
             mean_f = mu.integrate(lambda l: values(l)[0])
             mean_g = (d * mu.integrate(lambda l: values(l)[2])
                       + (1 - d) * den.g_zero())
@@ -146,7 +146,7 @@ class TestDenoiserSet:
         sh = ShrinkageSet(mp05, 0.0)
         den = DenoiserSet(sh, 1.0, 1.0)
         lam = np.linspace(*mp05.support, 50)
-        f, ftil, g, gtil = den.evaluate(lam, sh.numerators(lam))
+        f, ftil, g, gtil = den.evaluate(lam)
         assert np.allclose(f, 0.0, atol=1e-12)
         assert np.allclose(ftil, 0.0, atol=1e-12)
         assert np.allclose(g, 0.0, atol=1e-12)
@@ -165,7 +165,7 @@ class TestDenoiserSet:
         p_star = lam * (rho2 * p2 + d) / D
         ptil_star = np.sqrt(d) * rho2 * p3 / D
         q_star = d * lam * (rho1 * p1 + 1) / D
-        f, ftil, g, _ = den.evaluate(lam, sh.numerators(lam))
+        f, ftil, g, _ = den.evaluate(lam)
         assert np.allclose(f, (1 + 1 / rho1) * (1 - p_star / den.mean_p),
                            atol=1e-10)
         assert np.allclose(ftil, (1 + 1 / rho2) * ptil_star / den.mean_p,
@@ -225,7 +225,7 @@ class TestDenoiserSet:
         svd = thin_svd(inst.Y)
         den = DenoiserSet(shrink_mp2, 2.0, 2.0)
         lam = svd.eigenvalues
-        f = den.evaluate(lam, shrink_mp2.numerators(lam))[0]
+        f = den.evaluate(lam)[0]
         assert abs(np.sum(f)) / inst.M <= 0.01
 
 
@@ -236,7 +236,7 @@ class TestOptimalRun:
         assert all(0 <= c <= 1 for c in tr.cos2_u + tr.cos2_v)
         assert set(tr.iterates) == {1, 3}
 
-    def test_strengths_read_from_schedule(self, small_instance, shrink_mp2,
+    def test_strengths_read_from_schedule(self, small_instance, shrink_mp2, mp05,
                                           channels, monkeypatch):
         # the schedule builds step t's denoisers at rho(w_{t-1}), and a run
         # applies them without building any
@@ -246,60 +246,49 @@ class TestOptimalRun:
         built = []
         monkeypatch.setattr(oamp, "DenoiserSet", lambda *args: built.append(args))
         tr = optimal_oamp_run(inst, svd, *channels, schedule)
+        monkeypatch.undo()
         assert built == []
         assert len(tr.cos2_u) == 4
-        for den, w1, w2 in zip(schedule.denoisers, [0.0] + schedule.w1[:-1],
-                               [0.0] + schedule.w2[:-1]):
-            assert den.shrinkage is shrink_mp2
-            assert (den.rho1, den.rho2) == (ch_u.dmmse_stats(w1)[2],
-                                            ch_v.dmmse_stats(w2)[2])
-
-    def test_padded_steps_share_the_fixed_point_set(self, mp05, channels):
-        # MP at theta = 3 converges at t = 6 of 10 steps: steps 7..10 share
-        # one set at rho(w_6), and a run along it is bit for bit the run
-        # that builds every step's set afresh at rho(w_{t-1})
-        ch_u, ch_v = channels
-        sh = ShrinkageSet(mp05, 3.0)
-        schedule = optimal_se_run(sh, *channels, 10)
-        assert schedule.converged_at == 6
-        rho = (ch_u.dmmse_stats(schedule.w1[5])[2], ch_v.dmmse_stats(schedule.w2[5])[2])
-        for den in schedule.denoisers[6:]:
-            assert den is schedule.denoisers[6]
-            assert (den.rho1, den.rho2) == rho
-        afresh = dataclasses.replace(schedule, denoisers=[
-            DenoiserSet(sh, ch_u.dmmse_stats(w1)[2], ch_v.dmmse_stats(w2)[2])
-            for w1, w2 in zip([0.0] + schedule.w1[:-1], [0.0] + schedule.w2[:-1])])
-        inst = make_instance(*channels, mp05, 400, 800, 3.0, 0)
-        svd = thin_svd(inst.Y)
-        steps = tuple(range(1, 11))
-        tr, ref = (optimal_oamp_run(inst, svd, *channels, s, keep_iterates=steps)
-                   for s in (schedule, afresh))
-        assert (tr.cos2_u, tr.cos2_v, tr.mse_u, tr.mse_v) == (
-            ref.cos2_u, ref.cos2_v, ref.mse_u, ref.mse_v)
-        for t in steps:
-            assert all(np.array_equal(x, y) for x, y in zip(tr.iterates[t], ref.iterates[t]))
+        # MP at theta = 3 converges at t = 6 of 10 steps, and each step past
+        # it holds a set of its own too
+        sh3 = ShrinkageSet(mp05, 3.0)
+        converging = optimal_se_run(sh3, *channels, 10)
+        assert converging.converged_at == 6
+        assert len({id(den) for den in converging.denoisers}) == 10
+        for se, sh in ((schedule, shrink_mp2), (converging, sh3)):
+            for den, w1, w2 in zip(se.denoisers, [0.0] + se.w1[:-1], [0.0] + se.w2[:-1]):
+                assert den.shrinkage is sh
+                assert (den.rho1, den.rho2) == (ch_u.dmmse_stats(w1)[2],
+                                                ch_v.dmmse_stats(w2)[2])
 
     def test_numerators_evaluated_once(self, small_instance, shrink_mp2,
                                        shrink_beta2, channels, monkeypatch):
-        # the nodes' numerators are kept once per shrinkage set, and a run
-        # evaluates the eigenvalues' numerators once for all its steps
+        # the nodes' numerators are kept once per shrinkage set, and each
+        # step of a run evaluates its own set's numerators at the eigenvalues
+        # once
         for sh in (shrink_mp2, shrink_beta2):
             for kept, fresh in zip(sh.node_numerators,
                                    sh.numerators(sh.spectrum.nodes)):
                 assert np.array_equal(kept, fresh)
         inst, svd = small_instance
         schedule = optimal_se_run(shrink_mp2, *channels, 4)
-        calls = []
-        real = ShrinkageSet.numerators
+        numerators, evaluated = [], []
+        real = ShrinkageSet.numerators, DenoiserSet.evaluate
 
-        def counted(self, lam):
-            calls.append(len(lam))
-            return real(self, lam)
+        def numerators_spy(self, lam):
+            numerators.append((self, len(lam)))
+            return real[0](self, lam)
 
-        monkeypatch.setattr(ShrinkageSet, "numerators", counted)
+        def evaluate_spy(self, lam):
+            evaluated.append(self)
+            return real[1](self, lam)
+
+        monkeypatch.setattr(ShrinkageSet, "numerators", numerators_spy)
+        monkeypatch.setattr(DenoiserSet, "evaluate", evaluate_spy)
         tr = optimal_oamp_run(inst, svd, *channels, schedule)
         assert len(tr.cos2_u) == 4
-        assert calls == [inst.M]
+        assert evaluated == schedule.denoisers
+        assert numerators == [(shrink_mp2, inst.M)] * 4
 
     def test_theta_zero_stays_at_side_info_floor(self, mp05):
         ch = ScalarChannel("rademacher", 0.3)

@@ -121,14 +121,14 @@ class TestGaussChebyshev:
         # renormalization
         sp = make()
         _, w = gauss_chebyshev(*sp.support, spectra.DEFAULT_QUAD_NODES)
-        assert abs(np.dot(w, sp._density_at_nodes) - 1.0) <= 1e-13
+        assert abs(np.dot(w, sp.density(sp.nodes)) - 1.0) <= 1e-13
 
     def test_flat_edge_converges_slowly(self):
         # a shape equal to 1 leaves a density that is nonzero at the edge:
         # there the rule falls to O(n^-2), 1.0e-7 at 2000 nodes
         sp = ShiftedBeta(1.0, 1.0, 1.0, 3.0, DELTA)
         _, w = gauss_chebyshev(*sp.support, spectra.DEFAULT_QUAD_NODES)
-        assert abs(np.dot(w, sp._density_at_nodes) - 1.0) <= 1e-6
+        assert abs(np.dot(w, sp.density(sp.nodes)) - 1.0) <= 1e-6
 
 
 class TestGaussLegendre:
@@ -522,19 +522,6 @@ def test_pickle_round_trip(make):
     assert np.array_equal(back.hilbert(x), sp.hilbert(x))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: MarchenkoPastur(DELTA),
-    lambda: ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA),
-    lambda: Tabulated(np.linspace(1.0, 3.0, 201),
-                      np.sin(np.linspace(0.0, np.pi, 201)), DELTA),
-], ids=["mp", "beta", "tabulated"])
-def test_node_hilbert_pickles(make):
-    sp = make()
-    back = pickle.loads(pickle.dumps(sp))
-    assert np.array_equal(back._hilbert_at_nodes, sp._hilbert_at_nodes)
-    assert np.array_equal(back._hilbert_at_nodes, sp.hilbert(sp.nodes))
-
-
 class TestMeasure:
     def test_atoms_and_complex(self):
         m = Measure(np.array([1.0]), np.array([0.5]), atoms=((3.0, 0.5),))
@@ -571,24 +558,6 @@ class TestShrinkage:
             oracle = abs(1 - 4.0 * mp05.c_transform(complex(x, -1e-8))) ** 2
             assert sh.numerators(x)[3][0] == pytest.approx(oracle, rel=1e-4)
 
-    def test_node_hilbert_computed_once(self, monkeypatch):
-        # a ShrinkageSet reads the spectrum's stored node Hilbert transform;
-        # only the scalar H(0) is evaluated per SNR
-        sp = ShiftedBeta(1.5, 1.5, 1.0, 3.0, DELTA)
-        hilbert = sp.hilbert
-
-        def scalar_only(x):
-            if np.size(x) > 1:
-                raise AssertionError("node Hilbert transform recomputed")
-            return hilbert(x)
-
-        monkeypatch.setattr(sp, "hilbert", scalar_only)
-        built = [ShrinkageSet(sp, theta) for theta in (0.5, 2.0, 4.0)]
-        monkeypatch.undo()
-        for sh in built:
-            for got, want in zip(sh.node_numerators, sh.numerators(sp.nodes)):
-                assert np.array_equal(got, want)
-
     def test_negative_lambda_rejected(self, shrink_mp2):
         with pytest.raises(SpectraError):
             shrink_mp2.numerators(np.array([-0.1]))
@@ -607,15 +576,25 @@ class TestShrinkage:
 
 
 class TestAtoms:
-    def test_mp_atom_location_and_masses(self, shrink_mp2):
-        atoms = shrink_mp2.find_spectral_atoms()
+    @settings(max_examples=60, deadline=None)
+    @given(delta=st.floats(0.05, 1.0), theta=st.floats(-0.5, 6.0).map(lambda x: 10.0 ** x))
+    @example(delta=0.5, theta=2.0)
+    def test_mp_atom_location_and_masses(self, delta, theta):
+        # the closed forms of Benaych-Georges & Nadakuditi (J. Multivariate
+        # Anal. 111, 2012) from 1.1 to 1e6 times the threshold delta^(1/4):
+        # far out the root is bisected on C where the textbook MP form of S
+        # cancelled (2.5e-4 off at 1e6 theta_c)
+        assume(1.1 <= theta / delta ** 0.25 <= 1e6)
+        sh = ShrinkageSet(MarchenkoPastur(delta), theta)
+        atoms = sh.find_spectral_atoms()
         assert len(atoms) == 1
-        atom = atoms[0]
-        # root of 1 = theta^2 C(lambda) for the quarter-circle law at theta=2
-        assert atom.location == pytest.approx(5.625, abs=1e-9)
-        assert atom.nu1_mass == pytest.approx(31.0 / 36.0, abs=1e-9)
-        assert atom.nu2_mass == pytest.approx(0.775, abs=1e-9)
-        assert atom.location > shrink_mp2.spectrum.support[1]
+        atom, t2 = atoms[0], theta ** 2
+        assert atom.location > sh.spectrum.support[1]
+        assert atom.location == pytest.approx((1 + t2) * (delta + t2) / t2, rel=1e-14, abs=0)
+        assert atom.nu1_mass == pytest.approx((t2 ** 2 - delta) / (t2 ** 2 + delta * t2),
+                                              rel=1e-13, abs=0)
+        assert atom.nu2_mass == pytest.approx((t2 ** 2 - delta) / (t2 ** 2 + t2),
+                                              rel=1e-13, abs=0)
 
     def test_subcritical_no_atoms(self, mp05):
         sh = ShrinkageSet(mp05, 0.5)   # below the detection threshold
