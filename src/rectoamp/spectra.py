@@ -99,17 +99,31 @@ def _chebyshev_nodes(lo: float, hi: float, n: int):
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(t)
 
 
-def _chebyshev_coefficients(values, vanishing):
+def _chebyshev_coefficients(values, w, vanishing):
     """Chebyshev coefficients of the ``_chebyshev_nodes`` values by a
     DCT-II, chopped at 1e-14 of the largest (Aurentz & Trefethen, ACM TOMS
     43, 2017), and made to vanish at the ends flagged in ``vanishing``, where
-    S's 1/r would amplify the interpolant's residue (1e-7 for a shape < 1/2)."""
+    S's 1/r would amplify the interpolant's residue (1e-7 for a shape < 1/2).
+    The values are taken at the rounded nodes, which lie at w: the DCT reads
+    them at the exact points, and one step of iterative refinement takes the
+    residue at w out again."""
     n = values.size
-    ext = np.fft.rfft(np.concatenate((values[::-1], values)))[:n]
-    a = np.real(ext * np.exp(-0.5j * np.pi * np.arange(n) / n)) / n
-    a[0] /= 2.0
-    big = np.flatnonzero(np.abs(a) > 1e-14 * np.max(np.abs(a)))
-    a = a[:max(3, big[-1] + 1 if big.size else n)]
+    shift = np.exp(-0.5j * np.pi * np.arange(n) / n) / n
+
+    def dct(v):
+        a = np.real(np.fft.rfft(np.concatenate((v[::-1], v)))[:n] * shift)
+        a[0] /= 2.0
+        return a
+
+    def chopped(a):
+        big = np.flatnonzero(np.abs(a) > 1e-14 * np.max(np.abs(a)))
+        return a[:max(3, big[-1] + 1 if big.size else n)]
+
+    # a node rounds by up to (hi / L) ulps of w: on [2, 2.1] the unrefined
+    # series held F' = 0 at Beta(5/2, 5/2)'s edges, where C' is finite, only
+    # to 9e-15 of sum k^2 |a_k|, and C' at hi + 1e-7 was off by 6.2e-12
+    a = chopped(dct(values))
+    a = chopped(np.pad(a, (0, n - a.size)) + dct(values - np.polynomial.chebyshev.chebval(w, a)))
     ends = np.where(vanishing, [a @ (-1.0) ** np.arange(a.size), a.sum()], 0.0)
     # T_1 and T_2 have zero mean under the Chebyshev weight, so a_0, and
     # with it the mass pi a_0, stays put
@@ -134,8 +148,8 @@ class SpectrumModel:
     One node representation holds the law: F = rho s at the n Chebyshev
     nodes, s = sqrt((hi - x)(x - lo)), with the coefficients a_k of F =
     sum_k a_k T_k(w), w = (x - c)/R, L = 2R (few terms when F is a polynomial:
-    Beta shapes in 1/2 + N).  The mass is pi a_0 = (pi/n) sum F, and the
-    measure's node weights (pi/n) F and the series are divided by it.  With
+    Beta shapes in 1/2 + N).  The mass is pi a_0, (pi/n) sum F to rounding,
+    and the measure's node weights (pi/n) F and the series are divided by it.  With
     r = sqrt(w - 1) sqrt(w + 1), q = w - r at z (Mason & Handscomb, Chebyshev
     Polynomials, 2003) S(z) = (pi / R) sum_k a_k q^k / r.
     Where F vanishes at an edge, the series has a root there, q = 1 (upper)
@@ -166,7 +180,7 @@ class SpectrumModel:
             # the rounded nodes, as rho is
             vanishing = np.isfinite(self._density(np.array([lo, hi])))
             f = density * np.sqrt(hi - self.nodes) * np.sqrt(self.nodes - lo)
-            self._cheb = _chebyshev_coefficients(f, vanishing)
+            self._cheb = _chebyshev_coefficients(f, self._scaled(self.nodes)[0], vanishing)
         mass = float(np.pi * self._cheb[0])
         # tolerance accommodates Beta shapes below 1/2, whose t^(a - 1)
         # edge the rule resolves slowly (3.5e-3 at a = 0.3)

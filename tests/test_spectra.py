@@ -391,12 +391,12 @@ VANISHING_EDGES = [(0.5, 1.5, "hi"), (1.5, 1.5, "lo"), (1.5, 1.5, "hi"), (2.5, 1
 FLAT_EDGE = pytest.mark.xfail(strict=True, reason=(
     "Beta(5/2, 3/2) has S' finite at its lower edge, so the derivative of the "
     "q-series, which the complex step reads, has a root at q = -1 that the "
-    "coefficients hold only to rounding, and q / r amplifies it: 2.4e-12, "
-    "1.7e-11 and 3.4e-11 relative at 1 - 1e-8, 1e-10, 1e-12"))
+    "coefficients hold only to rounding, and q / r amplifies it: 9.7e-12 and "
+    "2.3e-10 relative at 1 - 1e-10, 1 - 1e-12"))
 
 
 @pytest.mark.parametrize("a,b,edge,k", [
-    pytest.param(a, b, edge, k, marks=FLAT_EDGE if (a, edge) == (2.5, "lo") and k >= 8 else ())
+    pytest.param(a, b, edge, k, marks=FLAT_EDGE if (a, edge) == (2.5, "lo") and k >= 10 else ())
     for a, b, edge in VANISHING_EDGES for k in range(2, 13, 2)])
 def test_c_derivative_next_to_a_vanishing_edge(a, b, edge, k):
     # C' against a 40-digit mpmath.diff of C.  C' is the complex step of C
@@ -434,12 +434,16 @@ def test_c_derivative_rejects_the_closed_support(make):
 # cancels in Im near 0, and gave 0.143 for -0.0152 at the first
 @example(a=0.5, b=0.5, delta=0.5, lo=1.0, width=1.0, above=False, k=2.220446049250313e-16)
 @example(a=2.5, b=1.5, delta=0.5, lo=1.0, width=2.0, above=False, k=0.0)
+# lambda = 2.1 + 1e-6 next to a flat edge: a node of [2, 2.1] rounds by 21 ulps
+# of w, and a series read at the exact nodes gave C' off by 2.0e-12
+@example(a=2.5, b=2.5, delta=1.0, lo=2.0, width=0.1, above=True, k=5.0)
 def test_c_derivative_matches_the_hypergeometric_form(a, b, delta, lo, width, above, k):
     # C' = delta S^2 + (2 delta lambda S + 1 - delta) S' against S and S' of
     # the 40-digit 2F1 form, to 1e-12 of the sum of the terms' magnitudes:
-    # below lo C' can cross 0, where a relative bound means nothing.  In 300
-    # draws the worst was 3.0e-13; a density taking 1 - t by subtraction left
-    # up to 9.8e-7 where its width is no power of two
+    # below lo C' can cross 0, where a relative bound means nothing.  In 1400
+    # draws, half of them on [2, 2.1] or [3, 3.1], the worst was 3.1e-13; a
+    # density taking 1 - t by subtraction left up to 9.8e-7 where its width is
+    # no power of two
     hi = lo + width
     sp = ShiftedBeta(a, b, lo, hi, delta)
     lam = hi + 10.0 ** -k * width if above else lo - 10.0 ** -k * lo
