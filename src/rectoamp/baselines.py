@@ -59,16 +59,14 @@ def gaussian_amp_run(inst: ProblemInstance, channel_u: ScalarChannel,
         x = inst.Y.T @ f - (f_deriv_sum / N) * g_prev
         x_scaled = s_v * x
         g = channel_v.posterior_mean(x_scaled, inst.b, w2)
-        g_deriv_sum = s_v * float(np.sum(
-            channel_v.posterior_mean_derivative(x_scaled, inst.b, w2)))
+        g_deriv_sum = s_v * float(np.sum(channel_v.posterior_mean_derivative(g, w2)))
 
         s_u = np.sqrt(w1) * np.sqrt(delta) / (theta * beta) if w1 > 0 else 0.0
 
         u_msg = inst.Y @ g - (g_deriv_sum / N) * f
         u_scaled = s_u * u_msg
         f = channel_u.posterior_mean(u_scaled, inst.a, w1)
-        f_deriv_sum = s_u * float(np.sum(
-            channel_u.posterior_mean_derivative(u_scaled, inst.a, w1)))
+        f_deriv_sum = s_u * float(np.sum(channel_u.posterior_mean_derivative(f, w1)))
         g_prev = g
         _check_finite(f, "u")
         _check_finite(g, "v")

@@ -275,7 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         try:
             per_seed[seed] = run_single_seed(cfg, seed, shrinkage, predictions)
         except DOMAIN_ERRORS as exc:
-            failures[seed] = str(exc)
+            failures[seed] = {"type": type(exc).__name__, "message": str(exc)}
     if failures:
         logger.warning("%d/%d seeds failed: %s", len(failures),
                        len(cfg.seeds), failures)

@@ -1,5 +1,5 @@
 """Scalar Gaussian-channel calculus: posterior means, the divergence-free
-DMMSE transform and mmse functions.
+DMMSE transform, its output SNR and mmse functions.
 
 The channel is X = sqrt(w) X* + sqrt(1 - w) Z with unit-variance prior X*.
 Side information, when present, is an independent observation of the same
@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# dmmse_stats floors the mmse here, so rho = 1/m - 1/(1 - w) stays finite
+# output_snr floors the mmse here, so rho = 1/m - 1/(1 - w) stays finite: the
+# Rademacher rho is capped near 1e14 from a total SNR gamma of about 61 on
 MMSE_FLOOR = 1e-14
 # Trapezoid rule for the Rademacher mmse: step MMSE_STEP on
 # [-MMSE_HALF_WIDTH, MMSE_HALF_WIDTH] (961 points); the Gaussian tail beyond
@@ -49,7 +50,8 @@ class ScalarChannel:
 
     The iterate strength w varies per iteration and is passed explicitly;
     the mmse is closed form (Gaussian prior) or a 1-D trapezoid rule
-    (Rademacher prior).
+    (Rademacher prior).  A schedule evaluates it once per strength, for its
+    prediction 1 - mmse and its next step's ``output_snr`` alike.
     """
 
     def __init__(self, prior_kind: str, w0: float):
@@ -92,19 +94,22 @@ class ScalarChannel:
         # Gaussian prior: linear estimator with total precision 1 + snr
         return eta / (1.0 + (_snr(w) + _snr(self.w0)))
 
-    def posterior_mean_derivative(self, x, c, w: float):
-        """d/dx of posterior_mean (used for empirical Onsager terms)."""
-        x = np.asarray(x, dtype=float)
+    def posterior_mean_derivative(self, phi, w: float):
+        """d/dx of posterior_mean, from the posterior mean ``phi`` that the
+        caller has just computed (used for empirical Onsager terms)."""
+        phi = np.asarray(phi, dtype=float)
         if w >= 1.0:
-            return np.ones_like(x)
+            return np.ones_like(phi)
         scale = _snr(w) / np.sqrt(w) if w > 0 else 0.0
         if self.prior == "rademacher":
-            phi = self.posterior_mean(x, c, w)
             return scale * (1.0 - phi ** 2)
-        return np.full_like(x, scale / (1.0 + (_snr(w) + _snr(self.w0))))
+        return np.full_like(phi, scale / (1.0 + (_snr(w) + _snr(self.w0))))
 
     def mmse(self, w: float) -> float:
-        """E[(X* - E[X*|X, C])^2], clamped to [0, 1]."""
+        """E[(X* - E[X*|X, C])^2], clamped to [0, 1].  The Rademacher grid
+        |z| <= 12 misses the integrand's mass near z = -sqrt(gamma) past
+        gamma of about 144 and reads 0 from about 180 (5.4e-45 at gamma =
+        199), beyond the cap that MMSE_FLOOR puts on ``output_snr``."""
         if w >= 1.0:
             return 0.0
         gamma = _snr(w) + _snr(self.w0)
@@ -121,12 +126,10 @@ class ScalarChannel:
         kappa = E[Z phi(X, C)] is the Gaussian sensitivity of the posterior
         mean, sqrt(snr(w)) mmse(w) by Stein's lemma; the projection subtracts
         kappa / sqrt(1 - w) times the identity and renormalizes by
-        1 - sqrt(snr(w)) kappa.
+        1 - sqrt(snr(w)) kappa.  At w = 0 these are exactly (0.0, 1.0).
         """
         if not 0.0 <= w < 1.0:
             raise ChannelError(f"dmmse requires w in [0, 1), got {w}")
-        if w == 0.0:
-            return 0.0, 1.0
         root_snr = np.sqrt(_snr(w))
         kappa = float(root_snr * self.mmse(w))
         denom = 1.0 - root_snr * kappa
@@ -139,31 +142,26 @@ class ScalarChannel:
     def dmmse(self, x, c, w: float):
         """Divergence-free posterior mean: E[d/dx] = 0 by construction.
 
-        Extended by continuity to w = 0, where the estimator uses side
-        information only (no divergence to cancel).
+        At w = 0 the coefficients are (0, 1), so the estimator is the
+        posterior mean on side information alone (no divergence to cancel).
         """
         x = np.asarray(x, dtype=float)
         kappa, denom = self.dmmse_coefficients(w)
         phi = self.posterior_mean(x, c, w)
-        if w == 0.0:
-            return phi
         return (phi - kappa / np.sqrt(1.0 - w) * x) / denom
 
-    def dmmse_stats(self, w: float):
-        """(alpha, sigma2, rho): alignment, residual variance, and output SNR
-        of the divergence-free denoiser at strength w.
 
-        Closed forms in the posterior mmse m: the divergence-free projection
-        of the posterior mean has alpha = (1 - w - m) / (1 - w - w m) and
-        output SNR rho = 1/m - 1/(1 - w) exactly, for any prior.  The mmse
-        is floored at MMSE_FLOOR, so a channel whose quadrature mmse
-        underflows to 0 keeps a finite, very large rho.
-        """
-        m = max(self.mmse(w), MMSE_FLOOR)
-        if m >= 1.0 - 1e-15:
-            raise ChannelError(f"dmmse stats undefined at w={w} (mmse={m})")
-        alpha = (1.0 - w - m) / (1.0 - w - w * m)
-        rho = 1.0 / m - 1.0 / (1.0 - w)
-        if rho <= 0.0:
-            raise ChannelError(f"dmmse output carries no signal at w={w}")
-        return alpha, alpha ** 2 / rho, rho
+def output_snr(w: float, m: float) -> float:
+    """rho = 1/m - 1/(1 - w), the output SNR of the divergence-free denoiser
+    at strength w from the mmse m at w, exact for any prior.  m is floored
+    at MMSE_FLOOR: at w0 = 0.04 the Rademacher mmse falls below it from a
+    total SNR gamma of about 61 (w about 0.984), so rho is capped near 1e14,
+    and once 1 - w <= 1e-14 rho <= 0 raises (w = 1 - 1e-14 raises, and
+    w = 1 - 2e-14 gives rho = 5.0e13)."""
+    m = max(m, MMSE_FLOOR)
+    if m >= 1.0 - 1e-15:
+        raise ChannelError(f"dmmse output SNR undefined at w={w} (mmse={m})")
+    rho = 1.0 / m - 1.0 / (1.0 - w)
+    if rho <= 0.0:
+        raise ChannelError(f"dmmse output carries no signal at w={w}")
+    return rho

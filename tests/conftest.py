@@ -1,7 +1,16 @@
-"""Shared fixtures: analytic objects and cached Monte-Carlo ensembles."""
+"""Shared fixtures: analytic objects and cached Monte-Carlo ensembles, and
+the two ``hypothesis`` profiles.
+
+``tier1``, loaded here, draws each property test's examples from a seed
+derived from the test itself and keeps no example database, so a tree gets
+the same verdict on every run and machine.  ``fuzz``, chosen with
+``--hypothesis-profile=fuzz``, draws fresh examples and replays the
+failures kept in ``.hypothesis/``; a sweep with ten ``--hypothesis-seed``
+values gives back the search at ten times each test's ``max_examples``."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rectoamp.baselines import gaussian_amp_run, pca_estimate
 from rectoamp.model import make_instance, thin_svd
@@ -18,6 +27,10 @@ W0 = 0.04
 M_DESK, N_DESK = 1000, 2000
 N_SEEDS = 20
 T_DESK = 10
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("fuzz", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,28 @@
 """The general two-channel state evolution, the oracle of the paper's
 collapse claim: driven by the optimal denoisers along a schedule of
-``optimal_se_run``, it must reproduce that schedule's strengths."""
+``optimal_se_run``, it must reproduce that schedule's strengths.  The
+scalar denoisers enter it through the alignment and residual variance of
+their outputs (``dmmse_stats``), which only this oracle reads; a schedule
+itself needs only the output SNR rho (``scalar_channel.output_snr``)."""
 
+from rectoamp.scalar_channel import MMSE_FLOOR, ScalarChannel, output_snr
 from rectoamp.spectra import InducedMeasures, Measure, SpectrumModel
 from rectoamp.state_evolution import StateEvolutionError
+
+
+def dmmse_stats(channel: ScalarChannel, w: float):
+    """(alpha, sigma2, rho): alignment, residual variance and output SNR of
+    the divergence-free denoiser of ``channel`` at strength w.
+
+    Closed forms in the posterior mmse m, floored as ``output_snr`` floors
+    it: alpha = (1 - w - m) / (1 - w - w m), rho = 1/m - 1/(1 - w), and
+    sigma2 = alpha^2 / rho, for any prior.
+    """
+    m = channel.mmse(w)
+    rho = output_snr(w, m)
+    m = max(m, MMSE_FLOOR)
+    alpha = (1.0 - w - m) / (1.0 - w - w * m)
+    return alpha, alpha ** 2 / rho, rho
 
 
 def measure_tilde(spectrum: SpectrumModel) -> Measure:

@@ -200,7 +200,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "run_single_seed", flaky)
         report = run_experiment(cfg)
-        assert report.metadata["failures"] == {4: "synthetic failure"}
+        assert report.metadata["failures"] == {
+            4: {"type": "ModelError", "message": "synthetic failure"}}
         assert report.metadata["n_seeds_used"] == 4
 
     def test_programming_error_propagates(self, monkeypatch):

@@ -16,6 +16,8 @@ from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
 from rectoamp.state_evolution import optimal_se_run
 
+from general_se import dmmse_stats
+
 
 @pytest.fixture(scope="module")
 def small_instance(mp05):
@@ -258,8 +260,8 @@ class TestOptimalRun:
         for se, sh in ((schedule, shrink_mp2), (converging, sh3)):
             for den, w1, w2 in zip(se.denoisers, [0.0] + se.w1[:-1], [0.0] + se.w2[:-1]):
                 assert den.shrinkage is sh
-                assert (den.rho1, den.rho2) == (ch_u.dmmse_stats(w1)[2],
-                                                ch_v.dmmse_stats(w2)[2])
+                assert (den.rho1, den.rho2) == (dmmse_stats(ch_u, w1)[2],
+                                                dmmse_stats(ch_v, w2)[2])
 
     def test_numerators_evaluated_once(self, small_instance, shrink_mp2,
                                        shrink_beta2, channels, monkeypatch):

@@ -12,7 +12,7 @@ from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet, detecti
 from rectoamp.state_evolution import (StateEvolutionError, amp_se_trajectory,
                                       gaussian_fixed_point, optimal_se_run)
 
-from general_se import measure_tilde, se_step_general
+from general_se import dmmse_stats, measure_tilde, se_step_general
 from tabulated import Tabulated
 
 
@@ -47,8 +47,8 @@ class TestGeneralStep:
         se = optimal_se_run(shrink_mp2, ch_u, ch_v, max(t, 2))
         w1p = se.w1[t - 2] if t >= 2 else 0.0
         w2p = se.w2[t - 2] if t >= 2 else 0.0
-        a, sf2, rho1 = ch_u.dmmse_stats(w1p)
-        b, sg2, rho2 = ch_v.dmmse_stats(w2p)
+        a, sf2, rho1 = dmmse_stats(ch_u, w1p)
+        b, sg2, rho2 = dmmse_stats(ch_v, w2p)
         den = DenoiserSet(shrink_mp2, rho1, rho2)
         meas = shrink_mp2.build_induced_measures()
         mu_u, su2, mu_v, sv2 = se_step_general(
@@ -71,8 +71,8 @@ def optimal_steps(shrinkage, ch_u, ch_v, n_iter):
     se = optimal_se_run(shrinkage, ch_u, ch_v, n_iter)
     w1p = w2p = 0.0
     for t, den in enumerate(se.denoisers):
-        a, sf2, rho1 = ch_u.dmmse_stats(w1p)
-        b, sg2, rho2 = ch_v.dmmse_stats(w2p)
+        a, sf2, rho1 = dmmse_stats(ch_u, w1p)
+        b, sg2, rho2 = dmmse_stats(ch_v, w2p)
         # every step's set is built at rho(w_{t-1})
         assert (den.rho1, den.rho2) == (rho1, rho2)
         cache = {}
@@ -226,6 +226,21 @@ class TestOptimalRecursion:
         tr = optimal_se_run(ShrinkageSet(MarchenkoPastur(delta), 0.0), ch, ch, 3)
         assert tr.w1 == tr.w2 == [0.0, 0.0, 0.0]
         assert tr.cos2_u == [1.0 - ch.mmse(0.0)] * 3
+
+    @pytest.mark.parametrize("n", [1, 10, 400])
+    def test_one_mmse_per_strength(self, shrink_mp2, channels, monkeypatch, n):
+        # the loop evaluates each channel's mmse once per strength, w = 0
+        # included, and each OAMP step takes its rho from those values; the
+        # AMP map adds at most one mmse_V, at its new w2, per step
+        calls = []
+        real = ScalarChannel.mmse
+        monkeypatch.setattr(ScalarChannel, "mmse",
+                            lambda ch, w: calls.append(w) or real(ch, w))
+        optimal_se_run(shrink_mp2, *channels, n)
+        assert len(calls) == 2 * n + 2
+        calls.clear()
+        amp_se_trajectory(2.0, 0.5, *channels, n)
+        assert len(calls) <= 3 * n + 2
 
     def test_rho_positive(self, shrink_mp2, channels):
         tr = optimal_se_run(shrink_mp2, *channels, 10)
