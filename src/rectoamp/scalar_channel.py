@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# output_snr floors the mmse here, so rho = 1/m - 1/(1 - w) stays finite: the
-# Rademacher rho is capped near 1e14 from a total SNR gamma of about 61 on
+# output_snr floors the mmse here, so rho = 1/m - 1/(1 - w) stays finite: it
+# is capped near 1/MMSE_FLOOR (see README)
 MMSE_FLOOR = 1e-14
 # Trapezoid rule for the Rademacher mmse: step MMSE_STEP on
 # [-MMSE_HALF_WIDTH, MMSE_HALF_WIDTH] (961 points); the Gaussian tail beyond
@@ -107,9 +107,9 @@ class ScalarChannel:
 
     def mmse(self, w: float) -> float:
         """E[(X* - E[X*|X, C])^2], clamped to [0, 1].  The Rademacher grid
-        |z| <= 12 misses the integrand's mass near z = -sqrt(gamma) past
-        gamma of about 144 and reads 0 from about 180 (5.4e-45 at gamma =
-        199), beyond the cap that MMSE_FLOOR puts on ``output_snr``."""
+        |z| <= 12 misses the integrand's mass near z = -sqrt(gamma) at large
+        gamma, past the cap that MMSE_FLOOR puts on ``output_snr``; see
+        README."""
         if w >= 1.0:
             return 0.0
         gamma = _snr(w) + _snr(self.w0)
@@ -154,10 +154,7 @@ class ScalarChannel:
 def output_snr(w: float, m: float) -> float:
     """rho = 1/m - 1/(1 - w), the output SNR of the divergence-free denoiser
     at strength w from the mmse m at w, exact for any prior.  m is floored
-    at MMSE_FLOOR: at w0 = 0.04 the Rademacher mmse falls below it from a
-    total SNR gamma of about 61 (w about 0.984), so rho is capped near 1e14,
-    and once 1 - w <= 1e-14 rho <= 0 raises (w = 1 - 1e-14 raises, and
-    w = 1 - 2e-14 gives rho = 5.0e13)."""
+    at MMSE_FLOOR, so rho is capped near 1/MMSE_FLOOR; see README."""
     m = max(m, MMSE_FLOOR)
     if m >= 1.0 - 1e-15:
         raise ChannelError(f"dmmse output SNR undefined at w={w} (mmse={m})")

@@ -1,11 +1,11 @@
 """Shared fixtures: analytic objects and cached Monte-Carlo ensembles, and
-the two ``hypothesis`` profiles.
+the tier-1 ``hypothesis`` profile.
 
 ``tier1``, loaded here, draws each property test's examples from a seed
 derived from the test itself and keeps no example database, so a tree gets
-the same verdict on every run and machine.  ``fuzz``, chosen with
-``--hypothesis-profile=fuzz``, draws fresh examples and replays the
-failures kept in ``.hypothesis/``; a sweep with ten ``--hypothesis-seed``
+the same verdict on every run and machine.  ``--hypothesis-profile=default``
+restores hypothesis's own profile, which draws fresh examples and replays
+the failures kept in ``.hypothesis/``; a sweep with ten ``--hypothesis-seed``
 values gives back the search at ten times each test's ``max_examples``."""
 
 import numpy as np
@@ -29,7 +29,6 @@ N_SEEDS = 20
 T_DESK = 10
 
 settings.register_profile("tier1", derandomize=True, database=None)
-settings.register_profile("fuzz", derandomize=False)
 settings.load_profile("tier1")
 
 

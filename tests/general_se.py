@@ -14,13 +14,13 @@ def dmmse_stats(channel: ScalarChannel, w: float):
     """(alpha, sigma2, rho): alignment, residual variance and output SNR of
     the divergence-free denoiser of ``channel`` at strength w.
 
-    Closed forms in the posterior mmse m, floored as ``output_snr`` floors
-    it: alpha = (1 - w - m) / (1 - w - w m), rho = 1/m - 1/(1 - w), and
-    sigma2 = alpha^2 / rho, for any prior.
+    Closed forms in the posterior mmse m, floored once at MMSE_FLOOR (which
+    leaves ``output_snr``'s own floor a no-op): alpha = (1 - w - m) /
+    (1 - w - w m), rho = 1/m - 1/(1 - w), and sigma2 = alpha^2 / rho, for
+    any prior.
     """
-    m = channel.mmse(w)
+    m = max(channel.mmse(w), MMSE_FLOOR)
     rho = output_snr(w, m)
-    m = max(m, MMSE_FLOOR)
     alpha = (1.0 - w - m) / (1.0 - w - w * m)
     return alpha, alpha ** 2 / rho, rho
 
