@@ -38,7 +38,8 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
 @dataclass
 class ProblemInstance:
     """One draw of Y = c u* v*^T + W, c = theta / sqrt(M N), with the side
-    information a, b.  The noise is not stored: ``W`` is derived from Y.
+    information a, b.  Neither the noise nor the seed is stored: ``W`` is
+    derived from Y, and whoever draws an instance keys it by its seed.
     ``Y`` may be Fortran-ordered (RI noise with N >= CHOLESKY_ASPECT * M);
     every reader is layout-agnostic."""
 
@@ -50,7 +51,6 @@ class ProblemInstance:
     v_star: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    seed: int
 
     @property
     def delta(self) -> float:
@@ -207,7 +207,7 @@ def make_instance(channel_u: ScalarChannel, channel_v: ScalarChannel,
     b = channel_v.side_info(v_star, component_rng(seed, "side_v"))
     Y = W  # the spike is added in the noise's buffer
     _add_spike(Y, u_star, v_star, theta / np.sqrt(M * N))
-    return ProblemInstance(M, N, theta, Y, u_star, v_star, a, b, seed)
+    return ProblemInstance(M, N, theta, Y, u_star, v_star, a, b)
 
 
 # rows of the spike formed at a time: 128 x N float64 is 2 MB at N = 2000

@@ -6,7 +6,8 @@ iterates with trace-free polynomial-in-Y linear updates:
     u_t = (1/sqrt(w1_t)) [F*_t(YY^T) fbar(u_{t-1}) + Ftil*_t(YY^T) Y gbar(v_{t-1})]
     v_t = (1/sqrt(w2_t)) [G*_t(Y^T Y) gbar(v_{t-1}) + Gtil*_t(Y^T Y) Y^T fbar(u_{t-1})]
 
-with estimates given by the posterior means at the predicted strengths.
+where fbar, gbar are the divergence-free corrections of the posterior means
+at the predicted strengths, and those posterior means are the estimates.
 The module holds the optimal matrix denoisers (``DenoiserSet``, exact at
 the spectral outliers), the four spectral applications (``apply_left``,
 ``apply_right``, ``apply_cross_left``, ``apply_cross_right``) and the one
@@ -194,14 +195,14 @@ def apply_cross_right(svd: SvdCache, hvals, proj):
 @dataclass
 class IterationTrace:
     """Per-iteration overlaps and mean squared errors of one run's
-    estimates: what a seed returns for each method."""
+    estimates: what a seed returns for each method.  The iterates
+    themselves are not kept; a test sees them as the inputs of the run's
+    ``ScalarChannel.posterior_mean`` calls."""
 
     cos2_u: list = field(default_factory=list)
     cos2_v: list = field(default_factory=list)
     mse_u: list = field(default_factory=list)
     mse_v: list = field(default_factory=list)
-    # {t: (u_t, v_t)}: the raw normalized iterates of the steps in keep_iterates
-    iterates: dict = field(default_factory=dict)
 
     def record(self, u_hat, v_hat, inst: ProblemInstance) -> None:
         """Append one step's estimates, measured against the truth."""
@@ -222,8 +223,7 @@ def _check_finite(x, label):
 
 
 def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChannel,
-                     channel_v: ScalarChannel, schedule,
-                     keep_iterates: tuple = ()) -> IterationTrace:
+                     channel_v: ScalarChannel, schedule) -> IterationTrace:
     """Run the optimal OAMP iteration along ``schedule``, an
     ``optimal_se_run`` of the same channels, which gives each step's
     strengths w_t and the ``DenoiserSet`` it applies: step t evaluates
@@ -231,24 +231,22 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChan
 
     The side channel is handled inside the scalar denoisers, so the iterate
     strengths start at w = 0 and the first update draws its signal content
-    from the side information alone.
-
-    ``keep_iterates`` names the steps t whose raw iterates (u_t, v_t) go to
-    ``trace.iterates``.  No run reads them, but they are the only view of
-    the iterate itself: the Gaussianity check of the acceptance suite
-    (criterion 7) tests them, and no test re-implements the OAMP step to
-    get them.
+    from the side information alone.  Each iterate's posterior mean is
+    formed once, by one ``posterior_mean`` call per side: it is the step's
+    estimate and the input of the next step's ``dmmse``, and before the
+    first step it is the side-information estimate of the zero iterate.
     """
     lam = svd.eigenvalues
     trace = IterationTrace()
     w1 = w2 = 0.0
     u_it = np.zeros(inst.M)
     v_it = np.zeros(inst.N)
+    phi_u = channel_u.posterior_mean(u_it, inst.a, w1)
+    phi_v = channel_v.posterior_mean(v_it, inst.b, w2)
 
-    for t, (w1_next, w2_next, den) in enumerate(zip(
-            schedule.w1, schedule.w2, schedule.denoisers), 1):
-        f = channel_u.dmmse(u_it, inst.a, w1)
-        g = channel_v.dmmse(v_it, inst.b, w2)
+    for w1_next, w2_next, den in zip(schedule.w1, schedule.w2, schedule.denoisers):
+        f = channel_u.dmmse(phi_u, u_it, w1)
+        g = channel_v.dmmse(phi_v, v_it, w2)
         fv, ftv, gv, gtv = den.evaluate(lam)
         f_proj = svd.U.T @ f
         yg_proj = svd.U.T @ (svd.Y @ g)
@@ -268,8 +266,7 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChan
         _check_finite(v_it, "v")
         w1, w2 = w1_next, w2_next
 
-        trace.record(channel_u.posterior_mean(u_it, inst.a, w1),
-                     channel_v.posterior_mean(v_it, inst.b, w2), inst)
-        if t in keep_iterates:
-            trace.iterates[t] = (u_it.copy(), v_it.copy())
+        phi_u = channel_u.posterior_mean(u_it, inst.a, w1)
+        phi_v = channel_v.posterior_mean(v_it, inst.b, w2)
+        trace.record(phi_u, phi_v, inst)
     return trace

@@ -139,16 +139,16 @@ class ScalarChannel:
                 "has vanishing normalizer (prior is effectively Gaussian)")
         return kappa, denom
 
-    def dmmse(self, x, c, w: float):
+    def dmmse(self, phi, x, w: float):
         """Divergence-free posterior mean: E[d/dx] = 0 by construction.
 
-        At w = 0 the coefficients are (0, 1), so the estimator is the
+        ``phi`` is the posterior mean at x, ``posterior_mean(x, c, w)``,
+        which the caller has just computed (it is also its estimate).  At
+        w = 0 the coefficients are (0, 1), so the estimator is the
         posterior mean on side information alone (no divergence to cancel).
         """
-        x = np.asarray(x, dtype=float)
         kappa, denom = self.dmmse_coefficients(w)
-        phi = self.posterior_mean(x, c, w)
-        return (phi - kappa / np.sqrt(1.0 - w) * x) / denom
+        return (phi - kappa / np.sqrt(1.0 - w) * np.asarray(x, dtype=float)) / denom
 
 
 def output_snr(w: float, m: float) -> float:

@@ -77,14 +77,32 @@ def dense_dmmse_divergence(ch, w):
     """E[phi_bar'] = E[Z dmmse(X, C)] / sqrt(1 - w) by ``dense_channel_mean``
     given X* = 1: dmmse is odd in (X, C), so the X* = -1 half is its mirror
     image."""
-    return dense_channel_mean(ch, w, lambda xs, z, x, c: z * ch.dmmse(x, c, w),
-                              xstars=(1.0,)) / np.sqrt(1 - w)
+    return dense_channel_mean(
+        ch, w, lambda xs, z, x, c: z * ch.dmmse(ch.posterior_mean(x, c, w), x, w),
+        xstars=(1.0,)) / np.sqrt(1 - w)
+
+
+class RecordingChannel(ScalarChannel):
+    """A channel that keeps a copy of each x that ``posterior_mean`` is
+    given.  An OAMP run forms one posterior mean per iterate, so on a run's
+    own channel ``inputs[t]`` is the raw iterate u_t (or v_t), and
+    ``inputs[0]`` the zero start."""
+
+    def __init__(self, prior_kind, w0):
+        super().__init__(prior_kind, w0)
+        self.inputs = []
+
+    def posterior_mean(self, x, c, w):
+        self.inputs.append(np.array(x, dtype=float))
+        return super().posterior_mean(x, c, w)
 
 
 def run_seed(spectrum, theta, M, N, seed, shrinkage=None, channels=None,
-             schedules=None, keep_iterates=(), with_amp=False, with_oamp=True):
+             schedules=None, residual_steps=(), with_amp=False, with_oamp=True):
     """One seed's worth of everything the acceptance suite consumes; the
-    runs read their strengths from ``schedules`` (see ``schedules_for``)."""
+    runs read their strengths from ``schedules`` (see ``schedules_for``).
+    OAMP runs on recording copies of ``channels`` (AMP keeps the originals),
+    so that the raw u-iterates of ``residual_steps`` can go to ``residuals``."""
     side = ScalarChannel("rademacher", W0)
     inst = make_instance(side, side, spectrum, M, N, theta, seed)
     svd = thin_svd(inst.Y)
@@ -94,6 +112,7 @@ def run_seed(spectrum, theta, M, N, seed, shrinkage=None, channels=None,
     pca = IterationTrace()
     pca.record(*pca_estimate(inst, svd), inst)
     out = {
+        "eigenvalues": svd.eigenvalues,
         "top_eig": float(svd.eigenvalues[0]),
         # the bottom eigenpair, for the outlier below the support
         "bottom_eig": float(svd.eigenvalues[-1]),
@@ -105,12 +124,11 @@ def run_seed(spectrum, theta, M, N, seed, shrinkage=None, channels=None,
         "pca": (pca.cos2_u[0], pca.cos2_v[0]),
     }
     if with_oamp and shrinkage is not None:
-        tr = optimal_oamp_run(inst, svd, channels[0], channels[1],
-                              schedules["oamp"], keep_iterates=keep_iterates)
-        out["oamp"] = tr
-        if keep_iterates:
+        rec_u, rec_v = (RecordingChannel(ch.prior, ch.w0) for ch in channels)
+        out["oamp"] = optimal_oamp_run(inst, svd, rec_u, rec_v, schedules["oamp"])
+        if residual_steps:
             out["residuals"] = {
-                t: (tr.iterates[t][0], inst.u_star) for t in keep_iterates}
+                t: (rec_u.inputs[t], inst.u_star) for t in residual_steps}
     if with_amp:
         out["amp"] = gaussian_amp_run(inst, channels[0], channels[1],
                                       schedules["amp"])
@@ -126,10 +144,11 @@ def schedules_for(shrinkage, channels):
 
 @pytest.fixture(scope="session")
 def ens_fig1(mp05, shrink_mp2, channels):
-    """Gaussian noise, theta=2: OAMP + AMP, iterates kept at t in {1, 3}."""
+    """Gaussian noise, theta=2: OAMP + AMP, iterates kept at t in {1, 3};
+    also the induced-measure moments of (mp, 2.0) and seed 0's eigenvalues."""
     schedules = schedules_for(shrink_mp2, channels)
     return [run_seed(mp05, THETA, M_DESK, N_DESK, seed,
-                     shrink_mp2, channels, schedules, keep_iterates=(1, 3),
+                     shrink_mp2, channels, schedules, residual_steps=(1, 3),
                      with_amp=True)
             for seed in range(N_SEEDS)]
 
@@ -146,10 +165,10 @@ def ens_beta2(beta_spectrum, shrink_beta2, channels):
 @pytest.fixture(scope="session")
 def ens_measures_only(mp05, beta_spectrum):
     """Empirical signal measures for the (spectrum, theta) pairs of the
-    induced-measure moment checks; the (beta, 2.0) case is in ens_beta2."""
+    induced-measure moment checks; the (mp, 2.0) case is in ens_fig1 and
+    the (beta, 2.0) case in ens_beta2."""
     out = {}
-    for key, spectrum, theta in (("mp1", mp05, 1.0), ("mp2", mp05, 2.0),
-                                 ("beta1", beta_spectrum, 1.0)):
+    for key, spectrum, theta in (("mp1", mp05, 1.0), ("beta1", beta_spectrum, 1.0)):
         out[key] = [run_seed(spectrum, theta, M_DESK, N_DESK, seed,
                              with_oamp=False)
                     for seed in range(N_SEEDS)]

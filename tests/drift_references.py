@@ -3,8 +3,9 @@
 Each case is one CLI invocation whose output the gate pins:
 
 - fig1- and fig2-shaped runs: the shipped configs at M = 200, N = 400,
-  3 seeds, 10 iterations and one worker (their CSV), and fig1 at M = N =
-  200, where seed 0 takes the direct-SVD fallback of ``model.thin_svd``;
+  3 seeds and 10 iterations, run serially in one process as every run is
+  (their CSV), and fig1 at M = N = 200, where seed 0 takes the direct-SVD
+  fallback of ``model.thin_svd``;
 - ``se`` for MP and Beta at delta = 0.5 and delta = 1 (stdout);
 - ``spectra-check`` for MP and Beta (stdout).
 

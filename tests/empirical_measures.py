@@ -21,14 +21,19 @@ def empirical_signal_measures(inst: ProblemInstance,
                               svd: SvdCache) -> EmpiricalSignalMeasures:
     """Signal-weighted empirical spectral measures from the cached SVD.
 
+    The right factor is never formed: with v_i = Y^T u_i / sigma_i and
+    sigma_i = sqrt(lambda_i), <v_i, v*> = (U^T (Y v*))_i / sigma_i, two
+    matvecs instead of the N x M GEMM Y^T U.  So every eigenvalue must be
+    positive, as on the Gram path of ``thin_svd``.
     The dilation's eigenpairs come for free: eigenvalues +-sigma_i with
     eigenvectors (u_i, +-v_i)/sqrt(2), plus N - M null vectors supported on
     the v side (these carry zero nu_L3 weight because their u part vanishes).
     """
     M, N, L = inst.M, inst.N, inst.M + inst.N
     lam = svd.eigenvalues
-    ovl_u = svd.U.T @ inst.u_star        # <u_i, u*>
-    ovl_v = svd.V.T @ inst.v_star        # <v_i, v*>
+    sigma = np.sqrt(lam)
+    ovl_u = svd.U.T @ inst.u_star                      # <u_i, u*>
+    ovl_v = svd.U.T @ (inst.Y @ inst.v_star) / sigma   # <v_i, v*>
 
     nu_m1 = (lam, ovl_u ** 2 / M)
 
@@ -37,7 +42,6 @@ def empirical_signal_measures(inst: ProblemInstance,
              np.concatenate((ovl_v ** 2 / N, [null_mass])))
 
     prod = ovl_u * ovl_v / (2.0 * L)
-    sigma = svd.singular_values
     nu_l3 = (np.concatenate((sigma, -sigma)), np.concatenate((prod, -prod)))
     return EmpiricalSignalMeasures(nu_m1, nu_n2, nu_l3)
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from rectoamp.model import make_instance, thin_svd
 from rectoamp.spectra import ShrinkageSet
 from rectoamp.state_evolution import gaussian_fixed_point, optimal_se_run
 
@@ -87,13 +86,13 @@ def test_criterion_3_oamp_beats_pca_beta(ens_beta2, se_beta, capsys):
     assert ok
 
 
-def test_criterion_4_induced_measure_moments(ens_measures_only, ens_beta2,
+def test_criterion_4_induced_measure_moments(ens_measures_only, ens_fig1, ens_beta2,
                                              mp05, beta_spectrum, capsys):
     """Moments 0-3 of the empirical signal-weighted spectral measures agree
     with the analytic induced measures within Monte-Carlo error."""
     cases = {
         "mp theta=1": (mp05, 1.0, ens_measures_only["mp1"]),
-        "mp theta=2": (mp05, 2.0, ens_measures_only["mp2"]),
+        "mp theta=2": (mp05, 2.0, ens_fig1),
         "beta theta=1": (beta_spectrum, 1.0, ens_measures_only["beta1"]),
         "beta theta=2": (beta_spectrum, 2.0, ens_beta2),
     }
@@ -142,7 +141,7 @@ def test_criterion_5_outlier_and_pca_overlap(ens_outlier, capsys):
 
 
 def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
-                                        se_mp, se_beta, capsys):
+                                        se_mp, se_beta, ens_fig1, capsys):
     """Trace-freeness of the matrix denoisers (analytic and on a simulated
     instance), divergence-freeness of the scalar denoisers, and the boundary
     consistency of the shrinkage denominator."""
@@ -161,11 +160,9 @@ def test_criterion_6_denoiser_structure(shrink_mp2, shrink_beta2, channels,
     ok &= worst_mean <= 1e-10
     details.append(f"|<F>|,|<G>| <= {worst_mean:.2e} (tol 1e-10)")
 
-    # empirical trace on one simulated instance
-    inst = make_instance(*channels, shrink_mp2.spectrum, M_DESK, 2 * M_DESK, THETA, 0)
-    svd = thin_svd(inst.Y)
+    # empirical trace on one simulated instance: ens_fig1's seed 0
     den = se_mp.denoisers[-1]
-    lam = svd.eigenvalues
+    lam = ens_fig1[0]["eigenvalues"]
     emp = abs(np.sum(den.evaluate(lam)[0])) / M_DESK
     ok &= emp <= 0.01
     details.append(f"|tr F|/M = {emp:.4f} (tol 0.01)")

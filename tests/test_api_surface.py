@@ -132,3 +132,39 @@ def test_src_reads_no_other_objects_private_attributes():
                              and node.value.id in ("self", "cls"))):
                 reads.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert reads == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each parameter with a default, of any function in ``src/``, is passed
+    by position or by keyword in some call in ``src/`` or ``perfbench/``: a
+    default that no caller overrides is a dead option.  Calls are matched to
+    definitions by name, a method's positions start after ``self`` or
+    ``cls``, and a class's ``__init__`` is called by the class name."""
+    sources = sorted((ROOT / "src" / "rectoamp").glob("*.py"))
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sources + sorted((ROOT / "perfbench").glob("*.py"))]
+    defaulted = []
+    for tree in trees[:len(sources)]:
+        for owner in ast.walk(tree):
+            for fn in ast.iter_child_nodes(owner):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                params = fn.args.posonlyargs + fn.args.args
+                if isinstance(owner, ast.ClassDef) and not any(
+                        getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
+                    params = params[1:]
+                name = owner.name if fn.name == "__init__" else fn.name
+                first = len(params) - len(fn.args.defaults)
+                defaulted += [(name, i, p.arg) for i, p in enumerate(params) if i >= first]
+                defaulted += [(name, None, p.arg) for p, d in zip(
+                    fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    passed = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                passed |= {(name, i) for i in range(len(call.args))}
+                passed |= {(name, kw.arg) for kw in call.keywords}
+    dead = [f"{name}({arg})" for name, i, arg in defaulted
+            if (name, i) not in passed and (name, arg) not in passed]
+    assert dead == []

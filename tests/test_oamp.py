@@ -16,6 +16,7 @@ from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
 from rectoamp.state_evolution import optimal_se_run
 
+from conftest import RecordingChannel
 from general_se import dmmse_stats
 
 
@@ -220,15 +221,13 @@ class TestDenoiserSet:
         with pytest.raises(OampError):
             DenoiserSet(shrink_mp2, -1.0, 1.0)
 
-    def test_empirical_trace_free(self, shrink_mp2):
-        # |trace F*(YY^T)| / M stays small on simulated eigenvalues
-        side = ScalarChannel("rademacher", 0.04)
-        inst = make_instance(side, side, shrink_mp2.spectrum, 1000, 2000, 2.0, 0)
-        svd = thin_svd(inst.Y)
+    def test_empirical_trace_free(self, shrink_mp2, ens_fig1):
+        # |trace F*(YY^T)| / M stays small on simulated eigenvalues: those
+        # of ens_fig1's seed 0 (MP, 1000 x 2000, theta = 2)
         den = DenoiserSet(shrink_mp2, 2.0, 2.0)
-        lam = svd.eigenvalues
+        lam = ens_fig1[0]["eigenvalues"]
         f = den.evaluate(lam)[0]
-        assert abs(np.sum(f)) / inst.M <= 0.01
+        assert abs(np.sum(f)) / len(lam) <= 0.01
 
 
 class TestOptimalRun:
@@ -236,7 +235,25 @@ class TestOptimalRun:
         tr = ens_fig1[0]["oamp"]
         assert len(tr.cos2_u) == 10 and len(tr.cos2_v) == 10
         assert all(0 <= c <= 1 for c in tr.cos2_u + tr.cos2_v)
-        assert set(tr.iterates) == {1, 3}
+        assert set(ens_fig1[0]["residuals"]) == {1, 3}
+
+    @pytest.mark.parametrize("steps", [2, 10])
+    def test_one_posterior_mean_per_iterate(self, small_instance, shrink_mp2,
+                                            channels, steps):
+        # each iterate's posterior mean is the step's estimate and the next
+        # step's dmmse input alike: n + 1 calls per side for n steps, the
+        # first at the zero start, each given that step's raw iterate
+        inst, svd = small_instance
+        schedule = optimal_se_run(shrink_mp2, *channels, steps)
+        rec = [RecordingChannel(ch.prior, ch.w0) for ch in channels]
+        tr = optimal_oamp_run(inst, svd, *rec, schedule)
+        assert [len(r.inputs) for r in rec] == [steps + 1, steps + 1]
+        assert not rec[0].inputs[0].any() and not rec[1].inputs[0].any()
+        for t, (w1, w2) in enumerate(zip(schedule.w1, schedule.w2), 1):
+            u_hat = channels[0].posterior_mean(rec[0].inputs[t], inst.a, w1)
+            v_hat = channels[1].posterior_mean(rec[1].inputs[t], inst.b, w2)
+            assert tr.cos2_u[t - 1] == oamp._cos2(u_hat, inst.u_star)
+            assert tr.cos2_v[t - 1] == oamp._cos2(v_hat, inst.v_star)
 
     def test_strengths_read_from_schedule(self, small_instance, shrink_mp2, mp05,
                                           channels, monkeypatch):
@@ -306,16 +323,16 @@ class TestOptimalRun:
         inst = make_instance(*channels, mp05, 150, 300, 2.0, 7)
         svd = thin_svd(inst.Y)
         schedule = optimal_se_run(shrink_mp2, *channels, 2)
-        tr = optimal_oamp_run(inst, svd, *channels, schedule,
-                              keep_iterates=(2,))
+        rec, rec_p = ([RecordingChannel(ch.prior, ch.w0) for ch in channels]
+                      for _ in range(2))
+        optimal_oamp_run(inst, svd, *rec, schedule)
         perm = np.random.default_rng(0).permutation(inst.M)
         inst_p = make_instance(*channels, mp05, 150, 300, 2.0, 7)
         inst_p.Y = inst.Y[perm]
         inst_p.u_star = inst.u_star[perm]
         inst_p.a = inst.a[perm]
-        tr_p = optimal_oamp_run(inst_p, thin_svd(inst_p.Y), *channels, schedule,
-                                keep_iterates=(2,))
-        assert np.allclose(tr_p.iterates[2][0], tr.iterates[2][0][perm],
+        optimal_oamp_run(inst_p, thin_svd(inst_p.Y), *rec_p, schedule)
+        assert np.allclose(rec_p[0].inputs[2], rec[0].inputs[2][perm],
                            atol=1e-8)
 
     @pytest.mark.parametrize("law", ["mp", "beta"])
@@ -335,12 +352,12 @@ class TestOptimalRun:
         for seed in range(3):
             inst = make_instance(*channels, spectrum, 1000, 2000, 2.0, seed)
             svd = thin_svd(inst.Y)
-            base = optimal_oamp_run(inst, svd, *channels, schedule,
-                                    keep_iterates=steps)
+            base, moved = (RecordingChannel(channels[0].prior, channels[0].w0)
+                           for _ in range(2))
+            optimal_oamp_run(inst, svd, base, channels[1], schedule)
             kick = 1e-10 * np.random.default_rng(seed).standard_normal(inst.M)
-            moved = optimal_oamp_run(dataclasses.replace(inst, a=inst.a + kick), svd,
-                                     *channels, schedule, keep_iterates=steps)
-            gap = [np.linalg.norm(moved.iterates[t][0] - base.iterates[t][0])
-                   for t in steps]
+            optimal_oamp_run(dataclasses.replace(inst, a=inst.a + kick), svd,
+                             moved, channels[1], schedule)
+            gap = [np.linalg.norm(moved.inputs[t] - base.inputs[t]) for t in steps]
             growth = (gap[9] / gap[2]) ** (1 / 7)
             assert growth < 1.0, (law, seed, growth)

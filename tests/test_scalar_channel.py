@@ -103,7 +103,8 @@ class TestDmmse:
         for w0 in (0.0, 0.04):
             ch = ScalarChannel("rademacher", w0)
             stein = dense_channel_mean(
-                ch, w, lambda xs, z, x, c: z * ch.dmmse(x, c, w)) / np.sqrt(1 - w)
+                ch, w, lambda xs, z, x, c: z * ch.dmmse(ch.posterior_mean(x, c, w), x, w)
+            ) / np.sqrt(1 - w)
             assert abs(stein) <= 1e-12
 
     @pytest.mark.parametrize("w0", [0.0, 0.04])
@@ -117,7 +118,8 @@ class TestDmmse:
         # with no side information the linear posterior mean projects to zero,
         # so the divergence-free output carries no signal
         ch = ScalarChannel("gaussian", 0.0)
-        assert np.allclose(ch.dmmse(np.array([1.0, -2.0]), np.zeros(2), 0.5), 0.0,
+        x, c = np.array([1.0, -2.0]), np.zeros(2)
+        assert np.allclose(ch.dmmse(ch.posterior_mean(x, c, 0.5), x, 0.5), 0.0,
                            atol=1e-12)
         with pytest.raises(ChannelError):
             dmmse_stats(ch, 0.5)
@@ -162,8 +164,10 @@ class TestDmmse:
         ch = ScalarChannel("rademacher", 0.04)
         for w in (0.2, 0.6):
             alpha, sigma2, rho = dmmse_stats(ch, w)
-            aq = dense_channel_mean(ch, w, lambda xs, z, x, c: xs * ch.dmmse(x, c, w))
-            second = dense_channel_mean(ch, w, lambda xs, z, x, c: ch.dmmse(x, c, w) ** 2)
+            aq = dense_channel_mean(
+                ch, w, lambda xs, z, x, c: xs * ch.dmmse(ch.posterior_mean(x, c, w), x, w))
+            second = dense_channel_mean(
+                ch, w, lambda xs, z, x, c: ch.dmmse(ch.posterior_mean(x, c, w), x, w) ** 2)
             assert alpha == pytest.approx(aq, abs=1e-8)
             assert sigma2 == pytest.approx(second - aq ** 2, abs=1e-8)
             assert rho == pytest.approx(alpha ** 2 / sigma2, rel=1e-6)
@@ -173,7 +177,7 @@ class TestDmmse:
         x = np.array([0.3, -1.2])
         c = np.array([0.5, -0.5])
         expect = np.tanh(np.sqrt(0.04) / 0.96 * c)
-        assert np.allclose(ch.dmmse(x, c, 0.0), expect)
+        assert np.allclose(ch.dmmse(ch.posterior_mean(x, c, 0.0), x, 0.0), expect)
 
 
 class TestChannelStats:
