@@ -7,7 +7,7 @@ iterates with trace-free polynomial-in-Y linear updates:
     v_t = (1/sqrt(w2_t)) [G*_t(Y^T Y) gbar(v_{t-1}) + Gtil*_t(Y^T Y) Y^T fbar(u_{t-1})]
 
 where fbar, gbar are the divergence-free corrections of the posterior means
-at the predicted strengths, and those posterior means are the estimates.
+at the schedule's strengths and mmse; those posterior means are the estimates.
 The module holds the optimal matrix denoisers (``DenoiserSet``, exact at
 the spectral outliers), the four spectral applications (``apply_left``,
 ``apply_right``, ``apply_cross_left``, ``apply_cross_right``) and the one
@@ -30,16 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ProblemInstance, SvdCache
-from .scalar_channel import ScalarChannel
+from .scalar_channel import ScalarChannel, dmmse
 from .spectra import ShrinkageSet
 
 
 class OampError(Exception):
     pass
-
-
-class DivergenceError(OampError):
-    """Raised when an iterate leaves the finite range."""
 
 
 class DenoiserSet:
@@ -219,15 +215,15 @@ def _cos2(estimate, truth):
 
 def _check_finite(x, label):
     if not np.all(np.isfinite(x)):
-        raise DivergenceError(f"{label} iterate diverged (non-finite entries)")
+        raise OampError(f"{label} iterate diverged (non-finite entries)")
 
 
 def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChannel,
                      channel_v: ScalarChannel, schedule) -> IterationTrace:
     """Run the optimal OAMP iteration along ``schedule``, an
     ``optimal_se_run`` of the same channels, which gives each step's
-    strengths w_t and the ``DenoiserSet`` it applies: step t evaluates
-    ``schedule.denoisers[t]`` at the eigenvalues.
+    strengths w_t, their mmse and the ``DenoiserSet`` it applies: step t
+    evaluates ``schedule.denoisers[t]`` at the eigenvalues.
 
     The side channel is handled inside the scalar denoisers, so the iterate
     strengths start at w = 0 and the first update draws its signal content
@@ -235,18 +231,21 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChan
     formed once, by one ``posterior_mean`` call per side: it is the step's
     estimate and the input of the next step's ``dmmse``, and before the
     first step it is the side-information estimate of the zero iterate.
+    A run evaluates mmse only at w = 0: ``dmmse`` reads the schedule's.
     """
     lam = svd.eigenvalues
     trace = IterationTrace()
     w1 = w2 = 0.0
+    m1, m2 = channel_u.mmse(0.0), channel_v.mmse(0.0)
     u_it = np.zeros(inst.M)
     v_it = np.zeros(inst.N)
     phi_u = channel_u.posterior_mean(u_it, inst.a, w1)
     phi_v = channel_v.posterior_mean(v_it, inst.b, w2)
 
-    for w1_next, w2_next, den in zip(schedule.w1, schedule.w2, schedule.denoisers):
-        f = channel_u.dmmse(phi_u, u_it, w1)
-        g = channel_v.dmmse(phi_v, v_it, w2)
+    for w1_next, w2_next, m1_next, m2_next, den in zip(
+            schedule.w1, schedule.w2, schedule.mmse_u, schedule.mmse_v, schedule.denoisers):
+        f = dmmse(phi_u, u_it, w1, m1)
+        g = dmmse(phi_v, v_it, w2, m2)
         fv, ftv, gv, gtv = den.evaluate(lam)
         f_proj = svd.U.T @ f
         yg_proj = svd.U.T @ (svd.Y @ g)
@@ -264,7 +263,7 @@ def optimal_oamp_run(inst: ProblemInstance, svd: SvdCache, channel_u: ScalarChan
                     + apply_cross_right(svd, gtv, f_proj)) / np.sqrt(w2_next)
         _check_finite(u_it, "u")
         _check_finite(v_it, "v")
-        w1, w2 = w1_next, w2_next
+        w1, w2, m1, m2 = w1_next, w2_next, m1_next, m2_next
 
         phi_u = channel_u.posterior_mean(u_it, inst.a, w1)
         phi_v = channel_v.posterior_mean(v_it, inst.b, w2)

@@ -15,9 +15,9 @@ taken by a trapezoid rule in Z (spectrally accurate for this smooth Gaussian
 integrand).  By Stein's lemma the Gaussian sensitivity of the posterior mean
 is kappa = E[Z phi(X, C)] = sqrt(snr(w)) mmse(w), for either prior.
 
-A ScalarChannel is the whole description of one signal side: it draws the
-signal from its prior and the side information at its strength w0 (for
-``model.make_instance``), and the denoisers condition on the same pair.
+A ScalarChannel is one side's prior and side channel: it draws the signal and
+its side information at w0 (``model.make_instance``), and gives the posterior
+mean, its derivative and the mmse, all that the DMMSE transform needs of it.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ def _snr(w):
 
 
 class ScalarChannel:
-    """Immutable channel calculus for one prior and one side-info strength.
+    """Immutable prior and side channel of one signal side.
 
     The iterate strength w varies per iteration and is passed explicitly;
     the mmse is closed form (Gaussian prior) or a 1-D trapezoid rule
     (Rademacher prior).  A schedule evaluates it once per strength, for its
-    prediction 1 - mmse and its next step's ``output_snr`` alike.
+    prediction 1 - mmse, its step's ``output_snr`` and the run's ``dmmse``.
     """
 
     def __init__(self, prior_kind: str, w0: float):
@@ -118,37 +118,37 @@ class ScalarChannel:
         err = (1.0 - np.tanh(gamma + np.sqrt(gamma) * _MMSE_Z)) ** 2
         return float(np.clip(np.dot(_MMSE_WEIGHTS, err), 0.0, 1.0))
 
-    # -- divergence-free denoiser ----------------------------------------------
 
-    def dmmse_coefficients(self, w: float):
-        """(kappa, denom) of the divergence-free projection at strength w.
+def dmmse_coefficients(w: float, m: float):
+    """(kappa, denom) of the divergence-free projection at strength w.
 
-        kappa = E[Z phi(X, C)] is the Gaussian sensitivity of the posterior
-        mean, sqrt(snr(w)) mmse(w) by Stein's lemma; the projection subtracts
-        kappa / sqrt(1 - w) times the identity and renormalizes by
-        1 - sqrt(snr(w)) kappa.  At w = 0 these are exactly (0.0, 1.0).
-        """
-        if not 0.0 <= w < 1.0:
-            raise ChannelError(f"dmmse requires w in [0, 1), got {w}")
-        root_snr = np.sqrt(_snr(w))
-        kappa = float(root_snr * self.mmse(w))
-        denom = 1.0 - root_snr * kappa
-        if abs(denom) < 1e-12:
-            raise ChannelError(
-                f"degenerate channel at w={w}: divergence-free projection "
-                "has vanishing normalizer (prior is effectively Gaussian)")
-        return kappa, denom
+    kappa = E[Z phi(X, C)] = sqrt(snr(w)) m by Stein's lemma, with m the
+    mmse at w (the prior's only input); the projection subtracts kappa /
+    sqrt(1 - w) times the identity and renormalizes by 1 - sqrt(snr(w))
+    kappa.  At w = 0 these are exactly (0.0, 1.0).
+    """
+    if not 0.0 <= w < 1.0:
+        raise ChannelError(f"dmmse requires w in [0, 1), got {w}")
+    root_snr = np.sqrt(_snr(w))
+    kappa = float(root_snr * m)
+    denom = 1.0 - root_snr * kappa
+    if abs(denom) < 1e-12:
+        raise ChannelError(
+            f"degenerate channel at w={w}: divergence-free projection "
+            "has vanishing normalizer (prior is effectively Gaussian)")
+    return kappa, denom
 
-    def dmmse(self, phi, x, w: float):
-        """Divergence-free posterior mean: E[d/dx] = 0 by construction.
 
-        ``phi`` is the posterior mean at x, ``posterior_mean(x, c, w)``,
-        which the caller has just computed (it is also its estimate).  At
-        w = 0 the coefficients are (0, 1), so the estimator is the
-        posterior mean on side information alone (no divergence to cancel).
-        """
-        kappa, denom = self.dmmse_coefficients(w)
-        return (phi - kappa / np.sqrt(1.0 - w) * np.asarray(x, dtype=float)) / denom
+def dmmse(phi, x, w: float, m: float):
+    """Divergence-free posterior mean: E[d/dx] = 0 by construction.
+
+    ``phi`` is the posterior mean at x, which the caller has just computed
+    (it is also its estimate), and m the mmse at w, the prior's only other
+    input.  At w = 0 the coefficients are (0, 1), so the estimator is the
+    posterior mean on side information alone (no divergence to cancel).
+    """
+    kappa, denom = dmmse_coefficients(w, m)
+    return (phi - kappa / np.sqrt(1.0 - w) * np.asarray(x, dtype=float)) / denom
 
 
 def output_snr(w: float, m: float) -> float:

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import settings
 
 from rectoamp.baselines import gaussian_amp_run, pca_estimate
-from rectoamp.model import make_instance, thin_svd
+from rectoamp.model import SvdCache, make_instance, thin_svd
 from rectoamp.oamp import IterationTrace, optimal_oamp_run
-from rectoamp.scalar_channel import ScalarChannel
+from rectoamp.scalar_channel import ScalarChannel, dmmse
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
 from rectoamp.state_evolution import amp_se_trajectory, optimal_se_run
 
@@ -77,8 +77,9 @@ def dense_dmmse_divergence(ch, w):
     """E[phi_bar'] = E[Z dmmse(X, C)] / sqrt(1 - w) by ``dense_channel_mean``
     given X* = 1: dmmse is odd in (X, C), so the X* = -1 half is its mirror
     image."""
+    m = ch.mmse(w)
     return dense_channel_mean(
-        ch, w, lambda xs, z, x, c: z * ch.dmmse(ch.posterior_mean(x, c, w), x, w),
+        ch, w, lambda xs, z, x, c: z * dmmse(ch.posterior_mean(x, c, w), x, w, m),
         xstars=(1.0,)) / np.sqrt(1 - w)
 
 
@@ -113,7 +114,6 @@ def run_seed(spectrum, theta, M, N, seed, shrinkage=None, channels=None,
     pca.record(*pca_estimate(inst, svd), inst)
     out = {
         "eigenvalues": svd.eigenvalues,
-        "top_eig": float(svd.eigenvalues[0]),
         # the bottom eigenpair, for the outlier below the support
         "bottom_eig": float(svd.eigenvalues[-1]),
         "bottom_u": float(u_min @ inst.u_star) ** 2 / M,
@@ -175,8 +175,34 @@ def ens_measures_only(mp05, beta_spectrum):
     return out
 
 
+def top_eigenpair(Y):
+    """The top eigenpair (lambda, u) of Y Y^T by power iteration from a
+    fixed start, with lambda the Rayleigh quotient of the unit vector u,
+    stopped once |Y Y^T u - lambda u| <= 1e-10 lambda.  An outlier well
+    above the bulk takes a few dozen products with Y and Y^T, and no
+    factorization."""
+    u = np.full(Y.shape[0], 1.0 / np.sqrt(Y.shape[0]))
+    for _ in range(500):
+        x = Y @ (Y.T @ u)
+        lam = float(u @ x)
+        if np.linalg.norm(x - lam * u) <= 1e-10 * lam:
+            return lam, u
+        u = x / np.linalg.norm(x)
+    raise RuntimeError("power iteration: no top eigenpair in 500 iterations")
+
+
 @pytest.fixture(scope="session")
 def ens_outlier(mp05):
-    """Larger instances for the outlier location / PCA overlap check."""
-    return [run_seed(mp05, THETA, 2000, 4000, seed, with_oamp=False)
-            for seed in range(10)]
+    """Larger instances for the outlier location / PCA overlap check: each
+    seed's top eigenvalue and PCA overlaps, from ``top_eigenpair`` (PCA
+    reads only the top eigenvector and Y)."""
+    side = ScalarChannel("rademacher", W0)
+    out = []
+    for seed in range(10):
+        inst = make_instance(side, side, mp05, 2000, 4000, THETA, seed)
+        lam, u = top_eigenpair(inst.Y)
+        pca = IterationTrace()
+        pca.record(*pca_estimate(inst, SvdCache(np.array([lam]), u[:, None], inst.Y)),
+                   inst)
+        out.append({"top_eig": lam, "pca": (pca.cos2_u[0], pca.cos2_v[0])})
+    return out

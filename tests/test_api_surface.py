@@ -4,10 +4,13 @@ tests use belongs in ``tests/`` (as the general state evolution and the
 tabulated law do).  Likewise every config key is read by the program: a key
 that only its own class reads is a dead option, and the README documents
 exactly the CLI's subcommands, the config keys and the schedule keys of a
-run's metadata."""
+run's metadata.  Importing the package loads no test-only dependency."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -168,3 +171,19 @@ def test_every_defaulted_parameter_is_passed():
     dead = [f"{name}({arg})" for name, i, arg in defaulted
             if (name, i) not in passed and (name, arg) not in passed]
     assert dead == []
+
+
+def test_import_loads_no_test_dependency():
+    """Importing the package, its CLI and its harness loads no module of
+    the ``test`` extra: ``pyproject.toml``'s one runtime dependency is
+    numpy, and importing ``scipy.linalg`` alone takes several times as long
+    as importing the package, numpy included."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, rectoamp, rectoamp.cli, rectoamp.harness\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}\n"
+            "             & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -309,6 +309,23 @@ class TestOptimalRun:
         assert evaluated == schedule.denoisers
         assert numerators == [(shrink_mp2, inst.M)] * 4
 
+    def test_mmse_evaluated_once_per_side(self, small_instance, shrink_mp2,
+                                          channels, monkeypatch):
+        # each step's dmmse takes the mmse at its strength from the
+        # schedule, so a 10-step run evaluates mmse only at the zero start
+        inst, svd = small_instance
+        schedule = optimal_se_run(shrink_mp2, *channels, 10)
+        calls, real = [], ScalarChannel.mmse
+
+        def mmse_spy(self, w):
+            calls.append((self, w))
+            return real(self, w)
+
+        monkeypatch.setattr(ScalarChannel, "mmse", mmse_spy)
+        tr = optimal_oamp_run(inst, svd, *channels, schedule)
+        assert len(tr.cos2_u) == 10
+        assert calls == [(channels[0], 0.0), (channels[1], 0.0)]
+
     def test_theta_zero_stays_at_side_info_floor(self, mp05):
         ch = ScalarChannel("rademacher", 0.3)
         inst = make_instance(ch, ch, mp05, 400, 800, 0.0, 3)

@@ -4,7 +4,7 @@ expectations against dense quadrature."""
 import numpy as np
 import pytest
 
-from rectoamp.scalar_channel import ChannelError, ScalarChannel
+from rectoamp.scalar_channel import ChannelError, ScalarChannel, dmmse, dmmse_coefficients
 
 from conftest import dense_channel_mean, dense_dmmse_divergence
 from general_se import dmmse_stats
@@ -102,8 +102,9 @@ class TestDmmse:
         # over both signs of X* rather than read off the X* = 1 half
         for w0 in (0.0, 0.04):
             ch = ScalarChannel("rademacher", w0)
+            m = ch.mmse(w)
             stein = dense_channel_mean(
-                ch, w, lambda xs, z, x, c: z * ch.dmmse(ch.posterior_mean(x, c, w), x, w)
+                ch, w, lambda xs, z, x, c: z * dmmse(ch.posterior_mean(x, c, w), x, w, m)
             ) / np.sqrt(1 - w)
             assert abs(stein) <= 1e-12
 
@@ -119,7 +120,7 @@ class TestDmmse:
         # so the divergence-free output carries no signal
         ch = ScalarChannel("gaussian", 0.0)
         x, c = np.array([1.0, -2.0]), np.zeros(2)
-        assert np.allclose(ch.dmmse(ch.posterior_mean(x, c, 0.5), x, 0.5), 0.0,
+        assert np.allclose(dmmse(ch.posterior_mean(x, c, 0.5), x, 0.5, ch.mmse(0.5)), 0.0,
                            atol=1e-12)
         with pytest.raises(ChannelError):
             dmmse_stats(ch, 0.5)
@@ -136,7 +137,7 @@ class TestDmmse:
             x = np.sqrt(w) * xs + np.sqrt(1 - w) * z
             oracle += 0.5 * np.trapezoid(
                 z * np.tanh(snr / np.sqrt(w) * x) * pdf, z)
-        kappa, _ = ch.dmmse_coefficients(w)
+        kappa, _ = dmmse_coefficients(w, ch.mmse(w))
         assert kappa == pytest.approx(oracle, abs=1e-8)
 
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
@@ -144,7 +145,7 @@ class TestDmmse:
         # kappa = E[Z phi] = sqrt(1 - w) E[phi'] = sqrt(snr) mmse
         ch = ScalarChannel(kind, 0.04)
         for w in (0.1, 0.5, 0.9):
-            kappa, denom = ch.dmmse_coefficients(w)
+            kappa, denom = dmmse_coefficients(w, ch.mmse(w))
             assert kappa == np.sqrt(w / (1 - w)) * ch.mmse(w)
             assert denom == 1 - np.sqrt(w / (1 - w)) * kappa
 
@@ -157,17 +158,18 @@ class TestDmmse:
         oracle = sum(0.5 * np.trapezoid(
             z * np.tanh(snr / np.sqrt(w) * (np.sqrt(w) * xs + np.sqrt(1 - w) * z)) * pdf, z)
             for xs in (1.0, -1.0))
-        kappa, _ = ScalarChannel("rademacher", 0.0).dmmse_coefficients(w)
+        kappa, _ = dmmse_coefficients(w, ScalarChannel("rademacher", 0.0).mmse(w))
         assert kappa == pytest.approx(oracle, abs=1e-12)
 
     def test_stats_match_quadrature(self):
         ch = ScalarChannel("rademacher", 0.04)
         for w in (0.2, 0.6):
             alpha, sigma2, rho = dmmse_stats(ch, w)
+            m = ch.mmse(w)
             aq = dense_channel_mean(
-                ch, w, lambda xs, z, x, c: xs * ch.dmmse(ch.posterior_mean(x, c, w), x, w))
+                ch, w, lambda xs, z, x, c: xs * dmmse(ch.posterior_mean(x, c, w), x, w, m))
             second = dense_channel_mean(
-                ch, w, lambda xs, z, x, c: ch.dmmse(ch.posterior_mean(x, c, w), x, w) ** 2)
+                ch, w, lambda xs, z, x, c: dmmse(ch.posterior_mean(x, c, w), x, w, m) ** 2)
             assert alpha == pytest.approx(aq, abs=1e-8)
             assert sigma2 == pytest.approx(second - aq ** 2, abs=1e-8)
             assert rho == pytest.approx(alpha ** 2 / sigma2, rel=1e-6)
@@ -177,7 +179,7 @@ class TestDmmse:
         x = np.array([0.3, -1.2])
         c = np.array([0.5, -0.5])
         expect = np.tanh(np.sqrt(0.04) / 0.96 * c)
-        assert np.allclose(ch.dmmse(ch.posterior_mean(x, c, 0.0), x, 0.0), expect)
+        assert np.allclose(dmmse(ch.posterior_mean(x, c, 0.0), x, 0.0, ch.mmse(0.0)), expect)
 
 
 class TestChannelStats:
