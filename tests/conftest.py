@@ -19,7 +19,7 @@ from rectoamp.scalar_channel import ScalarChannel, dmmse
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta, ShrinkageSet
 from rectoamp.state_evolution import amp_se_trajectory, optimal_se_run
 
-from empirical_measures import empirical_signal_measures, measure_moments
+from empirical_measures import signal_moments
 
 THETA = 2.0
 DELTA = 0.5
@@ -98,16 +98,25 @@ class RecordingChannel(ScalarChannel):
         return super().posterior_mean(x, c, w)
 
 
-def run_seed(spectrum, theta, M, N, seed, shrinkage=None, channels=None,
-             schedules=None, residual_steps=(), with_amp=False, with_oamp=True):
+# the keys under which an ensemble seed holds ``signal_moments``
+MOMENT_KEYS = ("mom_nu1", "mom_nu2", "nu2_zero_mass")
+
+
+def draw(spectrum, theta, M, N, seed):
+    """The ensembles' instance: Rademacher signals with side information at
+    W0 on both sides."""
+    side = ScalarChannel("rademacher", W0)
+    return make_instance(side, side, spectrum, M, N, theta, seed)
+
+
+def run_seed(spectrum, theta, M, N, seed, channels, schedules,
+             residual_steps=(), with_amp=False):
     """One seed's worth of everything the acceptance suite consumes; the
     runs read their strengths from ``schedules`` (see ``schedules_for``).
     OAMP runs on recording copies of ``channels`` (AMP keeps the originals),
     so that the raw u-iterates of ``residual_steps`` can go to ``residuals``."""
-    side = ScalarChannel("rademacher", W0)
-    inst = make_instance(side, side, spectrum, M, N, theta, seed)
+    inst = draw(spectrum, theta, M, N, seed)
     svd = thin_svd(inst.Y)
-    meas = empirical_signal_measures(inst, svd)
     u_min = svd.U[:, -1]
     v_min = inst.Y.T @ u_min
     pca = IterationTrace()
@@ -118,17 +127,14 @@ def run_seed(spectrum, theta, M, N, seed, shrinkage=None, channels=None,
         "bottom_eig": float(svd.eigenvalues[-1]),
         "bottom_u": float(u_min @ inst.u_star) ** 2 / M,
         "bottom_v": float(v_min @ inst.v_star / np.linalg.norm(v_min)) ** 2 / N,
-        "mom_nu1": measure_moments(*meas.nu_M1),
-        "mom_nu2": measure_moments(*meas.nu_N2),
-        "nu2_zero_mass": float(meas.nu_N2[1][-1]),
         "pca": (pca.cos2_u[0], pca.cos2_v[0]),
+        **dict(zip(MOMENT_KEYS, signal_moments(inst))),
     }
-    if with_oamp and shrinkage is not None:
-        rec_u, rec_v = (RecordingChannel(ch.prior, ch.w0) for ch in channels)
-        out["oamp"] = optimal_oamp_run(inst, svd, rec_u, rec_v, schedules["oamp"])
-        if residual_steps:
-            out["residuals"] = {
-                t: (rec_u.inputs[t], inst.u_star) for t in residual_steps}
+    rec_u, rec_v = (RecordingChannel(ch.prior, ch.w0) for ch in channels)
+    out["oamp"] = optimal_oamp_run(inst, svd, rec_u, rec_v, schedules["oamp"])
+    if residual_steps:
+        out["residuals"] = {
+            t: (rec_u.inputs[t], inst.u_star) for t in residual_steps}
     if with_amp:
         out["amp"] = gaussian_amp_run(inst, channels[0], channels[1],
                                       schedules["amp"])
@@ -147,32 +153,31 @@ def ens_fig1(mp05, shrink_mp2, channels):
     """Gaussian noise, theta=2: OAMP + AMP, iterates kept at t in {1, 3};
     also the induced-measure moments of (mp, 2.0) and seed 0's eigenvalues."""
     schedules = schedules_for(shrink_mp2, channels)
-    return [run_seed(mp05, THETA, M_DESK, N_DESK, seed,
-                     shrink_mp2, channels, schedules, residual_steps=(1, 3),
-                     with_amp=True)
+    return [run_seed(mp05, THETA, M_DESK, N_DESK, seed, channels, schedules,
+                     residual_steps=(1, 3), with_amp=True)
             for seed in range(N_SEEDS)]
 
 
 @pytest.fixture(scope="session")
 def ens_beta2(beta_spectrum, shrink_beta2, channels):
-    """RI Beta noise, theta=2: OAMP + PCA + empirical measures."""
+    """RI Beta noise, theta=2: OAMP + PCA + signal moments, and the bottom
+    eigenpair."""
     schedules = schedules_for(shrink_beta2, channels)
-    return [run_seed(beta_spectrum, THETA, M_DESK, N_DESK, seed, shrink_beta2,
-                     channels, schedules)
+    return [run_seed(beta_spectrum, THETA, M_DESK, N_DESK, seed, channels,
+                     schedules)
             for seed in range(N_SEEDS)]
 
 
 @pytest.fixture(scope="session")
 def ens_measures_only(mp05, beta_spectrum):
-    """Empirical signal measures for the (spectrum, theta) pairs of the
-    induced-measure moment checks; the (mp, 2.0) case is in ens_fig1 and
-    the (beta, 2.0) case in ens_beta2."""
-    out = {}
-    for key, spectrum, theta in (("mp1", mp05, 1.0), ("beta1", beta_spectrum, 1.0)):
-        out[key] = [run_seed(spectrum, theta, M_DESK, N_DESK, seed,
-                             with_oamp=False)
-                    for seed in range(N_SEEDS)]
-    return out
+    """``signal_moments`` of each seed's instance for the theta = 1 cases of
+    the induced-measure moment checks, keyed as in ``run_seed``; the
+    (mp, 2.0) case is in ens_fig1 and the (beta, 2.0) case in ens_beta2.
+    The instances are drawn and never factorized."""
+    return {key: [dict(zip(MOMENT_KEYS, signal_moments(
+                      draw(spectrum, 1.0, M_DESK, N_DESK, seed))))
+                  for seed in range(N_SEEDS)]
+            for key, spectrum in (("mp1", mp05), ("beta1", beta_spectrum))}
 
 
 def top_eigenpair(Y):
@@ -196,10 +201,9 @@ def ens_outlier(mp05):
     """Larger instances for the outlier location / PCA overlap check: each
     seed's top eigenvalue and PCA overlaps, from ``top_eigenpair`` (PCA
     reads only the top eigenvector and Y)."""
-    side = ScalarChannel("rademacher", W0)
     out = []
     for seed in range(10):
-        inst = make_instance(side, side, mp05, 2000, 4000, THETA, seed)
+        inst = draw(mp05, THETA, 2000, 4000, seed)
         lam, u = top_eigenpair(inst.Y)
         pca = IterationTrace()
         pca.record(*pca_estimate(inst, SvdCache(np.array([lam]), u[:, None], inst.Y)),

@@ -1,50 +1,30 @@
-"""Signal-weighted empirical spectral measures of an instance, the oracles
-of the induced-measure checks."""
-
-from dataclasses import dataclass
+"""Moments of the signal-weighted empirical spectral measures of an
+instance, the oracles of the induced-measure checks."""
 
 import numpy as np
 
-from rectoamp.model import ProblemInstance, SvdCache
+from rectoamp.model import ProblemInstance
 
 
-@dataclass
-class EmpiricalSignalMeasures:
-    """Signal-weighted empirical spectral measures of the noise Gram matrix."""
+def signal_moments(inst: ProblemInstance):
+    """(mom_nu1, mom_nu2, nu2_zero_mass) of the signal-weighted empirical
+    measures of Y Y^T and Y^T Y, as quadratic forms in Y: no factorization.
 
-    nu_M1: tuple          # (eigenvalues of YY^T, weights)
-    nu_N2: tuple          # (eigenvalues of Y^T Y incl. 0, weights)
-    nu_L3: tuple          # (eigenvalues of the dilation, signed weights)
-
-
-def empirical_signal_measures(inst: ProblemInstance,
-                              svd: SvdCache) -> EmpiricalSignalMeasures:
-    """Signal-weighted empirical spectral measures from the cached SVD.
-
-    The right factor is never formed: with v_i = Y^T u_i / sigma_i and
-    sigma_i = sqrt(lambda_i), <v_i, v*> = (U^T (Y v*))_i / sigma_i, two
-    matvecs instead of the N x M GEMM Y^T U.  So every eigenvalue must be
-    positive, as on the Gram path of ``thin_svd``.
-    The dilation's eigenpairs come for free: eigenvalues +-sigma_i with
-    eigenvectors (u_i, +-v_i)/sqrt(2), plus N - M null vectors supported on
-    the v side (these carry zero nu_L3 weight because their u part vanishes).
+    mom_nu1[k] = u*^T (Y Y^T)^k u* / M and mom_nu2[k] = v*^T (Y^T Y)^k v* / N
+    for k = 0..3, from three products with Y or Y^T per side; mom_nu2[0] =
+    |v*|^2 / N holds the null space's mass too.  With Y = U diag(sigma) V^T,
+    <v_i, v*> = (U^T Y v*)_i / sigma_i, so the mass at 0 is
+    (|v*|^2 - sum_i <v_i, v*>^2) / N = (|v*|^2 - (Y v*)^T (Y Y^T)^-1 (Y v*)) / N,
+    one dense solve with the Gram matrix, which must be nonsingular.
     """
-    M, N, L = inst.M, inst.N, inst.M + inst.N
-    lam = svd.eigenvalues
-    sigma = np.sqrt(lam)
-    ovl_u = svd.U.T @ inst.u_star                      # <u_i, u*>
-    ovl_v = svd.U.T @ (inst.Y @ inst.v_star) / sigma   # <v_i, v*>
-
-    nu_m1 = (lam, ovl_u ** 2 / M)
-
-    null_mass = (inst.v_star @ inst.v_star - ovl_v @ ovl_v) / N
-    nu_n2 = (np.concatenate((lam, [0.0])),
-             np.concatenate((ovl_v ** 2 / N, [null_mass])))
-
-    prod = ovl_u * ovl_v / (2.0 * L)
-    nu_l3 = (np.concatenate((sigma, -sigma)), np.concatenate((prod, -prod)))
-    return EmpiricalSignalMeasures(nu_m1, nu_n2, nu_l3)
-
-
-def measure_moments(values, weights, orders=(0, 1, 2, 3)) -> np.ndarray:
-    return np.array([np.dot(weights, np.asarray(values) ** k) for k in orders])
+    Y, u, v = inst.Y, inst.u_star, inst.v_star
+    a = Y.T @ u                 # Y^T u*
+    b = Y @ a                   # (Y Y^T) u*
+    c = Y.T @ b                 # Y^T (Y Y^T) u*
+    p = Y @ v                   # Y v*
+    q = Y.T @ p                 # (Y^T Y) v*
+    r = Y @ q                   # Y (Y^T Y) v*
+    mom_nu1 = np.array([u @ u, a @ a, b @ b, c @ c]) / inst.M
+    mom_nu2 = np.array([v @ v, p @ p, q @ q, r @ r]) / inst.N
+    nu2_zero_mass = float(v @ v - p @ np.linalg.solve(Y @ Y.T, p)) / inst.N
+    return mom_nu1, mom_nu2, nu2_zero_mass

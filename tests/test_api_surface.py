@@ -174,13 +174,15 @@ def test_every_defaulted_parameter_is_passed():
 
 
 def test_import_loads_no_test_dependency():
-    """Importing the package, its CLI and its harness loads no module of
-    the ``test`` extra: ``pyproject.toml``'s one runtime dependency is
+    """Importing the package, its CLI and its harness, and building
+    ``MarchenkoPastur(0.5)`` (a cold-start spectral build), loads no module
+    of the ``test`` extra: ``pyproject.toml``'s one runtime dependency is
     numpy, and importing ``scipy.linalg`` alone takes several times as long
     as importing the package, numpy included."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     code = ("import sys, rectoamp, rectoamp.cli, rectoamp.harness\n"
+            "rectoamp.MarchenkoPastur(0.5)\n"
             "print(sorted({m.split('.')[0] for m in sys.modules}\n"
             "             & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -13,7 +13,7 @@ from rectoamp.model import (ModelError, _add_spike, _haar_columns,
 from rectoamp.scalar_channel import ScalarChannel
 from rectoamp.spectra import MarchenkoPastur, ShiftedBeta
 
-from empirical_measures import empirical_signal_measures, measure_moments
+from empirical_measures import signal_moments
 
 FALLBACK_LOG = "direct SVD"
 
@@ -285,19 +285,24 @@ class TestSvdAndMeasures:
         Y = component_rng(seed, "noise").standard_normal((M, N))
         assert_thin_svd_invariants(Y, thin_svd(Y))
 
-    def test_empirical_measure_masses(self, mp05):
+    @pytest.mark.parametrize("kind", ["mp", "beta"])
+    def test_signal_moments_match_eigenpairs(self, kind):
+        # the quadratic forms in Y against the eigenpair sums of the
+        # signal-weighted measures, from eigh(Y Y^T) and v_i = Y^T u_i / sigma_i
+        spectrum = (MarchenkoPastur(0.5) if kind == "mp"
+                    else ShiftedBeta(1.5, 1.5, 1.0, 3.0, 0.5))
         side = ScalarChannel("rademacher", 0.0)
-        inst = make_instance(side, side, mp05, 200, 400, 2.0, 4)
-        svd = thin_svd(inst.Y)
-        meas = empirical_signal_measures(inst, svd)
-        # total nu_M1 mass = |u*|^2 / M = 1 for Rademacher
-        assert np.sum(meas.nu_M1[1]) == pytest.approx(1.0, abs=1e-12)
-        assert np.sum(meas.nu_N2[1]) == pytest.approx(1.0, abs=1e-12)
-        assert np.sum(meas.nu_L3[1]) == pytest.approx(0.0, abs=1e-12)
-        assert meas.nu_N2[1][-1] >= 0.0   # null-space mass
-
-    def test_measure_moments(self):
-        vals = np.array([1.0, 2.0])
-        weights = np.array([0.5, 0.5])
-        assert np.allclose(measure_moments(vals, weights),
-                           [1.0, 1.5, 2.5, 4.5])
+        inst = make_instance(side, side, spectrum, 200, 400, 2.0, 4)
+        mom_nu1, mom_nu2, zero_mass = signal_moments(inst)
+        lam, U = np.linalg.eigh(inst.Y @ inst.Y.T)
+        w1 = (U.T @ inst.u_star) ** 2 / inst.M
+        w2 = (U.T @ (inst.Y @ inst.v_star)) ** 2 / lam / inst.N
+        null = (inst.v_star @ inst.v_star) / inst.N - w2.sum()
+        powers = lam[None, :] ** np.arange(4)[:, None]
+        np.testing.assert_allclose(mom_nu1, powers @ w1, rtol=1e-12)
+        np.testing.assert_allclose(mom_nu2, powers @ w2 + [null, 0, 0, 0], rtol=1e-12)
+        assert zero_mass == pytest.approx(null, rel=1e-12)
+        # |u*|^2 / M = |v*|^2 / N = 1 for Rademacher signals
+        assert mom_nu1[0] == pytest.approx(1.0, abs=1e-12)
+        assert mom_nu2[0] == pytest.approx(1.0, abs=1e-12)
+        assert zero_mass >= 0.0

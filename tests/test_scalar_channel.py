@@ -142,11 +142,19 @@ class TestDmmse:
 
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
     def test_kappa_stein_identity(self, kind):
-        # kappa = E[Z phi] = sqrt(1 - w) E[phi'] = sqrt(snr) mmse
+        # kappa = sqrt(snr) mmse is Stein's E[Z phi(X, C)], taken from the
+        # posterior mean: by dense quadrature for Rademacher, and for the
+        # Gaussian prior, whose phi is linear, as sqrt(1 - w) d(phi)/dx
         ch = ScalarChannel(kind, 0.04)
         for w in (0.1, 0.5, 0.9):
             kappa, denom = dmmse_coefficients(w, ch.mmse(w))
-            assert kappa == np.sqrt(w / (1 - w)) * ch.mmse(w)
+            if kind == "rademacher":
+                stein = dense_channel_mean(
+                    ch, w, lambda xs, z, x, c: z * ch.posterior_mean(x, c, w))
+            else:
+                phi = ch.posterior_mean(np.array([1.0, 0.0]), np.zeros(2), w)
+                stein = np.sqrt(1 - w) * (phi[0] - phi[1])
+            assert kappa == pytest.approx(stein, rel=1e-12)
             assert denom == 1 - np.sqrt(w / (1 - w)) * kappa
 
     @pytest.mark.parametrize("w", [0.1, 0.5, 0.9])

@@ -1,10 +1,7 @@
 """Spectral transforms, shrinkage functions, and induced measures."""
 
 import math
-import os
 import pickle
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -15,7 +12,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-import rectoamp
 from rectoamp import spectra
 from rectoamp.spectra import (MarchenkoPastur, Measure, ShiftedBeta,
                               ShrinkageSet, SpectraError, detection_threshold)
@@ -138,18 +134,6 @@ class TestGaussLegendre:
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", unavailable)
         for kind in ("mp", "beta"):
             assert mp_or_beta(kind, DELTA).measure().integrate(lambda _: 1.0) == pytest.approx(1.0)
-
-
-def test_cold_start_imports_no_scipy():
-    src = os.path.dirname(os.path.dirname(rectoamp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, rectoamp\n"
-            "rectoamp.MarchenkoPastur(0.5)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
 
 
 class TestMarchenkoPastur:
