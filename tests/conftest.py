@@ -8,6 +8,11 @@ restores hypothesis's own profile, which draws fresh examples and replays
 the failures kept in ``.hypothesis/``; a sweep with ten ``--hypothesis-seed``
 values gives back the search at ten times each test's ``max_examples``."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -30,6 +35,24 @@ T_DESK = 10
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(scope="session")
+def cold_start_modules():
+    """The top-level packages of the ``test`` extra that a fresh interpreter
+    holds after importing the package, its CLI and its harness and building
+    ``MarchenkoPastur(0.5)``.  One interpreter serves every import guard."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, rectoamp, rectoamp.cli, rectoamp.harness\n"
+            "rectoamp.MarchenkoPastur(0.5)\n"
+            "print(*sorted({m.split('.')[0] for m in sys.modules}\n"
+            "              & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
 
 
 @pytest.fixture(scope="session")

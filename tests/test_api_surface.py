@@ -7,10 +7,7 @@ exactly the CLI's subcommands, the config keys and the schedule keys of a
 run's metadata.  Importing the package loads no test-only dependency."""
 
 import ast
-import os
 import re
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -173,19 +170,10 @@ def test_every_defaulted_parameter_is_passed():
     assert dead == []
 
 
-def test_import_loads_no_test_dependency():
+def test_import_loads_no_test_dependency(cold_start_modules):
     """Importing the package, its CLI and its harness, and building
     ``MarchenkoPastur(0.5)`` (a cold-start spectral build), loads no module
     of the ``test`` extra: ``pyproject.toml``'s one runtime dependency is
     numpy, and importing ``scipy.linalg`` alone takes several times as long
     as importing the package, numpy included."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    code = ("import sys, rectoamp, rectoamp.cli, rectoamp.harness\n"
-            "rectoamp.MarchenkoPastur(0.5)\n"
-            "print(sorted({m.split('.')[0] for m in sys.modules}\n"
-            "             & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert cold_start_modules == []

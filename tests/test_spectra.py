@@ -136,6 +136,12 @@ class TestGaussLegendre:
             assert mp_or_beta(kind, DELTA).measure().integrate(lambda _: 1.0) == pytest.approx(1.0)
 
 
+def test_cold_start_imports_no_scipy(cold_start_modules):
+    """A cold-start spectral build, ``MarchenkoPastur(0.5)`` in a fresh
+    interpreter, loads no scipy module (its quadrature is numpy's)."""
+    assert "scipy" not in cold_start_modules
+
+
 class TestMarchenkoPastur:
     def test_support(self):
         mp = MarchenkoPastur(DELTA)
